@@ -61,11 +61,14 @@ def pulse_peaks(w: GlottalWaveform) -> np.ndarray:
 
 def estimate_f0(w: GlottalWaveform) -> float:
     """Fundamental frequency from the median inter-peak interval."""
-    idx = pulse_peaks(w)
+    return _f0_of_peaks(pulse_peaks(w), w.sample_rate_hz)
+
+
+def _f0_of_peaks(idx: np.ndarray, sample_rate_hz: int) -> float:
     if len(idx) < 2:
         raise InsufficientPulsesError(
             f"need at least 2 pulses to estimate F0, found {len(idx)}")
-    intervals = np.diff(idx) / float(w.sample_rate_hz)
+    intervals = np.diff(idx) / float(sample_rate_hz)
     return 1.0 / float(np.median(intervals))
 
 
@@ -81,7 +84,10 @@ def detect_phases(w: GlottalWaveform) -> tuple[list[tuple[float, float]],
     Each sample owns [t_k, t_k + 1/rate); consecutive same-state samples
     merge, so the two lists together tile [t0, t0 + n/rate) exactly.
     """
-    mask = _open_mask(w)
+    return _phases(w, _open_mask(w))
+
+
+def _phases(w: GlottalWaveform, mask: np.ndarray):
     n = len(mask)
     rate = float(w.sample_rate_hz)
     boundaries = np.flatnonzero(mask[1:] != mask[:-1]) + 1
@@ -100,11 +106,12 @@ def analyze(w: GlottalWaveform) -> AnalysisReport:
     i_min = int(np.argmin(d))
     peaks = pulse_peaks(w)
     try:
-        f0 = estimate_f0(w)
+        f0 = _f0_of_peaks(peaks, w.sample_rate_hz)
     except InsufficientPulsesError:
         f0 = None
-    open_phases, _ = detect_phases(w)
-    closed = ~_open_mask(w)
+    mask = _open_mask(w)
+    open_phases, _ = _phases(w, mask)
+    closed = ~mask
     peak = float(w.u_gl.max(initial=0.0))
     if peak > 0.0 and closed.any():
         flatness = float(np.abs(w.u_gl[closed]).max()) / peak

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .elements import ElementKind, ResistorElement
 from .errors import ConfigError, ModelDomainError
-from .network import (DEFAULT_SAMPLE_RATE_HZ, FoldStage, GlottalCircuit,
-                      MIN_SAMPLE_RATE_HZ)
+from .network import (DEFAULT_SAMPLE_RATE_HZ, GlottalCircuit,
+                      MIN_SAMPLE_RATE_HZ, _two_fold_circuit)
 from .oscillator import DEFAULT_FOLD_LAG_S, OscillatorConfig
 from .pressure import PressureCmH2O, pressure_to_voltage
 
@@ -55,18 +54,9 @@ class RunConfig:
     write_wav: bool = False
 
     def build_circuit(self) -> GlottalCircuit:
-        return GlottalCircuit(
-            lower=FoldStage(
-                ResistorElement(ElementKind.LINEAR, self.lower_linear_gain),
-                ResistorElement(ElementKind.COMPRESSIVE,
-                                self.lower_compressive_gain),
-                self.lower_oscillator),
-            upper=FoldStage(
-                ResistorElement(ElementKind.LINEAR, self.upper_linear_gain),
-                ResistorElement(ElementKind.EXPANSIVE,
-                                self.upper_expansive_gain),
-                self.upper_oscillator),
-            drive=pressure_to_voltage(PressureCmH2O(self.pressure_cmh2o)))
+        return _two_fold_circuit(
+            self.pressure_cmh2o, self.lower_oscillator, self.upper_oscillator,
+            *(getattr(self, key) for key in _GAIN_KEYS))
 
 
 def _convert(kind: type, raw: str, label: str):

@@ -27,9 +27,17 @@ SETTLE_ABS_TOL = 1e-18
 
 
 class ElementKind(Enum):
-    LINEAR = "linear"
-    COMPRESSIVE = "compressive"
-    EXPANSIVE = "expansive"
+    """Branch law I = c * sign(v) * |v|**q, keyed by name with exponent q."""
+
+    LINEAR = ("linear", 1.0)
+    COMPRESSIVE = ("compressive", 0.5)
+    EXPANSIVE = ("expansive", 2.0)
+
+    def __new__(cls, name: str, exponent: float):
+        kind = object.__new__(cls)
+        kind._value_ = name
+        kind.exponent = exponent
+        return kind
 
 
 @dataclass(frozen=True)
@@ -62,14 +70,7 @@ class ResistorElement:
         coeff = self.effective_coefficient
         if coeff == 0.0:
             return 0.0
-        if self.kind is ElementKind.LINEAR:
-            return coeff * v
-        mag = abs(v)
-        if self.kind is ElementKind.COMPRESSIVE:
-            out = coeff * math.sqrt(mag)
-        else:
-            out = coeff * (mag * mag)
-        return math.copysign(out, v)
+        return math.copysign(coeff * abs(v) ** self.kind.exponent, v)
 
     def voltage(self, i: float) -> float:
         """Terminal voltage sustaining branch current i (inverse of current)."""
@@ -81,14 +82,7 @@ class ResistorElement:
                 raise ElementOpenError(
                     f"element open (effective coefficient 0) cannot carry {i!r} A")
             return 0.0
-        if self.kind is ElementKind.LINEAR:
-            return i / coeff
-        mag = abs(i)
-        if self.kind is ElementKind.COMPRESSIVE:
-            out = (mag / coeff) ** 2
-        else:
-            out = math.sqrt(mag / coeff)
-        return math.copysign(out, i)
+        return math.copysign((abs(i) / coeff) ** (1.0 / self.kind.exponent), i)
 
 
 @dataclass(frozen=True)
@@ -116,11 +110,9 @@ class TranslinearSpec:
         if not math.isfinite(i_in) or i_in < 0.0:
             raise ModelDomainError(
                 f"block input current must be finite and >= 0, got {i_in!r}")
-        if self.kind is ElementKind.LINEAR:
-            return i_in
-        if self.kind is ElementKind.COMPRESSIVE:
-            return math.sqrt(i_in * self.i_ref)
-        return i_in * i_in / self.i_ref
+        # i_ref ** 0 is 1 for any i_ref, so LINEAR stays an exact identity.
+        q = self.kind.exponent
+        return i_in ** q * self.i_ref ** (1.0 - q)
 
 
 def rectify(v_xy: float, transconductance: float) -> float:

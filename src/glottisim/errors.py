@@ -25,16 +25,15 @@ class FeedbackSettleError(GlottisimError, RuntimeError):
 class SolverError(GlottisimError, RuntimeError):
     """The series-network current solve failed to converge.
 
-    This cannot happen for valid inputs (the residual function is strictly
-    increasing with a maintained bracket); treat it as a bug signal.
+    This cannot happen for valid inputs (Newton on a convex, increasing
+    residual from an upper bound converges monotonically); treat it as a bug
+    signal.
     """
 
     def __init__(self, message: str, residual: float | None = None,
-                 bracket: tuple[float, float] | None = None,
                  index: int | None = None, time_s: float | None = None):
         super().__init__(message)
         self.residual = residual
-        self.bracket = bracket
         self.index = index
         self.time_s = time_s
 

@@ -47,7 +47,8 @@ def export_csv(w: GlottalWaveform, d: np.ndarray, path) -> None:
 def read_waveform_csv(path) -> tuple[GlottalWaveform, np.ndarray]:
     """Inverse of export_csv; returns the waveform and its derivative column.
 
-    The sample rate is recovered from the first two time stamps.
+    The sample rate is recovered from the whole time span:
+    (n - 1) / (t[-1] - t[0]).
     """
     with open(path, "r", encoding="ascii", newline="") as fh:
         header = fh.readline().strip()
@@ -61,7 +62,10 @@ def read_waveform_csv(path) -> tuple[GlottalWaveform, np.ndarray]:
         raise ModelDomainError(
             f"waveform CSV {path} needs >= 2 rows of {len(CSV_COLUMNS)} columns")
     t = data[:, 0]
-    rate = round(1.0 / (t[1] - t[0]))
+    span = t[-1] - t[0]
+    if not span > 0.0:
+        raise ModelDomainError(f"waveform CSV {path} has no increasing time span")
+    rate = round((len(t) - 1) / span)
     w = GlottalWaveform(sample_rate_hz=rate, u_gl=data[:, 1],
                         g_lower=data[:, 3], g_upper=data[:, 4], t0=float(t[0]))
     return w, data[:, 2]

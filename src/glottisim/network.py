@@ -13,11 +13,13 @@ voltage balance sum(element voltages) = drive.  The residual
 
     f(I) = sum_k element_voltage(e_k, I) - v_drive
 
-is strictly increasing in I, so a Newton iteration with analytic slope,
-guarded by a maintained bisection bracket [0, I_hi], always converges.
+is strictly increasing in I.  It is solved in s = sqrt(I), where every
+element voltage is a power (s / sqrt(c))**p with p >= 1; the residual is then
+convex as well, so plain Newton from an upper bound converges monotonically.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,10 +34,14 @@ DEFAULT_SAMPLE_RATE_HZ = 44100
 MIN_SAMPLE_RATE_HZ = 8000
 DEFAULT_DURATION_S = 1.0
 
-# Newton/bisection termination: residual within 1e-12 * max(v_drive, 1),
+# Newton termination: residual within 1e-12 * max(v_drive, 1),
 # well inside the 1e-10 voltage-balance budget of the simulate contract.
 _RESIDUAL_RTOL = 1e-12
 _MAX_SOLVER_STEPS = 200
+# simulate solves the active samples this many at a time.  The entries are
+# independent, so the result does not depend on it, and the solver's
+# temporaries stay at a few MB however long the record is.
+_SOLVE_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -96,16 +102,27 @@ class GlottalCircuit:
         upper_osc = OscillatorConfig(period_s=period_s, pulse_duration_s=pulse,
                                      rise_fraction=rise_fraction,
                                      phase_lag_s=fold_lag_s)
-        return cls(
-            lower=FoldStage(ResistorElement(ElementKind.LINEAR, lower_linear_gain),
-                            ResistorElement(ElementKind.COMPRESSIVE,
-                                            lower_compressive_gain),
-                            lower_osc),
-            upper=FoldStage(ResistorElement(ElementKind.LINEAR, upper_linear_gain),
-                            ResistorElement(ElementKind.EXPANSIVE,
-                                            upper_expansive_gain),
-                            upper_osc),
-            drive=pressure_to_voltage(PressureCmH2O(pressure_cmh2o)))
+        return _two_fold_circuit(pressure_cmh2o, lower_osc, upper_osc,
+                                lower_linear_gain, lower_compressive_gain,
+                                upper_linear_gain, upper_expansive_gain)
+
+
+def _two_fold_circuit(pressure_cmh2o: float, lower_osc: OscillatorConfig,
+                     upper_osc: OscillatorConfig, lower_linear_gain: float,
+                     lower_compressive_gain: float, upper_linear_gain: float,
+                     upper_expansive_gain: float) -> GlottalCircuit:
+    """Linear + compressive lower fold and linear + expansive upper fold in
+    series across the drive of the given lung pressure."""
+    return GlottalCircuit(
+        lower=FoldStage(ResistorElement(ElementKind.LINEAR, lower_linear_gain),
+                        ResistorElement(ElementKind.COMPRESSIVE,
+                                        lower_compressive_gain),
+                        lower_osc),
+        upper=FoldStage(ResistorElement(ElementKind.LINEAR, upper_linear_gain),
+                        ResistorElement(ElementKind.EXPANSIVE,
+                                        upper_expansive_gain),
+                        upper_osc),
+        drive=pressure_to_voltage(PressureCmH2O(pressure_cmh2o)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,72 +164,43 @@ class GlottalWaveform:
         return self.t0 + np.arange(len(self.u_gl)) / float(self.sample_rate_hz)
 
 
-def _forward_current(kind: ElementKind, coeff: np.ndarray,
-                     v: np.ndarray) -> np.ndarray:
-    if kind is ElementKind.LINEAR:
-        return coeff * v
-    if kind is ElementKind.COMPRESSIVE:
-        return coeff * np.sqrt(v)
-    return coeff * v * v
+def _series_current(kinds, coeffs, v):
+    """Vectorized series current for 1-D arrays of coefficients and drives.
 
-
-def _voltage_and_slope(kinds, coeffs, x):
-    """Total series voltage at current x > 0, and its derivative in x."""
-    total = np.zeros_like(x)
-    slope = np.zeros_like(x)
-    for kind, c in zip(kinds, coeffs):
-        if kind is ElementKind.LINEAR:
-            total += x / c
-            slope += 1.0 / c
-        elif kind is ElementKind.COMPRESSIVE:
-            r = x / c
-            total += r * r
-            slope += 2.0 * r / c
-        else:
-            total += np.sqrt(x / c)
-            slope += 0.5 / np.sqrt(x * c)
-    return total, slope
-
-
-def _newton_bisect(kinds, coeffs, v_drive):
-    """Vectorized root of f(I) = sum element voltages - v_drive, per entry.
-
-    All arrays share one shape; every coefficient and drive entry must be
-    strictly positive.  The bracket [0, I_hi] starts from the smallest
-    single-element current at full drive, which is already an upper bound for
-    the series current (each element sees at most the whole drive), so
-    f(I_hi) >= 0 up to rounding and no bracket growth is needed.
+    Every entry must be strictly positive.  In s = sqrt(I) an element of
+    exponent q drops (s / sqrt(c))**p with p = 2 / q in {2, 4, 1}, so
+    f(s) = sum_k (s / sqrt(c_k))**p_k - v is convex and increasing on s >= 0,
+    and Newton started above the root decreases monotonically onto it.  The
+    start is the smallest single-element current at full drive, an upper
+    bound on the series current because no element sees more than the whole
+    drive.  Converged entries leave the iteration, so each result depends on
+    that entry's own inputs only.
     """
-    v = v_drive
-    hi = _forward_current(kinds[0], coeffs[0], v)
-    for kind, c in zip(kinds[1:], coeffs[1:]):
-        hi = np.minimum(hi, _forward_current(kind, c, v))
-    lo = np.zeros_like(v)
-    x = hi.copy()
+    powers = [2.0 / kind.exponent for kind in kinds]
+    roots = [np.sqrt(c) for c in coeffs]
+    s = np.sqrt(functools.reduce(
+        np.minimum, (c * v ** kind.exponent for kind, c in zip(kinds, coeffs))))
     tol = _RESIDUAL_RTOL * np.maximum(v, 1.0)
-    done = np.zeros(v.shape, dtype=bool)
-    f = np.zeros_like(v)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_MAX_SOLVER_STEPS):
-            total, slope = _voltage_and_slope(kinds, coeffs, x)
-            f = total - v
-            done |= np.abs(f) <= tol
-            if done.all():
-                return x
-            pending = ~done
-            lo = np.where(pending & (f < 0.0), x, lo)
-            hi = np.where(pending & (f > 0.0), x, hi)
-            step = x - f / slope
-            # Fall back to bisection when Newton leaves the bracket or stalls.
-            bad = ~np.isfinite(step) | (step <= lo) | (step >= hi) | (step == x)
-            x = np.where(pending, np.where(bad, 0.5 * (lo + hi), step), x)
-    idx = int(np.argmax(~done))
+    out = np.empty_like(v)
+    pending = np.arange(len(v))
+    for _ in range(_MAX_SOLVER_STEPS):
+        terms = [(s / r) ** p for r, p in zip(roots, powers)]
+        f = sum(terms) - v
+        done = np.abs(f) <= tol
+        out[pending[done]] = s[done]
+        if done.all():
+            return out * out
+        if done.any():
+            keep = ~done
+            pending, s, v, tol, f = (a[keep] for a in (pending, s, v, tol, f))
+            roots = [r[keep] for r in roots]
+            terms = [t[keep] for t in terms]
+        # s - f / f'(s), with f'(s) = sum_k p_k * term_k / s
+        s = s - s * f / sum(p * t for p, t in zip(powers, terms))
     raise SolverError(
-        f"series current solve did not converge (residual {float(f.flat[idx])!r} V "
-        f"in bracket [{float(lo.flat[idx])!r}, {float(hi.flat[idx])!r}])",
-        residual=float(f.flat[idx]),
-        bracket=(float(lo.flat[idx]), float(hi.flat[idx])),
-        index=idx)
+        f"series current solve did not converge in {_MAX_SOLVER_STEPS} steps "
+        f"(residual {float(f[0])!r} V)",
+        residual=float(f[0]), index=int(pending[0]))
 
 
 def solve_series_current(elements, v_drive: float) -> float:
@@ -233,9 +221,9 @@ def solve_series_current(elements, v_drive: float) -> float:
     coeffs = [e.effective_coefficient for e in elements]
     if min(coeffs) == 0.0:
         return 0.0
-    kinds = tuple(e.kind for e in elements)
-    arrays = tuple(np.full(1, c, dtype=float) for c in coeffs)
-    x = _newton_bisect(kinds, arrays, np.full(1, float(v_drive)))
+    arrays = [np.full(1, c, dtype=float) for c in coeffs]
+    x = _series_current([e.kind for e in elements], arrays,
+                        np.full(1, float(v_drive)))
     return float(x[0])
 
 
@@ -277,29 +265,28 @@ def simulate(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURATION_S,
     is solved for the flow.  Output is deterministic: identical inputs give
     bit-identical arrays.
     """
-    n, rate = _check_grid(duration_s, sample_rate_hz)
-    t = np.arange(n) / float(rate)
-    g_lower, g_upper = conductance_traces(circuit, duration_s, rate)
-    u = np.zeros(n)
+    g_lower, g_upper = conductance_traces(circuit, duration_s, sample_rate_hz)
+    rate = int(sample_rate_hz)
+    u = np.zeros(len(g_lower))
     drive = circuit.drive.value
-    gains = (circuit.lower.linear.gain, circuit.lower.nonlinear.gain,
-             circuit.upper.linear.gain, circuit.upper.nonlinear.gain)
-    if drive > 0.0 and min(gains) > 0.0:
-        active = (g_lower > 0.0) & (g_upper > 0.0)
-        if active.any():
-            gl = g_lower[active]
-            gu = g_upper[active]
-            kinds = (ElementKind.LINEAR, ElementKind.COMPRESSIVE,
-                     ElementKind.LINEAR, ElementKind.EXPANSIVE)
-            coeffs = (gains[0] * gl, gains[1] * gl, gains[2] * gu, gains[3] * gu)
-            v = np.full(gl.shape, drive)
+    elements = (circuit.lower.linear, circuit.lower.nonlinear,
+                circuit.upper.linear, circuit.upper.nonlinear)
+    if drive > 0.0 and min(e.gain for e in elements) > 0.0:
+        active = np.flatnonzero((g_lower > 0.0) & (g_upper > 0.0))
+        kinds = [e.kind for e in elements]
+        for start in range(0, len(active), _SOLVE_BLOCK):
+            block = active[start:start + _SOLVE_BLOCK]
+            gl, gu = g_lower[block], g_upper[block]
+            coeffs = [e.gain * g for e, g in zip(elements, (gl, gl, gu, gu))]
+            v = np.full(len(block), drive)
             try:
-                u[active] = _newton_bisect(kinds, coeffs, v)
+                u[block] = _series_current(kinds, coeffs, v)
             except SolverError as exc:
                 # Map the failing solve entry back to its sample time.
-                k = int(np.flatnonzero(active)[exc.index or 0])
+                k = int(block[exc.index])
+                t_k = k / float(rate)
                 raise SolverError(
-                    f"{exc} at t = {float(t[k])!r} s", residual=exc.residual,
-                    bracket=exc.bracket, index=k, time_s=float(t[k])) from exc
+                    f"{exc} at t = {t_k!r} s", residual=exc.residual,
+                    index=k, time_s=t_k) from exc
     return GlottalWaveform(sample_rate_hz=rate, u_gl=u,
                            g_lower=g_lower, g_upper=g_upper)

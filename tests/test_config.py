@@ -3,6 +3,7 @@ import pytest
 
 from glottisim import (
     ConfigError,
+    GlottalCircuit,
     RunConfig,
     parse_config,
     serialize_config,
@@ -156,3 +157,4 @@ def test_build_circuit_wires_everything_through():
     assert circuit.lower.oscillator == cfg.lower_oscillator
     assert circuit.upper.oscillator == cfg.upper_oscillator
     assert circuit.inter_fold_lag_s == pytest.approx(0.0012)
+    assert RunConfig().build_circuit() == GlottalCircuit.normal_voice()

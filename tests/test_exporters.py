@@ -80,6 +80,13 @@ def test_csv_round_trip_simulation(tmp_path, loud_waveform):
     rel = np.abs(back.u_gl[nz] - loud_waveform.u_gl[nz]) / loud_waveform.u_gl[nz]
     assert rel.max() <= 5e-9
     assert np.array_equal(back.u_gl == 0.0, loud_waveform.u_gl == 0.0)
+    # a late start leaves too few digits for the first step to give the rate
+    w = loud_waveform
+    late = GlottalWaveform(44100, w.u_gl, w.g_lower, w.g_upper, t0=1000.0)
+    export_csv(late, derivative(late), path)
+    back, _ = read_waveform_csv(path)
+    assert back.sample_rate_hz == 44100
+    assert back.t0 == 1000.0
 
 
 def test_csv_is_deterministic(tmp_path):
@@ -108,6 +115,10 @@ def test_read_rejects_malformed_numbers(tmp_path):
     path.write_text("time_s,u_gl,du_gl_dt,g_lower,g_upper\n"
                     "0,0,0,1,1\nnope,0,0,1,1\n")
     with pytest.raises(ModelDomainError):
+        read_waveform_csv(path)
+    path.write_text("time_s,u_gl,du_gl_dt,g_lower,g_upper\n"
+                    "0,0,0,1,1\n0,0,0,1,1\n")
+    with pytest.raises(ModelDomainError):  # no time span to give a rate
         read_waveform_csv(path)
 
 

@@ -1,4 +1,6 @@
 """Series network solve and the quasi-static simulation."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,12 @@ from glottisim import (
     ModelDomainError,
     OscillatorConfig,
     ResistorElement,
+    SolverError,
     conductance_traces,
     simulate,
     solve_series_current,
 )
+from glottisim import network
 import oracles
 
 L, C, E = ElementKind.LINEAR, ElementKind.COMPRESSIVE, ElementKind.EXPANSIVE
@@ -193,6 +197,12 @@ def test_simulated_samples_match_scalar_solver(loud_waveform):
         assert float(w.u_gl[k]) == want  # same code path, bitwise equal
 
 
+def test_solve_blocks_do_not_change_the_flow(monkeypatch, loud_waveform):
+    monkeypatch.setattr(network, "_SOLVE_BLOCK", 1000)
+    w = simulate(GlottalCircuit.normal_voice(10.0), 1.0, 44100)
+    assert np.array_equal(w.u_gl, loud_waveform.u_gl)
+
+
 def test_peak_flow_regression(loud_waveform, soft_waveform):
     assert float(loud_waveform.u_gl.max()) == pytest.approx(0.768331638276445,
                                                             rel=1e-9)
@@ -265,3 +275,36 @@ def test_peak_current_scales_bias_not_flow():
     wa = simulate(base, 0.02, 44100)
     wb = simulate(big, 0.02, 44100)
     assert np.array_equal(wa.u_gl, wb.u_gl)
+
+
+@pytest.mark.parametrize("pressure", [6.0, 15.0])
+@pytest.mark.parametrize("gains",
+                         itertools.product((1e-300, 1.0, 1e300), repeat=4),
+                         ids=lambda g: ",".join(f"{x:g}" for x in g))
+def test_extreme_gains_keep_the_voltage_balance(gains, pressure):
+    names = ("lower_linear_gain", "lower_compressive_gain",
+             "upper_linear_gain", "upper_expansive_gain")
+    c = GlottalCircuit.normal_voice(pressure, **dict(zip(names, gains)))
+    w = simulate(c, 0.01, 44100)
+    assert np.all(np.isfinite(w.u_gl))
+    drive = c.drive.value
+    kinds = ("linear", "compressive", "linear", "expansive")
+    for k in np.flatnonzero((w.g_lower > 0.0) & (w.g_upper > 0.0)):
+        i = float(w.u_gl[k])
+        biases = (w.g_lower[k], w.g_lower[k], w.g_upper[k], w.g_upper[k])
+        total = sum(oracles.element_voltage_ref(kind, gain * float(b), i)
+                    for kind, gain, b in zip(kinds, gains, biases))
+        assert abs(total - drive) <= 1e-10 * max(drive, 1.0)
+
+
+def test_iteration_cap_names_the_failing_sample(monkeypatch):
+    c = GlottalCircuit.normal_voice()
+    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 1)
+    with pytest.raises(SolverError) as info:
+        simulate(c, 0.01, 44100)
+    exc = info.value
+    gl, gu = conductance_traces(c, 0.01, 44100)
+    assert gl[exc.index] > 0.0 and gu[exc.index] > 0.0
+    assert exc.time_s == exc.index / 44100.0
+    assert exc.residual > 0.0  # Newton approaches the root from above
+    assert f"at t = {exc.time_s!r} s" in str(exc)
