@@ -4,13 +4,20 @@ The flow derivative is the acoustic excitation proxy (its sharpest negative
 swing marks glottal closure).  F0 comes from picking flow peaks and taking
 the median inter-peak interval, and open/closed phases are runs of samples
 above/below a small fraction of the peak flow.
+
+A pulse peak is a strict local maximum of the flow: a sample higher than
+both of its neighbours, or a flat top higher than the samples on either
+side, taken at its middle sample ``(left + right) // 2``.  A maximum
+touching the first or last sample is not a peak.  Peaks below half the
+global peak are dropped, and the rest are thinned greedily from the highest
+down, equal heights in reversed ``np.argsort`` order: each kept peak removes
+its neighbours closer than 1 ms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import InsufficientPulsesError, ModelDomainError
 from .network import GlottalWaveform
@@ -55,8 +62,36 @@ def pulse_peaks(w: GlottalWaveform) -> np.ndarray:
     if peak <= 0.0:
         return np.empty(0, dtype=int)
     spacing = max(1, round(MIN_PEAK_SPACING_S * w.sample_rate_hz))
-    idx, _ = find_peaks(u, height=PEAK_HEIGHT_FRACTION * peak, distance=spacing)
-    return idx
+    return _find_peaks(u, PEAK_HEIGHT_FRACTION * peak, spacing)
+
+
+def _find_peaks(x: np.ndarray, height: float, distance: int) -> np.ndarray:
+    """Peaks of x at least `height` high and `distance` >= 1 samples apart."""
+    mid = x[1:-1]
+    # Left edges of rising tops that reach the height.
+    idx = np.flatnonzero((mid > x[:-2]) & (mid >= x[2:]) & (mid >= height)) + 1
+    flat = x[idx] == x[idx + 1]
+    if flat.any():
+        # A flat top ends at the next change point and is a peak when the
+        # signal falls after it.  A top that runs into the last sample has
+        # no change point after it; the last one, before it, then leads onto
+        # the top itself, so the test fails.
+        changes = np.flatnonzero(x[1:] != x[:-1])
+        left = idx[flat]
+        right = changes[np.minimum(np.searchsorted(changes, left),
+                                   len(changes) - 1)]
+        ok = x[right + 1] < x[left]
+        idx[flat] = np.where(ok, (left + right) // 2, -1)
+        idx = idx[idx >= 0]
+    if len(idx) < 2 or np.diff(idx).min() >= distance:
+        return idx
+    keep = np.ones(len(idx), dtype=bool)
+    for j in np.argsort(x[idx])[::-1]:
+        if keep[j]:
+            lo = np.searchsorted(idx, idx[j] - distance, side="right")
+            hi = np.searchsorted(idx, idx[j] + distance, side="left")
+            keep[lo:j] = keep[j + 1:hi] = False
+    return idx[keep]
 
 
 def estimate_f0(w: GlottalWaveform) -> float:
@@ -102,7 +137,11 @@ def _phases(w: GlottalWaveform, mask: np.ndarray):
 
 def analyze(w: GlottalWaveform) -> AnalysisReport:
     """Full report; F0 is None (not an error) when too few pulses exist."""
-    d = derivative(w)
+    return _analyze(w, derivative(w))
+
+
+def _analyze(w: GlottalWaveform, d: np.ndarray) -> AnalysisReport:
+    """analyze() given the flow derivative d of w."""
     i_min = int(np.argmin(d))
     peaks = pulse_peaks(w)
     try:

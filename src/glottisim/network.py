@@ -165,24 +165,26 @@ class GlottalWaveform:
 
 
 def _series_current(kinds, coeffs, v):
-    """Vectorized series current for 1-D arrays of coefficients and drives.
+    """Vectorized series current for 1-D arrays of coefficients at drive v.
 
-    Every entry must be strictly positive.  In s = sqrt(I) an element of
-    exponent q drops (s / sqrt(c))**p with p = 2 / q in {2, 4, 1}, so
-    f(s) = sum_k (s / sqrt(c_k))**p_k - v is convex and increasing on s >= 0,
-    and Newton started above the root decreases monotonically onto it.  The
-    start is the smallest single-element current at full drive, an upper
-    bound on the series current because no element sees more than the whole
-    drive.  Converged entries leave the iteration, so each result depends on
-    that entry's own inputs only.
+    The drive and every coefficient must be strictly positive.  In
+    s = sqrt(I) an element of exponent q drops (s / sqrt(c))**p with
+    p = 2 / q in {2, 4, 1}, so f(s) = sum_k (s / sqrt(c_k))**p_k - v is
+    convex and increasing on s >= 0, and Newton started above the root
+    decreases monotonically onto it.  The start is the square root of the
+    smallest single-element current at full drive, an upper bound on the
+    series current because no element sees more than the whole drive.  It is
+    formed as sqrt(c) * v**(q / 2), since the current c * v**q itself
+    overflows once v exceeds about 1e154.  Converged entries leave the
+    iteration, so each result depends on that entry's own inputs only.
     """
     powers = [2.0 / kind.exponent for kind in kinds]
     roots = [np.sqrt(c) for c in coeffs]
-    s = np.sqrt(functools.reduce(
-        np.minimum, (c * v ** kind.exponent for kind, c in zip(kinds, coeffs))))
-    tol = _RESIDUAL_RTOL * np.maximum(v, 1.0)
-    out = np.empty_like(v)
-    pending = np.arange(len(v))
+    s = functools.reduce(np.minimum, (
+        r * v ** (0.5 * kind.exponent) for kind, r in zip(kinds, roots)))
+    tol = _RESIDUAL_RTOL * max(v, 1.0)
+    out = np.empty_like(s)
+    pending = np.arange(len(s))
     for _ in range(_MAX_SOLVER_STEPS):
         terms = [(s / r) ** p for r, p in zip(roots, powers)]
         f = sum(terms) - v
@@ -192,7 +194,7 @@ def _series_current(kinds, coeffs, v):
             return out * out
         if done.any():
             keep = ~done
-            pending, s, v, tol, f = (a[keep] for a in (pending, s, v, tol, f))
+            pending, s, f = pending[keep], s[keep], f[keep]
             roots = [r[keep] for r in roots]
             terms = [t[keep] for t in terms]
         # s - f / f'(s), with f'(s) = sum_k p_k * term_k / s
@@ -222,8 +224,7 @@ def solve_series_current(elements, v_drive: float) -> float:
     if min(coeffs) == 0.0:
         return 0.0
     arrays = [np.full(1, c, dtype=float) for c in coeffs]
-    x = _series_current([e.kind for e in elements], arrays,
-                        np.full(1, float(v_drive)))
+    x = _series_current([e.kind for e in elements], arrays, float(v_drive))
     return float(x[0])
 
 
@@ -278,9 +279,8 @@ def simulate(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURATION_S,
             block = active[start:start + _SOLVE_BLOCK]
             gl, gu = g_lower[block], g_upper[block]
             coeffs = [e.gain * g for e, g in zip(elements, (gl, gl, gu, gu))]
-            v = np.full(len(block), drive)
             try:
-                u[block] = _series_current(kinds, coeffs, v)
+                u[block] = _series_current(kinds, coeffs, drive)
             except SolverError as exc:
                 # Map the failing solve entry back to its sample time.
                 k = int(block[exc.index])

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written from scratch: a brute-force
 bisection solver with its own inverse-law formulas, a struct-level RIFF
-reader that does not touch the wave module, and a circular correlator.
+reader that does not touch the wave module, a circular correlator and a
+sample-by-sample peak picker.
 The suite trusts these, not the package, when checking numbers.
 """
 from __future__ import annotations
@@ -75,6 +76,38 @@ def circular_xcorr_peak_lag(a, b, max_lag):
     n = len(a)
     xc = np.fft.irfft(np.fft.rfft(a) * np.conj(np.fft.rfft(b)), n=n)
     return int(np.argmax(xc[: max_lag + 1]))
+
+
+def find_peaks_ref(x, height, distance):
+    """Peak indices by the rule of scipy.signal.find_peaks(height, distance).
+
+    Walks the samples once: a rise followed by a run of equal samples and
+    then a fall is a peak at the run's middle sample (rounded down); a run
+    that reaches either end is not.  Peaks lower than `height` are dropped.
+    Then, from the highest peak down (ties in the order of np.argsort,
+    reversed), each peak still kept drops every other peak closer than
+    `distance` samples.
+    """
+    x = [float(v) for v in x]
+    peaks = []
+    i = 1
+    while i < len(x) - 1:
+        if x[i - 1] < x[i]:
+            end = i
+            while end + 1 < len(x) - 1 and x[end + 1] == x[i]:
+                end += 1
+            if x[end + 1] < x[i]:
+                peaks.append((i + end) // 2)
+                i = end
+        i += 1
+    peaks = [p for p in peaks if x[p] >= height]
+    keep = [True] * len(peaks)
+    for j in np.argsort([x[p] for p in peaks])[::-1]:
+        if keep[j]:
+            for k, p in enumerate(peaks):
+                if k != j and abs(p - peaks[j]) < distance:
+                    keep[k] = False
+    return np.array([p for p, kept in zip(peaks, keep) if kept], dtype=int)
 
 
 def parse_riff_wav(path):

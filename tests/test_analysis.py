@@ -1,6 +1,8 @@
-"""Derivative, F0 estimation, and phase detection."""
+"""Derivative, F0 estimation, peak picking and phase detection."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from glottisim import (
     GlottalCircuit,
@@ -14,6 +16,8 @@ from glottisim import (
     pulse_peaks,
     simulate,
 )
+from glottisim.analysis import _find_peaks
+import oracles
 
 
 def make_waveform(u, rate=44100):
@@ -96,6 +100,60 @@ def test_default_run_f0(loud_waveform, soft_waveform):
     assert f_loud == pytest.approx(44100.0 / 353.0, rel=1e-12)
     assert f_soft == f_loud  # pressure moves amplitude, not timing
     assert abs(f_loud - 125.0) <= 1.0
+
+
+# -- peak picking ----------------------------------------------------------
+
+
+@st.composite
+def runs_of_levels(draw):
+    """Short integer-valued signals built from runs, so that plateaus and
+    ties between peaks are common."""
+    runs = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4)),
+                         max_size=8))
+    return np.array([level for level, n in runs for _ in range(n)],
+                    dtype=float)
+
+
+PEAK_CASES = dict(x=runs_of_levels(), height=st.integers(-1, 4),
+                  distance=st.integers(1, 8))
+
+
+@settings(max_examples=400)
+@given(**PEAK_CASES)
+@example(x=np.array([]), height=0, distance=1)
+@example(x=np.array([1.0]), height=0, distance=1)
+@example(x=np.array([0.0, 1.0]), height=0, distance=1)
+@example(x=np.array([0.0, 1.0, 0.0]), height=0, distance=1)
+@example(x=np.full(6, 2.0), height=0, distance=1)
+@example(x=np.array([2.0, 2.0, 1.0, 3.0, 0.0]), height=0, distance=1)
+@example(x=np.array([0.0, 1.0, 3.0, 3.0]), height=0, distance=1)
+@example(x=np.array([0.0, 2.0, 2.0, 2.0, 2.0, 1.0]), height=0, distance=1)
+@example(x=np.array([0.0, 3.0, 0.0, 3.0, 0.0, 3.0, 0.0]), height=3,
+         distance=3)
+@example(x=np.array([0.0, 2.0, 0.0, 0.0, 3.0, 0.0, 1.0, 0.0]), height=0,
+         distance=3)
+def test_peak_picker_matches_reference(x, height, distance):
+    got = _find_peaks(x, height, distance)
+    assert np.array_equal(got, oracles.find_peaks_ref(x, height, distance))
+
+
+@pytest.fixture(scope="module")
+def scipy_find_peaks():
+    return pytest.importorskip("scipy.signal").find_peaks
+
+
+@given(**PEAK_CASES)
+def test_peak_picker_matches_scipy(scipy_find_peaks, x, height, distance):
+    want, _ = scipy_find_peaks(x, height=height, distance=distance)
+    assert np.array_equal(_find_peaks(x, height, distance), want)
+    assert np.array_equal(oracles.find_peaks_ref(x, height, distance), want)
+
+
+def test_pulse_peaks_of_default_run_match_reference(loud_waveform):
+    u = loud_waveform.u_gl
+    want = oracles.find_peaks_ref(u, 0.5 * u.max(), 44)
+    assert np.array_equal(pulse_peaks(loud_waveform), want)
 
 
 # -- phases ----------------------------------------------------------------

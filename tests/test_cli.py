@@ -1,7 +1,13 @@
 """End-to-end CLI behavior and exit codes."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from glottisim import analysis, cli
 from glottisim.cli import main
 from glottisim.exporters import read_waveform_csv
 import oracles
@@ -25,6 +31,43 @@ def test_simulate_short_run(tmp_path, capsys):
     assert len(w) == 4410
     assert w.sample_rate_hz == 44100
     assert len(d) == len(w)
+
+
+def test_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, glottisim, glottisim.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'scipy'))")
+    child = subprocess.run([sys.executable, "-c", code],
+                           env=dict(os.environ, PYTHONPATH=str(src)),
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
+
+
+def test_simulate_takes_the_derivative_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    derivative = analysis.derivative
+
+    def counted(w):
+        calls.append(len(w))
+        return derivative(w)
+
+    monkeypatch.setattr(cli, "derivative", counted)
+    monkeypatch.setattr(analysis, "derivative", counted)
+    rc, _, _ = run(capsys, "simulate", "--duration", "0.05",
+                   "--out", str(tmp_path / "o"))
+    assert rc == 0
+    assert calls == [2205]
+
+
+def test_simulate_at_a_huge_pressure(tmp_path, capsys):
+    out = tmp_path / "huge"
+    rc, _, err = run(capsys, "simulate", "--pressure", "1e300",
+                     "--duration", "0.01", "--out", str(out), "--wav")
+    assert rc == 0, err
+    w, d = read_waveform_csv(out / "waveform.csv")
+    assert np.all(np.isfinite(w.u_gl)) and np.all(np.isfinite(d))
 
 
 def test_simulate_wav_flag(tmp_path, capsys):

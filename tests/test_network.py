@@ -285,7 +285,17 @@ def test_extreme_gains_keep_the_voltage_balance(gains, pressure):
     names = ("lower_linear_gain", "lower_compressive_gain",
              "upper_linear_gain", "upper_expansive_gain")
     c = GlottalCircuit.normal_voice(pressure, **dict(zip(names, gains)))
-    w = simulate(c, 0.01, 44100)
+    _assert_voltage_balance(c, simulate(c, 0.01, 44100), gains)
+
+
+@pytest.mark.parametrize("pressure", [1e160, 1e200, 1e300])
+def test_huge_drives_keep_the_voltage_balance(pressure):
+    # v**2 overflows here; the solver must neither warn nor lose the balance.
+    c = GlottalCircuit.normal_voice(pressure)
+    _assert_voltage_balance(c, simulate(c, 0.01, 44100), (1.0,) * 4)
+
+
+def _assert_voltage_balance(c, w, gains):
     assert np.all(np.isfinite(w.u_gl))
     drive = c.drive.value
     kinds = ("linear", "compressive", "linear", "expansive")
