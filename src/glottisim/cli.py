@@ -32,15 +32,11 @@ def _load_config(path: str | None) -> RunConfig:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    if args.pressure is not None:
-        cfg = replace(cfg, pressure_cmh2o=args.pressure)
-    if args.duration is not None:
-        cfg = replace(cfg, duration_s=args.duration)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
-    if args.wav:
-        cfg = replace(cfg, write_wav=True)
+    # an option left unset keeps the config's value; --wav only turns WAV on
+    overrides = {"pressure_cmh2o": args.pressure, "duration_s": args.duration,
+                 "out_dir": args.out, "write_wav": args.wav or None}
+    cfg = replace(_load_config(args.config),
+                  **{k: v for k, v in overrides.items() if v is not None})
     validate_config(cfg)
 
     w = simulate(cfg.build_circuit(), cfg.duration_s, cfg.sample_rate_hz)
@@ -87,7 +83,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rep = analyze(w)
         rows.append((p, circuit.drive.value, float(w.u_gl.max()),
                      rep.f0_hz, rep.max_negative_derivative))
-    rows.sort(key=lambda row: row[0])
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

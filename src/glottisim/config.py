@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError, ModelDomainError
 from .network import (DEFAULT_SAMPLE_RATE_HZ, GlottalCircuit,
@@ -20,20 +20,22 @@ from .pressure import PressureCmH2O, pressure_to_voltage
 
 _GAIN_KEYS = ("lower_linear_gain", "lower_compressive_gain",
               "upper_linear_gain", "upper_expansive_gain")
-_OSC_KEYS = ("period_s", "pulse_duration_s", "rise_fraction",
-             "peak_current", "phase_lag_s")
+_OSC_KEYS = {k: k for k in ("period_s", "pulse_duration_s", "rise_fraction",
+                            "peak_current", "phase_lag_s")}
 
-_SCHEMA: dict[str, dict[str, type]] = {
-    "pressure": {"cmh2o": float},
-    "oscillator.lower": {k: float for k in _OSC_KEYS},
-    "oscillator.upper": {k: float for k in _OSC_KEYS},
-    "elements": {k: float for k in _GAIN_KEYS},
-    "output": {"duration_s": float, "sample_rate_hz": int,
-               "dir": str, "wav": bool},
+# The config format: section -> (oscillator, {key: field}), in document order.
+# A section whose oscillator is None sets RunConfig fields; an
+# [oscillator.*] section sets the fields of that RunConfig oscillator.  A
+# value takes the type of its field's default.
+_SECTIONS: dict[str, tuple[str | None, dict[str, str]]] = {
+    "pressure": (None, {"cmh2o": "pressure_cmh2o"}),
+    "oscillator.lower": ("lower_oscillator", _OSC_KEYS),
+    "oscillator.upper": ("upper_oscillator", _OSC_KEYS),
+    "elements": (None, {k: k for k in _GAIN_KEYS}),
+    "output": (None, {"duration_s": "duration_s",
+                      "sample_rate_hz": "sample_rate_hz",
+                      "dir": "out_dir", "wav": "write_wav"}),
 }
-
-_BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
-               "false": False, "no": False, "off": False, "0": False}
 
 
 @dataclass(frozen=True)
@@ -59,13 +61,18 @@ class RunConfig:
             *(getattr(self, key) for key in _GAIN_KEYS))
 
 
+def _holder(cfg: RunConfig, osc: str | None):
+    """The object that holds the fields of a section with this oscillator."""
+    return cfg if osc is None else getattr(cfg, osc)
+
+
 def _convert(kind: type, raw: str, label: str):
     raw = raw.strip()
     if kind is str:
         return raw
     if kind is bool:
         try:
-            return _BOOL_WORDS[raw.lower()]
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         except KeyError:
             raise ConfigError(
                 f"{label}: expected true/false, got {raw!r}") from None
@@ -86,40 +93,28 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
-    values: dict[tuple[str, str], object] = {}
-    for section in cp.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
-        for key, raw in cp.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {section}.{key}")
-            values[(section, key)] = _convert(_SCHEMA[section][key], raw,
-                                              f"{section}.{key}")
-
     defaults = RunConfig()
+    values: dict[str | None, dict] = {osc: {} for osc, _ in _SECTIONS.values()}
+    for section in cp.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}]")
+        osc, fields = _SECTIONS[section]
+        for key, raw in cp.items(section):
+            if key not in fields:
+                raise ConfigError(f"unknown key {section}.{key}")
+            default = getattr(_holder(defaults, osc), fields[key])
+            values[osc][fields[key]] = _convert(type(default), raw,
+                                                f"{section}.{key}")
 
-    def get(section: str, key: str, fallback):
-        return values.get((section, key), fallback)
-
-    def build_osc(section: str, base: OscillatorConfig) -> OscillatorConfig:
-        kwargs = {k: get(section, k, getattr(base, k)) for k in _OSC_KEYS}
+    kwargs = values[None]
+    for section, (osc, _) in _SECTIONS.items():
+        if osc is None:
+            continue
         try:
-            return OscillatorConfig(**kwargs)
+            kwargs[osc] = replace(getattr(defaults, osc), **values[osc])
         except ModelDomainError as exc:
             raise ConfigError(f"{section}: {exc}") from exc
-
-    cfg = RunConfig(
-        pressure_cmh2o=get("pressure", "cmh2o", defaults.pressure_cmh2o),
-        duration_s=get("output", "duration_s", defaults.duration_s),
-        sample_rate_hz=get("output", "sample_rate_hz", defaults.sample_rate_hz),
-        lower_oscillator=build_osc("oscillator.lower", defaults.lower_oscillator),
-        upper_oscillator=build_osc("oscillator.upper", defaults.upper_oscillator),
-        lower_linear_gain=get("elements", "lower_linear_gain", 1.0),
-        lower_compressive_gain=get("elements", "lower_compressive_gain", 1.0),
-        upper_linear_gain=get("elements", "upper_linear_gain", 1.0),
-        upper_expansive_gain=get("elements", "upper_expansive_gain", 1.0),
-        out_dir=get("output", "dir", defaults.out_dir),
-        write_wav=get("output", "wav", defaults.write_wav))
+    cfg = RunConfig(**kwargs)
     validate_config(cfg)
     return cfg
 
@@ -139,6 +134,10 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(
             f"output.sample_rate_hz: must be an integer >= "
             f"{MIN_SAMPLE_RATE_HZ}, got {cfg.sample_rate_hz!r}")
+    if round(cfg.duration_s * cfg.sample_rate_hz) < 3:
+        raise ConfigError(
+            f"output.duration_s: must span the 3 samples a flow derivative "
+            f"needs, got {cfg.duration_s!r} s at {cfg.sample_rate_hz} Hz")
     for key in _GAIN_KEYS:
         value = getattr(cfg, key)
         if not math.isfinite(value) or value < 0.0:
@@ -148,19 +147,12 @@ def validate_config(cfg: RunConfig) -> None:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Render cfg back to config text; parse_config(result) equals cfg."""
-    def osc_lines(section: str, osc: OscillatorConfig) -> list[str]:
-        out = [f"[{section}]"]
-        out += [f"{k} = {getattr(osc, k)!r}" for k in _OSC_KEYS]
-        return out
-
-    lines = ["[pressure]", f"cmh2o = {cfg.pressure_cmh2o!r}", ""]
-    lines += osc_lines("oscillator.lower", cfg.lower_oscillator) + [""]
-    lines += osc_lines("oscillator.upper", cfg.upper_oscillator) + [""]
-    lines += ["[elements]"]
-    lines += [f"{k} = {getattr(cfg, k)!r}" for k in _GAIN_KEYS]
-    lines += ["", "[output]",
-              f"duration_s = {cfg.duration_s!r}",
-              f"sample_rate_hz = {cfg.sample_rate_hz!r}",
-              f"dir = {cfg.out_dir}",
-              f"wav = {'true' if cfg.write_wav else 'false'}"]
-    return "\n".join(lines) + "\n"
+    blocks = []
+    for section, (osc, fields) in _SECTIONS.items():
+        lines = [f"[{section}]"]
+        for key, field in fields.items():
+            value = getattr(_holder(cfg, osc), field)
+            text = str(value).lower() if isinstance(value, bool) else str(value)
+            lines.append(f"{key} = {text}")
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)

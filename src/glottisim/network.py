@@ -27,7 +27,7 @@ import numpy as np
 
 from .elements import ElementKind, ResistorElement
 from .errors import ModelDomainError, SolverError
-from .oscillator import OscillatorConfig
+from .oscillator import DEFAULT_FOLD_LAG_S, OscillatorConfig
 from .pressure import DcVoltage, PressureCmH2O, pressure_to_voltage
 
 DEFAULT_SAMPLE_RATE_HZ = 44100
@@ -86,25 +86,14 @@ class GlottalCircuit:
         return self.upper.oscillator.phase_lag_s - self.lower.oscillator.phase_lag_s
 
     @classmethod
-    def normal_voice(cls, pressure_cmh2o: float = 10.0, *,
-                     period_s: float = 0.008,
-                     pulse_duration_s: float | None = None,
-                     rise_fraction: float = 0.9,
-                     fold_lag_s: float = 0.001,
-                     lower_linear_gain: float = 1.0,
-                     lower_compressive_gain: float = 1.0,
-                     upper_linear_gain: float = 1.0,
-                     upper_expansive_gain: float = 1.0) -> "GlottalCircuit":
-        """Default normal-voice circuit: 125 Hz pulses, 1 ms fold lag, unit gains."""
-        pulse = period_s if pulse_duration_s is None else pulse_duration_s
-        lower_osc = OscillatorConfig(period_s=period_s, pulse_duration_s=pulse,
-                                     rise_fraction=rise_fraction, phase_lag_s=0.0)
-        upper_osc = OscillatorConfig(period_s=period_s, pulse_duration_s=pulse,
-                                     rise_fraction=rise_fraction,
-                                     phase_lag_s=fold_lag_s)
-        return _two_fold_circuit(pressure_cmh2o, lower_osc, upper_osc,
-                                lower_linear_gain, lower_compressive_gain,
-                                upper_linear_gain, upper_expansive_gain)
+    def normal_voice(cls, pressure_cmh2o: float = 10.0) -> "GlottalCircuit":
+        """Default normal-voice circuit: 125 Hz pulses, 1 ms fold lag, unit gains.
+
+        Build any other circuit with RunConfig(...).build_circuit().
+        """
+        return _two_fold_circuit(
+            pressure_cmh2o, OscillatorConfig(),
+            OscillatorConfig(phase_lag_s=DEFAULT_FOLD_LAG_S), 1.0, 1.0, 1.0, 1.0)
 
 
 def _two_fold_circuit(pressure_cmh2o: float, lower_osc: OscillatorConfig,
@@ -175,13 +164,17 @@ def _series_current(kinds, coeffs, v):
     smallest single-element current at full drive, an upper bound on the
     series current because no element sees more than the whole drive.  It is
     formed as sqrt(c) * v**(q / 2), since the current c * v**q itself
-    overflows once v exceeds about 1e154.  Converged entries leave the
-    iteration, so each result depends on that entry's own inputs only.
+    overflows once v exceeds about 1e154.  A nonlinear term may still
+    overflow to inf; in a series with a linear element it is then never the
+    minimum, as sqrt(c) * v**0.5 stays finite for any finite c and v.
+    Converged entries leave the iteration, so each result depends on that
+    entry's own inputs only.
     """
     powers = [2.0 / kind.exponent for kind in kinds]
     roots = [np.sqrt(c) for c in coeffs]
-    s = functools.reduce(np.minimum, (
-        r * v ** (0.5 * kind.exponent) for kind, r in zip(kinds, roots)))
+    with np.errstate(over="ignore"):
+        s = functools.reduce(np.minimum, (
+            r * v ** (0.5 * kind.exponent) for kind, r in zip(kinds, roots)))
     tol = _RESIDUAL_RTOL * max(v, 1.0)
     out = np.empty_like(s)
     pending = np.arange(len(s))

@@ -105,10 +105,13 @@ def test_pressure_flag_overrides_config(tmp_path, capsys):
 
 def test_invalid_duration_exits_2(tmp_path, capsys):
     out = tmp_path / "x"
-    rc, _, err = run(capsys, "simulate", "--duration", "0", "--out", str(out))
-    assert rc == 2
-    assert "duration_s" in err
-    assert not out.exists()
+    # 4.5e-5 s is two samples, one short of the flow derivative's three
+    for duration in ("0", "4.5e-5"):
+        rc, _, err = run(capsys, "simulate", "--duration", duration,
+                         "--out", str(out))
+        assert rc == 2
+        assert "output.duration_s" in err
+        assert not out.exists()
 
 
 def test_bad_config_key_exits_2(tmp_path, capsys):

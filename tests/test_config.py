@@ -1,4 +1,8 @@
 """Config parsing, validation, and serialization round-trips."""
+import configparser
+import re
+from pathlib import Path
+
 import pytest
 
 from glottisim import (
@@ -39,6 +43,37 @@ duration_s = 0.25
 sample_rate_hz = 22050
 dir = results/run1
 wav = true
+"""
+
+DEFAULT_TEXT = """\
+[pressure]
+cmh2o = 10.0
+
+[oscillator.lower]
+period_s = 0.008
+pulse_duration_s = 0.008
+rise_fraction = 0.9
+peak_current = 1.0
+phase_lag_s = 0.0
+
+[oscillator.upper]
+period_s = 0.008
+pulse_duration_s = 0.008
+rise_fraction = 0.9
+peak_current = 1.0
+phase_lag_s = 0.001
+
+[elements]
+lower_linear_gain = 1.0
+lower_compressive_gain = 1.0
+upper_linear_gain = 1.0
+upper_expansive_gain = 1.0
+
+[output]
+duration_s = 1.0
+sample_rate_hz = 44100
+dir = out
+wav = false
 """
 
 
@@ -122,6 +157,9 @@ def test_output_bounds():
         parse_config("[output]\nduration_s = 0\n")
     with pytest.raises(ConfigError, match="output.sample_rate_hz"):
         parse_config("[output]\nsample_rate_hz = 4000\n")
+    # two samples at 44.1 kHz; the CLI's flow derivative needs three
+    with pytest.raises(ConfigError, match="output.duration_s"):
+        parse_config("[output]\nduration_s = 4.5e-5\n")
 
 
 def test_gain_bounds():
@@ -139,6 +177,25 @@ def test_serialize_parse_round_trip_defaults():
 def test_serialize_parse_round_trip_full():
     cfg = parse_config(FULL_DOC)
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_serialized_text_is_pinned():
+    assert serialize_config(RunConfig()) == DEFAULT_TEXT
+    assert serialize_config(parse_config(FULL_DOC)) == FULL_DOC
+
+
+def test_readme_config_block_is_the_defaults():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    assert parse_config(block) == RunConfig()
+
+    def layout(text):
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.optionxform = str
+        cp.read_string(text)
+        return {section: list(cp[section]) for section in cp.sections()}
+
+    assert layout(block) == layout(serialize_config(RunConfig()))
 
 
 def test_serialize_parse_round_trip_awkward_floats():

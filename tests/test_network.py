@@ -13,6 +13,7 @@ from glottisim import (
     ModelDomainError,
     OscillatorConfig,
     ResistorElement,
+    RunConfig,
     SolverError,
     conductance_traces,
     simulate,
@@ -22,6 +23,8 @@ from glottisim import network
 import oracles
 
 L, C, E = ElementKind.LINEAR, ElementKind.COMPRESSIVE, ElementKind.EXPANSIVE
+GAIN_NAMES = ("lower_linear_gain", "lower_compressive_gain",
+              "upper_linear_gain", "upper_expansive_gain")
 
 
 def test_single_linear_element():
@@ -226,14 +229,18 @@ def test_onset_pressure_yields_silence():
 
 
 def test_zero_gain_blocks_flow():
-    c = GlottalCircuit.normal_voice(10.0, upper_linear_gain=0.0)
+    c = RunConfig(pressure_cmh2o=10.0, upper_linear_gain=0.0).build_circuit()
     w = simulate(c, 0.05, 44100)
     assert np.all(w.u_gl == 0.0)
 
 
 def test_flow_confined_to_pulse_overlap_windows():
     # 6 ms pulses, 1 ms upper lag: folds overlap on (1 ms, 6 ms) mod 8 ms
-    c = GlottalCircuit.normal_voice(10.0, pulse_duration_s=0.006)
+    c = RunConfig(pressure_cmh2o=10.0,
+                  lower_oscillator=OscillatorConfig(pulse_duration_s=0.006),
+                  upper_oscillator=OscillatorConfig(pulse_duration_s=0.006,
+                                                    phase_lag_s=0.001)
+                  ).build_circuit()
     w = simulate(c, 0.032, 44100)
     dt = 1.0 / 44100.0
     pos = np.flatnonzero(w.u_gl > 0.0)
@@ -282,17 +289,22 @@ def test_peak_current_scales_bias_not_flow():
                          itertools.product((1e-300, 1.0, 1e300), repeat=4),
                          ids=lambda g: ",".join(f"{x:g}" for x in g))
 def test_extreme_gains_keep_the_voltage_balance(gains, pressure):
-    names = ("lower_linear_gain", "lower_compressive_gain",
-             "upper_linear_gain", "upper_expansive_gain")
-    c = GlottalCircuit.normal_voice(pressure, **dict(zip(names, gains)))
+    c = RunConfig(pressure_cmh2o=pressure,
+                  **dict(zip(GAIN_NAMES, gains))).build_circuit()
     _assert_voltage_balance(c, simulate(c, 0.01, 44100), gains)
 
 
-@pytest.mark.parametrize("pressure", [1e160, 1e200, 1e300])
-def test_huge_drives_keep_the_voltage_balance(pressure):
+@pytest.mark.parametrize("pressure, gains", [
+    *(pytest.param(p, (1.0,) * 4, id=f"{p:g}") for p in (1e160, 1e200, 1e300)),
+    # the expansive term of the start bound exceeds the float range here
+    *(pytest.param(p, (1.0, 1.0, 1.0, 1e300), id=f"{p:g}-expansive-1e+300")
+      for p in (1e200, 1e300)),
+])
+def test_huge_drives_keep_the_voltage_balance(pressure, gains):
     # v**2 overflows here; the solver must neither warn nor lose the balance.
-    c = GlottalCircuit.normal_voice(pressure)
-    _assert_voltage_balance(c, simulate(c, 0.01, 44100), (1.0,) * 4)
+    c = RunConfig(pressure_cmh2o=pressure,
+                  **dict(zip(GAIN_NAMES, gains))).build_circuit()
+    _assert_voltage_balance(c, simulate(c, 0.01, 44100), gains)
 
 
 def _assert_voltage_balance(c, w, gains):
