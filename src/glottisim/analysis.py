@@ -135,13 +135,13 @@ def _phases(w: GlottalWaveform, mask: np.ndarray):
     return opens, closeds
 
 
-def analyze(w: GlottalWaveform) -> AnalysisReport:
-    """Full report; F0 is None (not an error) when too few pulses exist."""
-    return _analyze(w, derivative(w))
+def analyze(w: GlottalWaveform, d: np.ndarray | None = None) -> AnalysisReport:
+    """Full report; F0 is None (not an error) when too few pulses exist.
 
-
-def _analyze(w: GlottalWaveform, d: np.ndarray) -> AnalysisReport:
-    """analyze() given the flow derivative d of w."""
+    d is the flow derivative of w; when None it is taken here.
+    """
+    if d is None:
+        d = derivative(w)
     i_min = int(np.argmin(d))
     peaks = pulse_peaks(w)
     try:

@@ -9,7 +9,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .analysis import _analyze, analyze, derivative
+from .analysis import analyze, derivative
 from .config import RunConfig, parse_config, validate_config
 from .errors import ConfigError, ModelDomainError, SolverError
 from .exporters import (export_csv, export_wav, format_number, format_report,
@@ -41,7 +41,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     w = simulate(cfg.build_circuit(), cfg.duration_s, cfg.sample_rate_hz)
     d = derivative(w)
-    rep = _analyze(w, d)
+    rep = analyze(w, d)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     export_csv(w, d, out / "waveform.csv")

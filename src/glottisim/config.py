@@ -134,7 +134,12 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(
             f"output.sample_rate_hz: must be an integer >= "
             f"{MIN_SAMPLE_RATE_HZ}, got {cfg.sample_rate_hz!r}")
-    if round(cfg.duration_s * cfg.sample_rate_hz) < 3:
+    samples = cfg.duration_s * cfg.sample_rate_hz
+    if not math.isfinite(samples):
+        raise ConfigError(
+            f"output.duration_s: {cfg.duration_s!r} s at {cfg.sample_rate_hz} "
+            f"Hz is more samples than a float can count")
+    if round(samples) < 3:
         raise ConfigError(
             f"output.duration_s: must span the 3 samples a flow derivative "
             f"needs, got {cfg.duration_s!r} s at {cfg.sample_rate_hz} Hz")

@@ -1,9 +1,15 @@
 """Serialization of simulation results: waveform CSV, WAV audio, text report.
 
 CSV cells carry at least nine significant digits so a parsed file reproduces
-the run to analysis precision; rows always end in a bare LF.  WAV output is
-RIFF/PCM, mono, 16-bit little-endian, with the waveform peak scaled to 90%
-of full scale.  Both writers are deterministic byte-for-byte.
+the run to analysis precision; rows always end in a bare LF.  The CSV writer
+formats _CSV_BLOCK_ROWS rows at a time with one ``%`` operation, so its
+temporaries stay at one block whatever the record length.  A cell is
+``%.9g`` of its value, except that an exact zero (-0.0 included) is written
+``0.000000000``: a block's template is built row by row from the template
+for that row's pattern of zero cells, and the zeros are left out of the
+values.  WAV output is RIFF/PCM, mono, 16-bit little-endian, with the
+waveform peak scaled to 90% of full scale.  Both writers are deterministic
+byte-for-byte.
 """
 from __future__ import annotations
 
@@ -17,6 +23,15 @@ from .errors import ModelDomainError
 from .network import GlottalWaveform, MIN_SAMPLE_RATE_HZ
 
 CSV_COLUMNS = ("time_s", "u_gl", "du_gl_dt", "g_lower", "g_upper")
+_CSV_BLOCK_ROWS = 1024
+_ZERO_CELL = "0.000000000"
+# Row template for each pattern of zero cells: bit j of the index set means
+# cell j is an exact zero.
+_ROW_TEMPLATES = tuple(
+    ",".join(_ZERO_CELL if code >> j & 1 else "%.9g"
+             for j in range(len(CSV_COLUMNS))) + "\n"
+    for code in range(1 << len(CSV_COLUMNS)))
+_ZERO_BITS = 1 << np.arange(len(CSV_COLUMNS))
 WAV_PEAK_FRACTION = 0.9
 _FULL_SCALE = 32767
 
@@ -24,7 +39,7 @@ _FULL_SCALE = 32767
 def format_number(x: float) -> str:
     """Nine significant digits; exact zero keeps the fixed 0.000000000 form."""
     if x == 0.0:
-        return "0.000000000"
+        return _ZERO_CELL
     return format(float(x), ".9g")
 
 
@@ -34,14 +49,20 @@ def export_csv(w: GlottalWaveform, d: np.ndarray, path) -> None:
     if d.shape != w.u_gl.shape:
         raise ModelDomainError(
             f"derivative length {d.shape} must match waveform {w.u_gl.shape}")
-    times = w.times
+    n = len(w)
+    rate = float(w.sample_rate_hz)
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for k in range(len(w)):
-            fh.write("%s,%s,%s,%s,%s\n" % (
-                format_number(times[k]), format_number(w.u_gl[k]),
-                format_number(d[k]), format_number(w.g_lower[k]),
-                format_number(w.g_upper[k])))
+        for start in range(0, n, _CSV_BLOCK_ROWS):
+            stop = min(start + _CSV_BLOCK_ROWS, n)
+            rows = np.column_stack((
+                w.t0 + np.arange(start, stop) / rate,  # == w.times[start:stop]
+                w.u_gl[start:stop], d[start:stop],
+                w.g_lower[start:stop], w.g_upper[start:stop]))
+            zero = rows == 0.0
+            template = "".join([_ROW_TEMPLATES[code]
+                                for code in (zero @ _ZERO_BITS).tolist()])
+            fh.write(template % tuple(rows[~zero].tolist()))
 
 
 def read_waveform_csv(path) -> tuple[GlottalWaveform, np.ndarray]:

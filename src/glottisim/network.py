@@ -230,7 +230,12 @@ def _check_grid(duration_s: float, sample_rate_hz: int) -> tuple[int, int]:
     if not math.isfinite(duration_s) or duration_s <= 0.0:
         raise ModelDomainError(
             f"duration_s must be finite and > 0, got {duration_s!r}")
-    n = int(round(duration_s * rate))
+    samples = duration_s * rate
+    if not math.isfinite(samples):
+        raise ModelDomainError(
+            f"duration {duration_s!r} s at {rate} Hz is more samples than a "
+            f"float can count")
+    n = int(round(samples))
     if n < 1:
         raise ModelDomainError(
             f"duration {duration_s!r} s is shorter than one sample at {rate} Hz")

@@ -3,7 +3,9 @@
 Everything here is deliberately written from scratch: a brute-force
 bisection solver with its own inverse-law formulas, a struct-level RIFF
 reader that does not touch the wave module, a circular correlator and a
-sample-by-sample peak picker.
+sample-by-sample peak picker.  The one exception is the row-by-row CSV
+writer, which formats each cell with the package's ``format_number``; the
+tests pin that function's output on its own.
 The suite trusts these, not the package, when checking numbers.
 """
 from __future__ import annotations
@@ -13,6 +15,8 @@ import struct
 from pathlib import Path
 
 import numpy as np
+
+from glottisim.exporters import format_number
 
 KIND_NAMES = ("linear", "compressive", "expansive")
 
@@ -108,6 +112,16 @@ def find_peaks_ref(x, height, distance):
                 if k != j and abs(p - peaks[j]) < distance:
                     keep[k] = False
     return np.array([p for p, kept in zip(peaks, keep) if kept], dtype=int)
+
+
+def csv_text_ref(w, d):
+    """The waveform CSV text written one cell at a time with format_number."""
+    lines = ["time_s,u_gl,du_gl_dt,g_lower,g_upper"]
+    times = w.times
+    for k in range(len(w)):
+        lines.append(",".join(format_number(x) for x in (
+            times[k], w.u_gl[k], d[k], w.g_lower[k], w.g_upper[k])))
+    return "\n".join(lines) + "\n"
 
 
 def parse_riff_wav(path):

@@ -223,6 +223,14 @@ def test_analyze_of_default_run(loud_waveform):
     assert rep.pulse_count == 125
 
 
+def test_analyze_uses_a_given_derivative(loud_waveform):
+    w = loud_waveform
+    d = derivative(w)
+    assert analyze(w, d) == analyze(w)
+    doubled = analyze(w, 2.0 * d)
+    assert doubled.max_negative_derivative == 2.0 * float(d.min())
+
+
 def test_closure_instant_sits_in_the_fall_segment(loud_waveform):
     # sharpest negative flow swing happens while the lower-fold pulse falls
     rep = analyze(loud_waveform)

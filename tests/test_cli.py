@@ -53,12 +53,21 @@ def test_simulate_takes_the_derivative_once(tmp_path, capsys, monkeypatch):
         calls.append(len(w))
         return derivative(w)
 
+    reports = []
+    analyze = analysis.analyze
+
+    def counted_analyze(w, d=None):
+        reports.append(d is not None)
+        return analyze(w, d)
+
     monkeypatch.setattr(cli, "derivative", counted)
     monkeypatch.setattr(analysis, "derivative", counted)
+    monkeypatch.setattr(cli, "analyze", counted_analyze)
     rc, _, _ = run(capsys, "simulate", "--duration", "0.05",
                    "--out", str(tmp_path / "o"))
     assert rc == 0
     assert calls == [2205]
+    assert reports == [True]  # one analyze call, handed the derivative
 
 
 def test_simulate_at_a_huge_pressure(tmp_path, capsys):
@@ -105,8 +114,9 @@ def test_pressure_flag_overrides_config(tmp_path, capsys):
 
 def test_invalid_duration_exits_2(tmp_path, capsys):
     out = tmp_path / "x"
-    # 4.5e-5 s is two samples, one short of the flow derivative's three
-    for duration in ("0", "4.5e-5"):
+    # 4.5e-5 s is two samples, one short of the flow derivative's three;
+    # 1e305 s is more samples than a float holds
+    for duration in ("0", "4.5e-5", "1e305"):
         rc, _, err = run(capsys, "simulate", "--duration", duration,
                          "--out", str(out))
         assert rc == 2

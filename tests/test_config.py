@@ -160,6 +160,9 @@ def test_output_bounds():
     # two samples at 44.1 kHz; the CLI's flow derivative needs three
     with pytest.raises(ConfigError, match="output.duration_s"):
         parse_config("[output]\nduration_s = 4.5e-5\n")
+    # the sample count overflows the float range
+    with pytest.raises(ConfigError, match="output.duration_s"):
+        parse_config("[output]\nduration_s = 1e305\n")
 
 
 def test_gain_bounds():

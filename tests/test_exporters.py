@@ -1,8 +1,12 @@
 """Waveform CSV, WAV, and report serialization."""
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from glottisim import (
+    GlottalCircuit,
     GlottalWaveform,
     ModelDomainError,
     analyze,
@@ -11,8 +15,11 @@ from glottisim import (
     export_wav,
     format_report,
     read_waveform_csv,
+    simulate,
 )
+from glottisim.config import RunConfig
 from glottisim.exporters import format_number
+from glottisim.oscillator import OscillatorConfig
 import oracles
 
 
@@ -95,6 +102,77 @@ def test_csv_is_deterministic(tmp_path):
     export_csv(w, d, tmp_path / "a.csv")
     export_csv(w, d, tmp_path / "b.csv")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+# cells a random waveform mixes in: zeros of both signs, subnormals, values
+# near the ends of the float range, and non-finite derivatives
+SPECIAL_CELLS = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+    1e300, -1e300, 1.7976931348623157e308, 1.0 / 3.0, 1.0, 0.5])
+SPECIAL_DERIVATIVES = np.array([np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def csv_cases(draw):
+    n = draw(st.sampled_from([1, 2, 3, 1023, 1024, 1025, 2049]))
+    rate = draw(st.sampled_from([8000, 44100, 48000]))
+    t0 = draw(st.sampled_from([0.0, 1000.0]))
+    special = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def column(specials=SPECIAL_CELLS):
+        x = 10.0 ** rng.uniform(-323.0, 308.0, n) * rng.choice([-1.0, 1.0], n)
+        pick = rng.random(n) < special
+        x[pick] = rng.choice(specials, int(pick.sum()))
+        return x
+
+    g_lower, g_upper = column(), column()
+    u = np.where((g_lower != 0.0) & (g_upper != 0.0), np.abs(column()), 0.0)
+    d = column(np.concatenate((SPECIAL_CELLS, SPECIAL_DERIVATIVES)))
+    return GlottalWaveform(rate, u, g_lower, g_upper, t0=t0), d
+
+
+@given(csv_cases())
+def test_csv_matches_the_cell_by_cell_writer(tmp_path_factory, case):
+    w, d = case
+    path = tmp_path_factory.mktemp("csv") / "w.csv"
+    export_csv(w, d, path)
+    assert path.read_bytes() == oracles.csv_text_ref(w, d).encode("ascii")
+
+
+CSV_CIRCUITS = {
+    "default": RunConfig(),
+    "loud": RunConfig(pressure_cmh2o=11.337),
+    "zero-gain": RunConfig(upper_linear_gain=0.0),
+    "2ms-pulses": RunConfig(
+        lower_oscillator=OscillatorConfig(pulse_duration_s=0.002),
+        upper_oscillator=OscillatorConfig(pulse_duration_s=0.002,
+                                          phase_lag_s=0.001)),
+}
+
+
+@pytest.mark.parametrize("t0", [0.0, 1000.0])
+@pytest.mark.parametrize("name", list(CSV_CIRCUITS))
+def test_csv_of_simulations_matches_the_cell_by_cell_writer(tmp_path, name, t0):
+    w = simulate(CSV_CIRCUITS[name].build_circuit(), 0.25, 44100)
+    w = GlottalWaveform(44100, w.u_gl, w.g_lower, w.g_upper, t0=t0)
+    d = derivative(w)
+    export_csv(w, d, tmp_path / "w.csv")
+    assert (tmp_path / "w.csv").read_bytes() == (
+        oracles.csv_text_ref(w, d).encode("ascii"))
+
+
+def test_csv_writer_memory_does_not_grow_with_the_record(tmp_path):
+    w = simulate(GlottalCircuit.normal_voice(), 10.0, 44100)
+    d = derivative(w)
+    tracemalloc.start()
+    try:
+        export_csv(w, d, tmp_path / "w.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole-record writer peaked at 6.8 MiB here; one block is ~0.3 MiB
+    assert peak < 2 * 2**20
 
 
 def test_csv_rejects_mismatched_derivative(tmp_path):

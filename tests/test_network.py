@@ -163,6 +163,8 @@ def test_simulate_validation():
         simulate(c, 1.0, 7999)
     with pytest.raises(ModelDomainError):
         simulate(c, 1.0, 44100.5)
+    with pytest.raises(ModelDomainError, match="more samples"):
+        simulate(c, 1e305, 44100)  # the sample count overflows
 
 
 def test_flow_vanishes_exactly_where_a_fold_bias_is_zero(loud_waveform):
