@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import configparser
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError, ModelDomainError
 from .network import (DEFAULT_SAMPLE_RATE_HZ, GlottalCircuit,
-                      MIN_SAMPLE_RATE_HZ, _two_fold_circuit)
+                      MIN_SAMPLE_RATE_HZ, _check_flow_range, _two_fold_circuit)
 from .oscillator import DEFAULT_FOLD_LAG_S, OscillatorConfig
 from .pressure import PressureCmH2O, pressure_to_voltage
 
@@ -130,10 +131,12 @@ def validate_config(cfg: RunConfig) -> None:
             f"output.duration_s: must be finite and > 0 seconds, "
             f"got {cfg.duration_s!r}")
     if (not isinstance(cfg.sample_rate_hz, int)
-            or cfg.sample_rate_hz < MIN_SAMPLE_RATE_HZ):
+            or not MIN_SAMPLE_RATE_HZ <= cfg.sample_rate_hz
+            <= sys.float_info.max):
         raise ConfigError(
-            f"output.sample_rate_hz: must be an integer >= "
-            f"{MIN_SAMPLE_RATE_HZ}, got {cfg.sample_rate_hz!r}")
+            f"output.sample_rate_hz: must be an integer in "
+            f"[{MIN_SAMPLE_RATE_HZ}, {sys.float_info.max!r}], "
+            f"got {cfg.sample_rate_hz!r}")
     samples = cfg.duration_s * cfg.sample_rate_hz
     if not math.isfinite(samples):
         raise ConfigError(
@@ -148,6 +151,12 @@ def validate_config(cfg: RunConfig) -> None:
         if not math.isfinite(value) or value < 0.0:
             raise ConfigError(
                 f"elements.{key}: must be finite and >= 0, got {value!r}")
+    try:
+        _check_flow_range(cfg.build_circuit())
+    except ModelDomainError as exc:
+        raise ConfigError(
+            f"elements: at pressure.cmh2o = {cfg.pressure_cmh2o!r}, {exc}"
+        ) from exc
 
 
 def serialize_config(cfg: RunConfig) -> str:

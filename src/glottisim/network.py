@@ -9,18 +9,33 @@ pulses and glottal flow is the common series current.
 
 Dynamics are quasi-static: at every sample time the oscillators set the
 biases and the network is solved fresh for the current that satisfies the
-voltage balance sum(element voltages) = drive.  The residual
+voltage balance sum(element voltages) = drive v.  It is solved in
+s = sqrt(I), where an element of law exponent q and coefficient c drops
+(s / sqrt(c))**p with p = 2 / q in {2, 4, 1}, so the balance is a quartic in
+s.  Alone across the whole drive an element would pass
+rho = sqrt(c) * v**(q / 2), and no element of a series stack sees more than
+the whole drive, so sigma = min_k rho_k bounds s from above.  In x = s / sigma
+the balance divided by v reads
 
-    f(I) = sum_k element_voltage(e_k, I) - v_drive
+    g(x) = b4 * x**4 + b2 * x**2 + b1 * x - 1,
+    b_p = sum of (sigma / rho_k)**p over the elements of power p,
 
-is strictly increasing in I.  It is solved in s = sqrt(I), where every
-element voltage is a power (s / sqrt(c))**p with p >= 1; the residual is then
-convex as well, so plain Newton from an upper bound converges monotonically.
+which is convex and increasing on x >= 0 with g(1) >= 0, so Newton from
+x = 1 converges monotonically from above.  The normalization is required,
+not cosmetic: every sigma / rho_k lies in [0, 1], so nothing in the
+iteration can overflow, whereas the raw quartic in s, with coefficients
+sum c_k**(-p / 2), overflows on 56 of the 162 extreme-gain cases of the tests
+(gains 1e-300, 1 and 1e300 at 6 and 15 cmH2O).
+
+simulate streams the record: the oscillator traces and the solve run one
+block of samples at a time into the preallocated output arrays, so the
+temporaries stay at one block however long the record is.
 """
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +53,12 @@ DEFAULT_DURATION_S = 1.0
 # well inside the 1e-10 voltage-balance budget of the simulate contract.
 _RESIDUAL_RTOL = 1e-12
 _MAX_SOLVER_STEPS = 200
-# simulate solves the active samples this many at a time.  The entries are
-# independent, so the result does not depend on it, and the solver's
+# simulate forms the traces and solves them this many samples at a time.
+# The samples are independent, so the result does not depend on it, and the
 # temporaries stay at a few MB however long the record is.
 _SOLVE_BLOCK = 16384
+# A current I = s * s is finite while s <= _SQRT_MAX.
+_SQRT_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -153,49 +170,53 @@ class GlottalWaveform:
         return self.t0 + np.arange(len(self.u_gl)) / float(self.sample_rate_hz)
 
 
-def _series_current(kinds, coeffs, v):
-    """Vectorized series current for 1-D arrays of coefficients at drive v.
-
-    The drive and every coefficient must be strictly positive.  In
-    s = sqrt(I) an element of exponent q drops (s / sqrt(c))**p with
-    p = 2 / q in {2, 4, 1}, so f(s) = sum_k (s / sqrt(c_k))**p_k - v is
-    convex and increasing on s >= 0, and Newton started above the root
-    decreases monotonically onto it.  The start is the square root of the
-    smallest single-element current at full drive, an upper bound on the
-    series current because no element sees more than the whole drive.  It is
-    formed as sqrt(c) * v**(q / 2), since the current c * v**q itself
-    overflows once v exceeds about 1e154.  A nonlinear term may still
-    overflow to inf; in a series with a linear element it is then never the
-    minimum, as sqrt(c) * v**0.5 stays finite for any finite c and v.
-    Converged entries leave the iteration, so each result depends on that
-    entry's own inputs only.
-    """
-    powers = [2.0 / kind.exponent for kind in kinds]
-    roots = [np.sqrt(c) for c in coeffs]
+def _quartic(kinds, coeffs, v):
+    """sigma = min_k rho_k and the coefficients (b4, b2, b1) of the
+    normalized voltage balance g(x) (see the module docstring)."""
     with np.errstate(over="ignore"):
-        s = functools.reduce(np.minimum, (
-            r * v ** (0.5 * kind.exponent) for kind, r in zip(kinds, roots)))
-    tol = _RESIDUAL_RTOL * max(v, 1.0)
-    out = np.empty_like(s)
-    pending = np.arange(len(s))
+        rhos = [np.sqrt(c) * v ** (0.5 * kind.exponent)
+                for kind, c in zip(kinds, coeffs)]
+    sigma = functools.reduce(np.minimum, rhos)
+    b = {1.0: 0.0, 2.0: 0.0, 4.0: 0.0}
+    for kind, rho in zip(kinds, rhos):
+        # 1 where rho is the minimum, which covers sigma = rho = 0 or inf
+        r = np.divide(sigma, rho, out=np.ones_like(sigma), where=rho > sigma)
+        p = 2.0 / kind.exponent
+        term = r if p == 1.0 else r * r
+        b[p] = b[p] + (term * term if p == 4.0 else term)
+    return sigma, b[4.0], b[2.0], b[1.0]
+
+
+def _series_root(kinds, coeffs, v):
+    """Square root s = sqrt(I) of the series current, for 1-D arrays of
+    coefficients at drive v > 0: the normalized quartic Newton kernel.
+
+    The coefficients of g come from _quartic, in which elements of one law
+    fold into one b_p; g and g' are evaluated by Horner.  The root lies in
+    [1 / n, 1] for n elements, and a rho_k beyond the float range only adds
+    0 to its b_p.  Converged entries are frozen in place rather than removed,
+    and the loop uses only correctly rounded operations, so each result
+    depends on that entry's own inputs only, whatever the batch size.  s
+    comes out as inf, without a warning, where sigma is beyond the float
+    range.  The stopping test |g| <= 1e-12 * max(v, 1) / v is the voltage
+    residual within 1e-12 * max(v, 1).
+    """
+    sigma, b4, b2, b1 = _quartic(kinds, coeffs, v)
+    d4, d2 = 4.0 * b4, 2.0 * b2
+    tol = _RESIDUAL_RTOL * max(v, 1.0) / v
+    x = np.ones_like(sigma)
     for _ in range(_MAX_SOLVER_STEPS):
-        terms = [(s / r) ** p for r, p in zip(roots, powers)]
-        f = sum(terms) - v
-        done = np.abs(f) <= tol
-        out[pending[done]] = s[done]
+        y = x * x
+        g = (b4 * y + b2) * y + b1 * x - 1.0
+        done = np.abs(g) <= tol
         if done.all():
-            return out * out
-        if done.any():
-            keep = ~done
-            pending, s, f = pending[keep], s[keep], f[keep]
-            roots = [r[keep] for r in roots]
-            terms = [t[keep] for t in terms]
-        # s - f / f'(s), with f'(s) = sum_k p_k * term_k / s
-        s = s - s * f / sum(p * t for p, t in zip(powers, terms))
+            return sigma * x
+        x = np.where(done, x, x - g / ((d4 * y + d2) * x + b1))
+    k = int(np.argmin(done))
+    residual = float(g[k]) * v
     raise SolverError(
         f"series current solve did not converge in {_MAX_SOLVER_STEPS} steps "
-        f"(residual {float(f[0])!r} V)",
-        residual=float(f[0]), index=int(pending[0]))
+        f"(residual {residual!r} V)", residual=residual, index=k)
 
 
 def solve_series_current(elements, v_drive: float) -> float:
@@ -203,7 +224,8 @@ def solve_series_current(elements, v_drive: float) -> float:
 
     Returns 0 when the drive is zero or any element is open (effective
     coefficient 0); otherwise the unique I >= 0 balancing the voltage drops,
-    with residual below 1e-12 * max(v_drive, 1).
+    with residual below 1e-12 * max(v_drive, 1).  Raises ModelDomainError
+    when that current exceeds the float range.
     """
     elements = list(elements)
     if not elements:
@@ -217,16 +239,23 @@ def solve_series_current(elements, v_drive: float) -> float:
     if min(coeffs) == 0.0:
         return 0.0
     arrays = [np.full(1, c, dtype=float) for c in coeffs]
-    x = _series_current([e.kind for e in elements], arrays, float(v_drive))
-    return float(x[0])
+    s = float(_series_root([e.kind for e in elements], arrays,
+                           float(v_drive))[0])
+    current = s * s
+    if not math.isfinite(current):
+        raise ModelDomainError(
+            f"series current at a drive of {v_drive!r} V exceeds the float "
+            f"range")
+    return current
 
 
 def _check_grid(duration_s: float, sample_rate_hz: int) -> tuple[int, int]:
-    rate = int(sample_rate_hz)
-    if rate != sample_rate_hz or rate < MIN_SAMPLE_RATE_HZ:
+    if (not MIN_SAMPLE_RATE_HZ <= sample_rate_hz <= sys.float_info.max
+            or int(sample_rate_hz) != sample_rate_hz):
         raise ModelDomainError(
-            f"sample_rate_hz must be an integer >= {MIN_SAMPLE_RATE_HZ}, "
-            f"got {sample_rate_hz!r}")
+            f"sample_rate_hz must be an integer in [{MIN_SAMPLE_RATE_HZ}, "
+            f"{sys.float_info.max!r}], got {sample_rate_hz!r}")
+    rate = int(sample_rate_hz)
     if not math.isfinite(duration_s) or duration_s <= 0.0:
         raise ModelDomainError(
             f"duration_s must be finite and > 0, got {duration_s!r}")
@@ -243,16 +272,47 @@ def _check_grid(duration_s: float, sample_rate_hz: int) -> tuple[int, int]:
 
 
 def conductance_traces(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURATION_S,
-                       sample_rate_hz: int = DEFAULT_SAMPLE_RATE_HZ
+                       sample_rate_hz: int = DEFAULT_SAMPLE_RATE_HZ,
+                       start: int = 0, stop: int | None = None
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized bias traces (oscillator sample / peak) of both folds."""
+    """Normalized bias traces (oscillator sample / peak) of both folds, over
+    the samples start <= k < stop of the record (by default all of it)."""
     n, rate = _check_grid(duration_s, sample_rate_hz)
-    t = np.arange(n) / float(rate)
+    stop = n if stop is None else stop
+    if not 0 <= start <= stop <= n:
+        raise ModelDomainError(
+            f"sample range [{start!r}, {stop!r}) must lie within [0, {n}]")
+    t = np.arange(start, stop) / float(rate)
     lower_osc = circuit.lower.oscillator
     upper_osc = circuit.upper.oscillator
     g_lower = lower_osc.sample_times(t) / lower_osc.peak_current
     g_upper = upper_osc.sample_times(t) / upper_osc.peak_current
     return g_lower, g_upper
+
+
+def _series_elements(circuit: GlottalCircuit) -> tuple[ResistorElement, ...]:
+    return (circuit.lower.linear, circuit.lower.nonlinear,
+            circuit.upper.linear, circuit.upper.nonlinear)
+
+
+def _check_flow_range(circuit: GlottalCircuit) -> None:
+    """Raise ModelDomainError if the flow at full bias, the most the circuit
+    can carry, exceeds the float range.
+
+    The flow (sigma * x)**2 overflows when x exceeds x_c = _SQRT_MAX / sigma,
+    and since g increases, that is when g(x_c) < 0; so no Newton is needed.
+    """
+    elements = _series_elements(circuit)
+    sigma, b4, b2, b1 = (float(a) for a in _quartic(
+        [e.kind for e in elements], [np.float64(e.gain) for e in elements],
+        circuit.drive.value))
+    if sigma > _SQRT_MAX:
+        x = _SQRT_MAX / sigma
+        if (b4 * x * x + b2) * x * x + b1 * x < 1.0:
+            raise ModelDomainError(
+                f"the flow at full bias exceeds the float range (drive "
+                f"{circuit.drive.value!r} V, gains "
+                f"{tuple(e.gain for e in elements)!r})")
 
 
 def simulate(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURATION_S,
@@ -261,30 +321,40 @@ def simulate(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURATION_S,
 
     At each sample both elements of a fold take bias_scale equal to that
     fold's normalized oscillator value, and the four-element series network
-    is solved for the flow.  Output is deterministic: identical inputs give
-    bit-identical arrays.
+    is solved for the flow.  The traces and the solve run one block of
+    samples at a time, so the temporaries stay at one block however long the
+    record is.  Output is deterministic: identical inputs give bit-identical
+    arrays.  Raises ModelDomainError up front when the flow at full bias
+    exceeds the float range.
     """
-    g_lower, g_upper = conductance_traces(circuit, duration_s, sample_rate_hz)
-    rate = int(sample_rate_hz)
-    u = np.zeros(len(g_lower))
+    n, rate = _check_grid(duration_s, sample_rate_hz)
+    elements = _series_elements(circuit)
+    kinds = [e.kind for e in elements]
     drive = circuit.drive.value
-    elements = (circuit.lower.linear, circuit.lower.nonlinear,
-                circuit.upper.linear, circuit.upper.nonlinear)
-    if drive > 0.0 and min(e.gain for e in elements) > 0.0:
-        active = np.flatnonzero((g_lower > 0.0) & (g_upper > 0.0))
-        kinds = [e.kind for e in elements]
-        for start in range(0, len(active), _SOLVE_BLOCK):
-            block = active[start:start + _SOLVE_BLOCK]
-            gl, gu = g_lower[block], g_upper[block]
-            coeffs = [e.gain * g for e, g in zip(elements, (gl, gl, gu, gu))]
-            try:
-                u[block] = _series_current(kinds, coeffs, drive)
-            except SolverError as exc:
-                # Map the failing solve entry back to its sample time.
-                k = int(block[exc.index])
-                t_k = k / float(rate)
-                raise SolverError(
-                    f"{exc} at t = {t_k!r} s", residual=exc.residual,
-                    index=k, time_s=t_k) from exc
+    solve = drive > 0.0 and min(e.gain for e in elements) > 0.0
+    _check_flow_range(circuit)
+    u = np.zeros(n)
+    g_lower = np.empty(n)
+    g_upper = np.empty(n)
+    for start in range(0, n, _SOLVE_BLOCK):
+        stop = min(start + _SOLVE_BLOCK, n)
+        gl, gu = conductance_traces(circuit, duration_s, rate, start, stop)
+        g_lower[start:stop] = gl
+        g_upper[start:stop] = gu
+        if not solve:
+            continue
+        active = np.flatnonzero((gl > 0.0) & (gu > 0.0))
+        gl, gu = gl[active], gu[active]
+        coeffs = [e.gain * g for e, g in zip(elements, (gl, gl, gu, gu))]
+        try:
+            s = _series_root(kinds, coeffs, drive)
+        except SolverError as exc:
+            # Map the failing solve entry back to its sample time.
+            k = start + int(active[exc.index])
+            t_k = k / float(rate)
+            raise SolverError(
+                f"{exc} at t = {t_k!r} s", residual=exc.residual,
+                index=k, time_s=t_k) from exc
+        u[start + active] = s * s
     return GlottalWaveform(sample_rate_hz=rate, u_gl=u,
                            g_lower=g_lower, g_upper=g_upper)

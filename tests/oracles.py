@@ -29,8 +29,9 @@ def element_voltage_ref(kind: str, coeff: float, i: float) -> float:
         # i = c * sqrt(v)  ->  v = (i / c) ** 2
         return (i / coeff) ** 2
     if kind == "expansive":
-        # i = c * v ** 2  ->  v = sqrt(i / c)
-        return math.sqrt(i / coeff)
+        # i = c * v ** 2  ->  v = sqrt(i) / sqrt(c); the quotient i / c can
+        # exceed the float range where v does not
+        return math.sqrt(i) / math.sqrt(coeff)
     raise ValueError(f"unknown element kind: {kind}")
 
 

@@ -1,0 +1,47 @@
+"""The pair summary of tools/bench_pair.py."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).parent.parent / "tools" / "bench_pair.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pair", _PATH)
+bench_pair = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pair)
+
+
+def _runs(base, head):
+    runs = []
+    for pair, (b, h) in enumerate(zip(base, head)):
+        for side, value in (("base", b), ("head", h)):
+            runs.append({"pair": pair, "side": side, "result": {
+                "attempted": 5, "failed": 0,
+                "metrics": {"t": {"value": value, "unit": "s"}}}})
+    return runs
+
+
+def test_gain_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_iqr():
+    base = [1.0, 1.1, 1.2, 1.0, 1.1, 1.2, 1.0, 1.1, 1.2, 1.1]
+    faster = [0.8] * 9 + [1.3]
+    out = bench_pair.summarize(_runs(base, faster), {"t": "lower"})
+    assert out["ops"]["head"] == {"attempted": 50, "failed": 0}
+    t = out["metrics"]["t"]
+    assert (t["head_wins"], t["ties"], t["pairs"]) == (9, 0, 10)
+    assert t["base"]["median"] == pytest.approx(1.1)
+    assert t["gain"]
+    # a win in only 8 of 10 pairs is no gain, however large the gap
+    out = bench_pair.summarize(_runs(base, [0.5] * 8 + [2.0] * 2),
+                               {"t": "lower"})
+    assert not out["metrics"]["t"]["gain"]
+    # for a metric where higher is better the same numbers are a loss
+    out = bench_pair.summarize(_runs(base, faster), {"t": "higher"})
+    t = out["metrics"]["t"]
+    assert t["head_wins"] == 1 and not t["gain"]
+
+
+def test_gap_within_the_base_spread_is_no_gain():
+    base = [1.0, 2.0] * 5
+    out = bench_pair.summarize(_runs(base, [b - 0.1 for b in base]),
+                               {"t": "lower"})
+    assert out["metrics"]["t"]["head_wins"] == 10
+    assert not out["metrics"]["t"]["gain"]

@@ -124,6 +124,17 @@ def test_invalid_duration_exits_2(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_sample_rate_beyond_the_float_range_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "x"
+    cfg.write_text("[output]\nsample_rate_hz = 1" + "0" * 400 + "\n")
+    rc, _, err = run(capsys, "simulate", "--config", str(cfg),
+                     "--out", str(out))
+    assert rc == 2
+    assert "output.sample_rate_hz" in err
+    assert not out.exists()
+
+
 def test_bad_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[pressure]\npsi = 2\n")

@@ -163,6 +163,11 @@ def test_output_bounds():
     # the sample count overflows the float range
     with pytest.raises(ConfigError, match="output.duration_s"):
         parse_config("[output]\nduration_s = 1e305\n")
+    # an integer rate beyond the float range
+    with pytest.raises(ConfigError, match="output.sample_rate_hz"):
+        parse_config("[output]\nsample_rate_hz = 1" + "0" * 400 + "\n")
+    with pytest.raises(ConfigError, match="output.sample_rate_hz"):
+        validate_config(RunConfig(sample_rate_hz=10 ** 400))
 
 
 def test_gain_bounds():

@@ -1,10 +1,13 @@
 """Series network solve and the quasi-static simulation."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from glottisim import (
+    ConfigError,
     DcVoltage,
     ElementKind,
     FoldStage,
@@ -18,6 +21,7 @@ from glottisim import (
     conductance_traces,
     simulate,
     solve_series_current,
+    validate_config,
 )
 from glottisim import network
 import oracles
@@ -61,6 +65,9 @@ def test_solver_input_validation():
         solve_series_current([ResistorElement(L, 1.0)], -1.0)
     with pytest.raises(ModelDomainError):
         solve_series_current([ResistorElement(L, 1.0)], float("nan"))
+    # the current, about 1e600 A, is beyond the float range
+    with pytest.raises(ModelDomainError, match="float range"):
+        solve_series_current([ResistorElement(E, 1e300)], 1e150)
 
 
 def test_residual_meets_contract():
@@ -165,6 +172,10 @@ def test_simulate_validation():
         simulate(c, 1.0, 44100.5)
     with pytest.raises(ModelDomainError, match="more samples"):
         simulate(c, 1e305, 44100)  # the sample count overflows
+    # rates beyond the float range, as an integer and as a float
+    for rate in (10 ** 400, float("inf"), float("nan")):
+        with pytest.raises(ModelDomainError, match="sample_rate_hz"):
+            simulate(c, 1.0, rate)
 
 
 def test_flow_vanishes_exactly_where_a_fold_bias_is_zero(loud_waveform):
@@ -202,10 +213,28 @@ def test_simulated_samples_match_scalar_solver(loud_waveform):
         assert float(w.u_gl[k]) == want  # same code path, bitwise equal
 
 
-def test_solve_blocks_do_not_change_the_flow(monkeypatch, loud_waveform):
-    monkeypatch.setattr(network, "_SOLVE_BLOCK", 1000)
+@pytest.mark.parametrize("block", [1000, 16384, 44101])
+def test_solve_blocks_do_not_change_the_flow(monkeypatch, loud_waveform, block):
+    # 1000 and 16384 leave a short last block; 44101 covers the record
+    monkeypatch.setattr(network, "_SOLVE_BLOCK", block)
     w = simulate(GlottalCircuit.normal_voice(10.0), 1.0, 44100)
     assert np.array_equal(w.u_gl, loud_waveform.u_gl)
+    assert np.array_equal(w.g_lower, loud_waveform.g_lower)
+    assert np.array_equal(w.g_upper, loud_waveform.g_upper)
+
+
+def test_simulate_memory_is_one_block_beyond_its_output():
+    c = GlottalCircuit.normal_voice()
+    tracemalloc.start()
+    try:
+        w = simulate(c, 10.0, 44100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    output = w.u_gl.nbytes + w.g_lower.nbytes + w.g_upper.nbytes
+    # full-record traces and index took 13.9 MiB beyond the output here;
+    # one block of traces and solve temporaries plus the checks is ~3 MiB
+    assert peak - output < 5 * 2**20
 
 
 def test_peak_flow_regression(loud_waveform, soft_waveform):
@@ -269,6 +298,12 @@ def test_conductance_traces_match_waveform(loud_waveform):
     # the grid straddles the exact ramp peak but must come close
     assert gl.max() > 0.999 and gu.max() > 0.999
     assert gl.max() <= 1.0 and gu.max() <= 1.0
+    part = conductance_traces(c, 1.0, 44100, 1000, 1317)
+    assert np.array_equal(part[0], gl[1000:1317])
+    assert np.array_equal(part[1], gu[1000:1317])
+    for start, stop in ((-1, 10), (10, 9), (0, 44101)):
+        with pytest.raises(ModelDomainError, match="sample range"):
+            conductance_traces(c, 1.0, 44100, start, stop)
 
 
 def test_peak_current_scales_bias_not_flow():
@@ -307,6 +342,55 @@ def test_huge_drives_keep_the_voltage_balance(pressure, gains):
     c = RunConfig(pressure_cmh2o=pressure,
                   **dict(zip(GAIN_NAMES, gains))).build_circuit()
     _assert_voltage_balance(c, simulate(c, 0.01, 44100), gains)
+
+
+# Their flow exceeds the float range even at the pulse flanks.
+BEYOND_FLOAT_RANGE = [
+    pytest.param(p, (1e300, 1e300, 1e300, g), id=f"{p:g}-expansive-{g:g}")
+    for p in (1e200, 1e300) for g in (1.0, 1e300)]
+
+
+@pytest.mark.parametrize("pressure, gains", BEYOND_FLOAT_RANGE)
+def test_flows_beyond_the_float_range_are_rejected_up_front(
+        monkeypatch, pressure, gains):
+    cfg = RunConfig(pressure_cmh2o=pressure, **dict(zip(GAIN_NAMES, gains)))
+    with pytest.raises(ConfigError, match="elements: .*float range"):
+        validate_config(cfg)
+
+    def no_solve(*args):
+        raise AssertionError("solved a circuit that should be rejected")
+    monkeypatch.setattr(network, "_series_root", no_solve)
+    with pytest.raises(ModelDomainError, match="float range"):
+        simulate(cfg.build_circuit(), 0.01, 44100)
+
+
+_GAINS = st.one_of(st.just(0.0),
+                   st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e))
+_PRESSURES = st.one_of(st.floats(0.0, 20.0),
+                       st.floats(0.0, 300.0).map(lambda e: 10.0 ** e))
+
+
+@given(gains=st.tuples(_GAINS, _GAINS, _GAINS, _GAINS), pressure=_PRESSURES)
+# an overflowing start bound and a solve that did not converge, seen before
+@example(gains=(1.0, 1e300, 1.0, 1.0), pressure=1e300)
+@example(gains=(1e300, 1e300, 1e300, 1.0), pressure=1e200)
+def test_accepted_domain_gives_a_balanced_flow(gains, pressure):
+    # every input either yields a finite, balanced flow or is rejected up
+    # front by both the config and simulate; SolverError and warnings fail
+    cfg = RunConfig(pressure_cmh2o=pressure, duration_s=0.01,
+                    **dict(zip(GAIN_NAMES, gains)))
+    try:
+        validate_config(cfg)
+    except ConfigError:
+        with pytest.raises(ModelDomainError):
+            simulate(cfg.build_circuit(), cfg.duration_s, cfg.sample_rate_hz)
+        return
+    c = cfg.build_circuit()
+    w = simulate(c, cfg.duration_s, cfg.sample_rate_hz)
+    if min(gains) == 0.0:
+        assert not w.u_gl.any()
+    else:
+        _assert_voltage_balance(c, w, gains)
 
 
 def _assert_voltage_balance(c, w, gains):
