@@ -213,14 +213,14 @@ def test_simulated_samples_match_scalar_solver(loud_waveform):
         assert float(w.u_gl[k]) == want  # same code path, bitwise equal
 
 
-@pytest.mark.parametrize("block", [1000, 16384, 44101])
-def test_solve_blocks_do_not_change_the_flow(monkeypatch, loud_waveform, block):
+def test_solve_blocks_do_not_change_the_flow(monkeypatch, loud_waveform):
     # 1000 and 16384 leave a short last block; 44101 covers the record
-    monkeypatch.setattr(network, "_SOLVE_BLOCK", block)
-    w = simulate(GlottalCircuit.normal_voice(10.0), 1.0, 44100)
-    assert np.array_equal(w.u_gl, loud_waveform.u_gl)
-    assert np.array_equal(w.g_lower, loud_waveform.g_lower)
-    assert np.array_equal(w.g_upper, loud_waveform.g_upper)
+    for block in (1000, 16384, 44101):
+        monkeypatch.setattr(network, "_SOLVE_BLOCK", block)
+        w = simulate(GlottalCircuit.normal_voice(10.0), 1.0, 44100)
+        assert np.array_equal(w.u_gl, loud_waveform.u_gl)
+        assert np.array_equal(w.g_lower, loud_waveform.g_lower)
+        assert np.array_equal(w.g_upper, loud_waveform.g_upper)
 
 
 def test_simulate_memory_is_one_block_beyond_its_output():
@@ -344,7 +344,7 @@ def test_huge_drives_keep_the_voltage_balance(pressure, gains):
     _assert_voltage_balance(c, simulate(c, 0.01, 44100), gains)
 
 
-# Their flow exceeds the float range even at the pulse flanks.
+# The gain corners whose flow at full bias exceeds the float range.
 BEYOND_FLOAT_RANGE = [
     pytest.param(p, (1e300, 1e300, 1e300, g), id=f"{p:g}-expansive-{g:g}")
     for p in (1e200, 1e300) for g in (1.0, 1e300)]
