@@ -27,6 +27,9 @@ CLOSURE_EPSILON = 1e-6
 # A pulse peak must reach half the global peak and clear its neighbors by 1 ms.
 PEAK_HEIGHT_FRACTION = 0.5
 MIN_PEAK_SPACING_S = 0.001
+# derivative rejects records with no interior sample to take a central
+# difference at.
+MIN_DERIVATIVE_SAMPLES = 3
 
 
 @dataclass(frozen=True)
@@ -44,9 +47,9 @@ class AnalysisReport:
 def derivative(w: GlottalWaveform) -> np.ndarray:
     """Sampled du_gl/dt: central differences inside, one-sided at the ends."""
     u = w.u_gl
-    if len(u) < 3:
-        raise ModelDomainError(
-            f"derivative needs at least 3 samples, got {len(u)}")
+    if len(u) < MIN_DERIVATIVE_SAMPLES:
+        raise ModelDomainError(f"derivative needs at least "
+                               f"{MIN_DERIVATIVE_SAMPLES} samples, got {len(u)}")
     rate = float(w.sample_rate_hz)
     d = np.empty_like(u)
     d[1:-1] = (u[2:] - u[:-2]) * (rate / 2.0)

@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -53,10 +54,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _sweep_pressures(start: float, stop: float, step: float) -> list[float]:
-    if not start <= stop:
-        raise ConfigError(f"sweep needs --from <= --to, got {start!r} > {stop!r}")
-    if not step > 0.0:
-        raise ConfigError(f"sweep --step must be > 0, got {step!r}")
+    if not -math.inf < start <= stop < math.inf:
+        raise ConfigError(f"sweep needs finite --from <= --to, got --from "
+                          f"{start!r} --to {stop!r}")
+    if not 0.0 < step < math.inf:
+        raise ConfigError(f"sweep --step must be finite and > 0, got {step!r}")
     points: list[float] = []
     k = 0
     while True:

@@ -9,18 +9,23 @@ ConfigError naming the offending section.key and the constraint.
 from __future__ import annotations
 
 import configparser
-import math
-import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
+from .analysis import MIN_DERIVATIVE_SAMPLES
+from .elements import ElementKind, ResistorElement
 from .errors import ConfigError, ModelDomainError
 from .network import (DEFAULT_SAMPLE_RATE_HZ, GlottalCircuit,
-                      MIN_SAMPLE_RATE_HZ, _check_flow_range, _two_fold_circuit)
+                      _check_flow_range, _check_grid, _check_rate,
+                      _two_fold_circuit)
 from .oscillator import DEFAULT_FOLD_LAG_S, OscillatorConfig
 from .pressure import PressureCmH2O, pressure_to_voltage
 
-_GAIN_KEYS = ("lower_linear_gain", "lower_compressive_gain",
-              "upper_linear_gain", "upper_expansive_gain")
+# The element gains in circuit order, each with the law of its element.
+_GAIN_KEYS = {"lower_linear_gain": ElementKind.LINEAR,
+              "lower_compressive_gain": ElementKind.COMPRESSIVE,
+              "upper_linear_gain": ElementKind.LINEAR,
+              "upper_expansive_gain": ElementKind.EXPANSIVE}
 _OSC_KEYS = {k: k for k in ("period_s", "pulse_duration_s", "rise_fraction",
                             "peak_current", "phase_lag_s")}
 
@@ -67,6 +72,15 @@ def _holder(cfg: RunConfig, osc: str | None):
     return cfg if osc is None else getattr(cfg, osc)
 
 
+@contextmanager
+def _named(label: str):
+    """Re-raise a ModelDomainError of the block as a ConfigError on label."""
+    try:
+        yield
+    except ModelDomainError as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
+
+
 def _convert(kind: type, raw: str, label: str):
     raw = raw.strip()
     if kind is str:
@@ -111,52 +125,36 @@ def parse_config(text: str) -> RunConfig:
     for section, (osc, _) in _SECTIONS.items():
         if osc is None:
             continue
-        try:
+        with _named(section):
             kwargs[osc] = replace(getattr(defaults, osc), **values[osc])
-        except ModelDomainError as exc:
-            raise ConfigError(f"{section}: {exc}") from exc
     cfg = RunConfig(**kwargs)
     validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg: RunConfig) -> None:
-    """Check cross-field bounds; raises ConfigError naming section.key."""
-    try:
+    """Run the model's own bound checks on cfg, each under its section.key,
+    raising ConfigError.  Only two rules are the config's: the sample rate
+    is an int, and the record spans the samples a flow derivative needs."""
+    with _named("pressure.cmh2o"):
         pressure_to_voltage(PressureCmH2O(cfg.pressure_cmh2o))
-    except ModelDomainError as exc:
-        raise ConfigError(f"pressure.cmh2o: {exc}") from exc
-    if not math.isfinite(cfg.duration_s) or cfg.duration_s <= 0.0:
+    if not isinstance(cfg.sample_rate_hz, int):
+        raise ConfigError(f"output.sample_rate_hz: must be an integer, "
+                          f"got {cfg.sample_rate_hz!r}")
+    with _named("output.sample_rate_hz"):
+        _check_rate(cfg.sample_rate_hz)
+    with _named("output.duration_s"):
+        n, rate = _check_grid(cfg.duration_s, cfg.sample_rate_hz)
+    if n < MIN_DERIVATIVE_SAMPLES:
         raise ConfigError(
-            f"output.duration_s: must be finite and > 0 seconds, "
-            f"got {cfg.duration_s!r}")
-    if (not isinstance(cfg.sample_rate_hz, int)
-            or not MIN_SAMPLE_RATE_HZ <= cfg.sample_rate_hz
-            <= sys.float_info.max):
-        raise ConfigError(
-            f"output.sample_rate_hz: must be an integer in "
-            f"[{MIN_SAMPLE_RATE_HZ}, {sys.float_info.max!r}], "
-            f"got {cfg.sample_rate_hz!r}")
-    samples = cfg.duration_s * cfg.sample_rate_hz
-    if not math.isfinite(samples):
-        raise ConfigError(
-            f"output.duration_s: {cfg.duration_s!r} s at {cfg.sample_rate_hz} "
-            f"Hz is more samples than a float can count")
-    if round(samples) < 3:
-        raise ConfigError(
-            f"output.duration_s: must span the 3 samples a flow derivative "
-            f"needs, got {cfg.duration_s!r} s at {cfg.sample_rate_hz} Hz")
-    for key in _GAIN_KEYS:
-        value = getattr(cfg, key)
-        if not math.isfinite(value) or value < 0.0:
-            raise ConfigError(
-                f"elements.{key}: must be finite and >= 0, got {value!r}")
-    try:
+            f"output.duration_s: must span the {MIN_DERIVATIVE_SAMPLES} "
+            f"samples a flow derivative needs, got {cfg.duration_s!r} s at "
+            f"{rate} Hz")
+    for key, kind in _GAIN_KEYS.items():
+        with _named(f"elements.{key}"):
+            ResistorElement(kind, getattr(cfg, key))
+    with _named(f"elements: at pressure.cmh2o = {cfg.pressure_cmh2o!r}"):
         _check_flow_range(cfg.build_circuit())
-    except ModelDomainError as exc:
-        raise ConfigError(
-            f"elements: at pressure.cmh2o = {cfg.pressure_cmh2o!r}, {exc}"
-        ) from exc
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .analysis import AnalysisReport
 from .errors import ModelDomainError
-from .network import GlottalWaveform, MIN_SAMPLE_RATE_HZ
+from .network import GlottalWaveform
 
 CSV_COLUMNS = ("time_s", "u_gl", "du_gl_dt", "g_lower", "g_upper")
 _CSV_BLOCK_ROWS = 1024
@@ -92,27 +92,10 @@ def read_waveform_csv(path) -> tuple[GlottalWaveform, np.ndarray]:
     return w, data[:, 2]
 
 
-def export_wav(source, path, sample_rate_hz: int | None = None) -> None:
-    """Write mono 16-bit PCM with the peak at 90% full scale.
-
-    Accepts a GlottalWaveform (flow channel, its own rate) or any 1-D sample
-    array plus an explicit rate.  An all-zero signal stays all-zero.
-    """
-    if isinstance(source, GlottalWaveform):
-        samples = source.u_gl
-        rate = source.sample_rate_hz
-    else:
-        samples = np.asarray(source, dtype=float)
-        if sample_rate_hz is None:
-            raise ModelDomainError("sample_rate_hz is required for raw arrays")
-        rate = sample_rate_hz
-    rate = int(rate)
-    if rate < MIN_SAMPLE_RATE_HZ:
-        raise ModelDomainError(f"sample_rate_hz must be >= {MIN_SAMPLE_RATE_HZ}")
-    if samples.ndim != 1 or samples.size == 0:
-        raise ModelDomainError("need a one-dimensional, nonempty sample array")
-    if not np.all(np.isfinite(samples)):
-        raise ModelDomainError("samples must be finite")
+def export_wav(w: GlottalWaveform, path) -> None:
+    """Write the flow as mono 16-bit PCM at the waveform's own rate, with the
+    peak at 90% full scale.  An all-zero flow stays all-zero."""
+    samples = w.u_gl
     peak = float(np.abs(samples).max())
     if peak == 0.0:
         ints = np.zeros(samples.size, dtype="<i2")
@@ -122,7 +105,7 @@ def export_wav(source, path, sample_rate_hz: int | None = None) -> None:
     with wave.open(str(path), "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
-        fh.setframerate(rate)
+        fh.setframerate(w.sample_rate_hz)
         fh.writeframes(ints.tobytes())
 
 

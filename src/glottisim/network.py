@@ -59,6 +59,8 @@ _MAX_SOLVER_STEPS = 200
 _SOLVE_BLOCK = 16384
 # A current I = s * s is finite while s <= _SQRT_MAX.
 _SQRT_MAX = math.sqrt(sys.float_info.max)
+# The most float64 samples whose byte count numpy can index.
+_MAX_SAMPLES = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -153,9 +155,8 @@ class GlottalWaveform:
             raise ModelDomainError("waveform arrays must share one length")
         if len(self.u_gl) == 0:
             raise ModelDomainError("waveform must hold at least one sample")
-        if self.sample_rate_hz < MIN_SAMPLE_RATE_HZ:
-            raise ModelDomainError(
-                f"sample_rate_hz must be >= {MIN_SAMPLE_RATE_HZ}")
+        object.__setattr__(self, "sample_rate_hz",
+                           _check_rate(self.sample_rate_hz))
         if np.any(self.u_gl < 0.0):
             raise ModelDomainError("glottal flow is unipolar; u_gl must be >= 0")
         closed = (self.g_lower == 0.0) | (self.g_upper == 0.0)
@@ -249,21 +250,28 @@ def solve_series_current(elements, v_drive: float) -> float:
     return current
 
 
-def _check_grid(duration_s: float, sample_rate_hz: int) -> tuple[int, int]:
+def _check_rate(sample_rate_hz) -> int:
+    """The rate as an int: whole Hz from 8 kHz up to the float range."""
     if (not MIN_SAMPLE_RATE_HZ <= sample_rate_hz <= sys.float_info.max
             or int(sample_rate_hz) != sample_rate_hz):
         raise ModelDomainError(
             f"sample_rate_hz must be an integer in [{MIN_SAMPLE_RATE_HZ}, "
             f"{sys.float_info.max!r}], got {sample_rate_hz!r}")
-    rate = int(sample_rate_hz)
+    return int(sample_rate_hz)
+
+
+def _check_grid(duration_s: float, sample_rate_hz: int) -> tuple[int, int]:
+    """The sample count and rate of a record: at least one sample, and few
+    enough for a float64 array."""
+    rate = _check_rate(sample_rate_hz)
     if not math.isfinite(duration_s) or duration_s <= 0.0:
         raise ModelDomainError(
             f"duration_s must be finite and > 0, got {duration_s!r}")
     samples = duration_s * rate
-    if not math.isfinite(samples):
+    if not samples <= _MAX_SAMPLES:
         raise ModelDomainError(
-            f"duration {duration_s!r} s at {rate} Hz is more samples than a "
-            f"float can count")
+            f"duration {duration_s!r} s at {rate} Hz is more samples than an "
+            f"array can hold")
     n = int(round(samples))
     if n < 1:
         raise ModelDomainError(

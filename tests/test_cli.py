@@ -127,12 +127,16 @@ def test_invalid_duration_exits_2(tmp_path, capsys):
 def test_sample_rate_beyond_the_float_range_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "x"
-    cfg.write_text("[output]\nsample_rate_hz = 1" + "0" * 400 + "\n")
-    rc, _, err = run(capsys, "simulate", "--config", str(cfg),
-                     "--out", str(out))
-    assert rc == 2
-    assert "output.sample_rate_hz" in err
-    assert not out.exists()
+    # a rate beyond the float range, and one that makes a second more
+    # samples than an array can hold
+    for rate, key in (("1" + "0" * 400, "output.sample_rate_hz"),
+                      ("1" + "0" * 20, "output.duration_s")):
+        cfg.write_text(f"[output]\nsample_rate_hz = {rate}\n")
+        rc, _, err = run(capsys, "simulate", "--config", str(cfg),
+                         "--out", str(out))
+        assert rc == 2
+        assert key in err
+        assert not out.exists()
 
 
 def test_bad_config_key_exits_2(tmp_path, capsys):
@@ -246,6 +250,12 @@ def test_sweep_invalid_range_exits_2(tmp_path, capsys):
     rc, _, err = run(capsys, "sweep", "--step", "0", "--out", str(tmp_path))
     assert rc == 2
     assert not (tmp_path / "sweep_summary.csv").exists()
+    # unbounded ranges and steps, which used to append points without end
+    for arg in ("--to=inf", "--from=-inf", "--step=inf"):
+        rc, _, err = run(capsys, "sweep", arg, "--out", str(tmp_path))
+        assert rc == 2
+        assert "config error: sweep" in err
+        assert not (tmp_path / "sweep_summary.csv").exists()
 
 
 def test_sweep_pressure_below_onset_exits_2(tmp_path, capsys):

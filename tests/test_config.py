@@ -1,5 +1,6 @@
 """Config parsing, validation, and serialization round-trips."""
 import configparser
+import math
 import re
 from pathlib import Path
 
@@ -8,7 +9,9 @@ import pytest
 from glottisim import (
     ConfigError,
     GlottalCircuit,
+    ModelDomainError,
     RunConfig,
+    conductance_traces,
     parse_config,
     serialize_config,
     validate_config,
@@ -168,6 +171,38 @@ def test_output_bounds():
         parse_config("[output]\nsample_rate_hz = 1" + "0" * 400 + "\n")
     with pytest.raises(ConfigError, match="output.sample_rate_hz"):
         validate_config(RunConfig(sample_rate_hz=10 ** 400))
+    # a second at 1e20 Hz is more samples than an array can hold
+    with pytest.raises(ConfigError, match="output.duration_s"):
+        parse_config("[output]\nsample_rate_hz = 1" + "0" * 20 + "\n")
+    # the model would take a whole float rate; the config wants an int
+    with pytest.raises(ConfigError, match="output.sample_rate_hz"):
+        validate_config(RunConfig(sample_rate_hz=1e20))
+
+
+@pytest.mark.parametrize("rate", [7999, 8000, 44100, 10 ** 20, 10 ** 400,
+                                  math.inf, math.nan],
+                         ids=["7999", "8000", "44100", "1e20", "1e400",
+                              "inf", "nan"])
+@pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf, 1e-6,
+                                      4.5e-5, 1.0, 1e305])
+def test_config_and_model_agree_on_the_grid(duration, rate):
+    # validate_config rejects a grid exactly when the model does, apart from
+    # its own two rules: an int rate and the derivative's three samples.
+    # stop = 0 checks the grid without forming a sample.
+    try:
+        conductance_traces(GlottalCircuit.normal_voice(), duration, rate, 0, 0)
+        model_ok = True
+    except ModelDomainError:
+        model_ok = False
+    config_only = not isinstance(rate, int) or (
+        model_ok and round(duration * rate) < 3)
+    cfg = RunConfig(duration_s=duration, sample_rate_hz=rate)
+    if model_ok and not config_only:
+        validate_config(cfg)
+    else:
+        with pytest.raises(ConfigError,
+                           match=r"^output\.(duration_s|sample_rate_hz): "):
+            validate_config(cfg)
 
 
 def test_gain_bounds():

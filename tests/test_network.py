@@ -142,6 +142,10 @@ def test_waveform_invariants():
         GlottalWaveform(44100, [0.5, 0.5], [0.0, 1.0], [1.0, 1.0])
     with pytest.raises(ModelDomainError):
         GlottalWaveform(4000, [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+    with pytest.raises(ModelDomainError):
+        GlottalWaveform(44100, [], [], [])
+    with pytest.raises(ModelDomainError):
+        GlottalWaveform(44100, [np.nan], [1.0], [1.0])
     w = GlottalWaveform(44100, [0.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0])
     assert len(w) == 3
     assert w.times[1] == pytest.approx(1.0 / 44100.0)
@@ -172,6 +176,10 @@ def test_simulate_validation():
         simulate(c, 1.0, 44100.5)
     with pytest.raises(ModelDomainError, match="more samples"):
         simulate(c, 1e305, 44100)  # the sample count overflows
+    # more samples than a float64 array can hold, raised before any is made
+    for rate in (10 ** 20, 1e20):
+        with pytest.raises(ModelDomainError, match="more samples"):
+            simulate(c, 1.0, rate)
     # rates beyond the float range, as an integer and as a float
     for rate in (10 ** 400, float("inf"), float("nan")):
         with pytest.raises(ModelDomainError, match="sample_rate_hz"):
