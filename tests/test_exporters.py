@@ -246,6 +246,19 @@ def test_wav_is_deterministic(tmp_path, loud_waveform):
     assert (tmp_path / "a.wav").read_bytes() == (tmp_path / "b.wav").read_bytes()
 
 
+def test_wav_input_validation(tmp_path):
+    # export_wav takes a GlottalWaveform, whose own checks turn away a rate
+    # below the 8 kHz floor, an empty record and a non-finite flow before
+    # any WAV file is opened
+    path = tmp_path / "w.wav"
+    for rate, u in ((4000, np.zeros(8)), (44100, np.zeros(0)),
+                    (44100, np.array([np.nan]))):
+        ones = np.ones_like(u)
+        with pytest.raises(ModelDomainError):
+            export_wav(GlottalWaveform(rate, u, ones, ones), path)
+        assert not path.exists()
+
+
 # -- report ------------------------------------------------------------------
 
 
