@@ -19,7 +19,8 @@ from .errors import (ConfigError, ElementOpenError, FeedbackSettleError,
                      SolverError)
 from .exporters import export_csv, export_wav, format_report, read_waveform_csv
 from .network import (FoldStage, GlottalCircuit, GlottalWaveform,
-                      conductance_traces, simulate, solve_series_current)
+                      conductance_traces, simulate, simulate_many,
+                      solve_series_current)
 from .oscillator import OscillatorConfig, OscillatorPhase, PhaseKind
 from .pressure import (DcVoltage, PressureCmH2O, pressure_to_voltage,
                        voltage_to_pressure)
@@ -35,6 +36,6 @@ __all__ = [
     "InsufficientPulsesError", "ModelDomainError", "SolverError", "export_csv",
     "export_wav", "format_report", "read_waveform_csv", "FoldStage",
     "GlottalCircuit", "GlottalWaveform", "conductance_traces", "simulate",
-    "solve_series_current", "OscillatorConfig", "OscillatorPhase", "PhaseKind",
+    "simulate_many", "solve_series_current", "OscillatorConfig", "OscillatorPhase", "PhaseKind",
     "DcVoltage", "PressureCmH2O", "pressure_to_voltage", "voltage_to_pressure",
 ]

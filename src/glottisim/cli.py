@@ -15,7 +15,7 @@ from .config import RunConfig, parse_config, validate_config
 from .errors import ConfigError, ModelDomainError, SolverError
 from .exporters import (export_csv, export_wav, format_number, format_report,
                         read_waveform_csv, write_report)
-from .network import simulate
+from .network import _MAX_SAMPLES, simulate, simulate_many
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,20 +54,35 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _sweep_pressures(start: float, stop: float, step: float) -> list[float]:
+    """The points start + k * step up to stop, which is always the last
+    point when the range is within 1e-9 step of a whole number of steps.
+    The point count is found arithmetically and bounded before any point is
+    made."""
     if not -math.inf < start <= stop < math.inf:
         raise ConfigError(f"sweep needs finite --from <= --to, got --from "
                           f"{start!r} --to {stop!r}")
     if not 0.0 < step < math.inf:
         raise ConfigError(f"sweep --step must be finite and > 0, got {step!r}")
-    points: list[float] = []
-    k = 0
-    while True:
-        p = start + k * step
-        if p > stop + 1e-9 * step:
-            break
-        points.append(min(p, stop))
-        k += 1
-    return points
+    if start + step == start:
+        raise ConfigError(f"sweep --step {step!r} is too small to advance "
+                          f"--from {start!r}")
+    steps = (stop - start) / step
+    if not steps < _MAX_SAMPLES:
+        raise ConfigError(f"sweep from {start!r} to {stop!r} by {step!r} has "
+                          f"more points than an array can hold")
+
+    def beyond(k: int) -> bool:
+        return start + k * step > stop + 1e-9 * step
+
+    # The count is the first k beyond stop.  floor(steps) + 1 is that up to
+    # rounding, and start + k * step never decreases with k, so a few steps
+    # either way settle it exactly.
+    count = math.floor(steps) + 1
+    while not beyond(count):
+        count += 1
+    while count > 1 and beyond(count - 1):
+        count -= 1
+    return [min(start + k * step, stop) for k in range(count)]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -75,13 +90,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
     pressures = _sweep_pressures(args.start, args.stop, args.step)
-
-    rows: list[tuple[float, float, float, float | None, float]] = []
+    circuits = []
     for p in pressures:
         cfg_p = replace(cfg, pressure_cmh2o=p)
         validate_config(cfg_p)
-        circuit = cfg_p.build_circuit()
-        w = simulate(circuit, cfg_p.duration_s, cfg_p.sample_rate_hz)
+        circuits.append(cfg_p.build_circuit())
+
+    # The waveforms come one at a time: each is dropped once its row is kept.
+    rows: list[tuple[float, float, float, float | None, float]] = []
+    waveforms = simulate_many(circuits, cfg.duration_s, cfg.sample_rate_hz)
+    for p, circuit, w in zip(pressures, circuits, waveforms):
         rep = analyze(w)
         rows.append((p, circuit.drive.value, float(w.u_gl.max()),
                      rep.f0_hz, rep.max_negative_derivative))

@@ -13,6 +13,7 @@ byte-for-byte.
 """
 from __future__ import annotations
 
+import math
 import wave
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .analysis import AnalysisReport
 from .errors import ModelDomainError
-from .network import GlottalWaveform
+from .network import GlottalWaveform, _check_rate
 
 CSV_COLUMNS = ("time_s", "u_gl", "du_gl_dt", "g_lower", "g_upper")
 _CSV_BLOCK_ROWS = 1024
@@ -83,10 +84,12 @@ def read_waveform_csv(path) -> tuple[GlottalWaveform, np.ndarray]:
         raise ModelDomainError(
             f"waveform CSV {path} needs >= 2 rows of {len(CSV_COLUMNS)} columns")
     t = data[:, 0]
-    span = t[-1] - t[0]
+    # Python floats: a span or rate beyond the float range is inf, unwarned
+    span = float(t[-1]) - float(t[0])
     if not span > 0.0:
         raise ModelDomainError(f"waveform CSV {path} has no increasing time span")
-    rate = round((len(t) - 1) / span)
+    rate = (len(t) - 1) / span
+    rate = _check_rate(rate if math.isinf(rate) else round(rate))
     w = GlottalWaveform(sample_rate_hz=rate, u_gl=data[:, 1],
                         g_lower=data[:, 3], g_upper=data[:, 4], t0=float(t[0]))
     return w, data[:, 2]

@@ -29,13 +29,16 @@ sum c_k**(-p / 2), overflows on 56 of the 162 extreme-gain cases of the tests
 
 simulate streams the record: the oscillator traces and the solve run one
 block of samples at a time into the preallocated output arrays, so the
-temporaries stay at one block however long the record is.
+temporaries stay at one block however long the record is.  The traces do not
+depend on the drive, so simulate_many forms them once for circuits that
+differ only in their drive and shares them, read-only, among its waveforms.
 """
 from __future__ import annotations
 
 import functools
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -323,37 +326,23 @@ def _check_flow_range(circuit: GlottalCircuit) -> None:
                 f"{tuple(e.gain for e in elements)!r})")
 
 
-def simulate(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURATION_S,
-             sample_rate_hz: int = DEFAULT_SAMPLE_RATE_HZ) -> GlottalWaveform:
-    """Quasi-static simulation on a uniform grid t_k = k / sample_rate_hz.
-
-    At each sample both elements of a fold take bias_scale equal to that
-    fold's normalized oscillator value, and the four-element series network
-    is solved for the flow.  The traces and the solve run one block of
-    samples at a time, so the temporaries stay at one block however long the
-    record is.  Output is deterministic: identical inputs give bit-identical
-    arrays.  Raises ModelDomainError up front when the flow at full bias
-    exceeds the float range.
-    """
-    n, rate = _check_grid(duration_s, sample_rate_hz)
+def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
+                g_upper: np.ndarray, rate: int) -> np.ndarray:
+    """The flow of circuit over full-record bias traces, solved one block of
+    samples at a time; a SolverError names the sample time that failed."""
     elements = _series_elements(circuit)
     kinds = [e.kind for e in elements]
     drive = circuit.drive.value
-    solve = drive > 0.0 and min(e.gain for e in elements) > 0.0
-    _check_flow_range(circuit)
-    u = np.zeros(n)
-    g_lower = np.empty(n)
-    g_upper = np.empty(n)
-    for start in range(0, n, _SOLVE_BLOCK):
-        stop = min(start + _SOLVE_BLOCK, n)
-        gl, gu = conductance_traces(circuit, duration_s, rate, start, stop)
-        g_lower[start:stop] = gl
-        g_upper[start:stop] = gu
-        if not solve:
-            continue
+    u = np.zeros(len(g_lower))
+    if not (drive > 0.0 and min(e.gain for e in elements) > 0.0):
+        return u
+    for start in range(0, len(u), _SOLVE_BLOCK):
+        gl = g_lower[start:start + _SOLVE_BLOCK]
+        gu = g_upper[start:start + _SOLVE_BLOCK]
         active = np.flatnonzero((gl > 0.0) & (gu > 0.0))
         gl, gu = gl[active], gu[active]
         coeffs = [e.gain * g for e, g in zip(elements, (gl, gl, gu, gu))]
+        del gl, gu  # freed before the solve's temporaries peak
         try:
             s = _series_root(kinds, coeffs, drive)
         except SolverError as exc:
@@ -364,5 +353,61 @@ def simulate(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURATION_S,
                 f"{exc} at t = {t_k!r} s", residual=exc.residual,
                 index=k, time_s=t_k) from exc
         u[start + active] = s * s
-    return GlottalWaveform(sample_rate_hz=rate, u_gl=u,
-                           g_lower=g_lower, g_upper=g_upper)
+    return u
+
+
+def simulate_many(circuits, duration_s: float = DEFAULT_DURATION_S,
+                  sample_rate_hz: int = DEFAULT_SAMPLE_RATE_HZ
+                  ) -> Iterator[GlottalWaveform]:
+    """simulate for each of circuits that differ only in their drive,
+    yielding the waveforms in order; each is bitwise equal to
+    simulate(circuit, duration_s, sample_rate_hz).
+
+    The oscillator traces are formed once, one block of samples at a time,
+    and every waveform shares them as read-only arrays; each flow is then
+    solved block by block.  Only the waveform being yielded is built, so
+    memory does not grow with the number of circuits.  On the first next(),
+    before any trace is formed, the grid and every circuit are checked:
+    ModelDomainError is raised when two circuits differ in anything but the
+    drive, or when a flow at full bias exceeds the float range.
+    """
+    n, rate = _check_grid(duration_s, sample_rate_hz)
+    circuits = list(circuits)
+    if not circuits:
+        return
+    first = circuits[0]
+    for k, circuit in enumerate(circuits):
+        if (circuit.lower, circuit.upper) != (first.lower, first.upper):
+            raise ModelDomainError(
+                f"simulate_many needs circuits that differ only in their "
+                f"drive; circuit {k} differs from circuit 0 in its "
+                f"oscillators or gains")
+        _check_flow_range(circuit)
+    g_lower = np.empty(n)
+    g_upper = np.empty(n)
+    for start in range(0, n, _SOLVE_BLOCK):
+        stop = min(start + _SOLVE_BLOCK, n)
+        g_lower[start:stop], g_upper[start:stop] = conductance_traces(
+            first, duration_s, rate, start, stop)
+    g_lower.flags.writeable = False
+    g_upper.flags.writeable = False
+    for circuit in circuits:
+        yield GlottalWaveform(
+            sample_rate_hz=rate, g_lower=g_lower, g_upper=g_upper,
+            u_gl=_solve_flow(circuit, g_lower, g_upper, rate))
+
+
+def simulate(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURATION_S,
+             sample_rate_hz: int = DEFAULT_SAMPLE_RATE_HZ) -> GlottalWaveform:
+    """Quasi-static simulation on a uniform grid t_k = k / sample_rate_hz.
+
+    At each sample both elements of a fold take bias_scale equal to that
+    fold's normalized oscillator value, and the four-element series network
+    is solved for the flow.  The traces and the solve run one block of
+    samples at a time, so the temporaries stay at one block however long the
+    record is; the waveform's trace arrays are read-only.  Output is
+    deterministic: identical inputs give bit-identical arrays.  Raises
+    ModelDomainError up front when the flow at full bias exceeds the float
+    range.
+    """
+    return next(simulate_many((circuit,), duration_s, sample_rate_hz))

@@ -2,12 +2,13 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from glottisim import analysis, cli
+from glottisim import analysis, cli, network
 from glottisim.cli import main
 from glottisim.exporters import read_waveform_csv
 import oracles
@@ -203,6 +204,16 @@ def test_analyze_foreign_csv_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_analyze_csv_with_a_tiny_time_span_exits_2(tmp_path, capsys):
+    # (n - 1) / span is beyond the float range, so no rate can be recovered
+    path = tmp_path / "tiny.csv"
+    path.write_text("time_s,u_gl,du_gl_dt,g_lower,g_upper\n"
+                    "0,0,0,0,0\n1e-320,0,0,0,0\n")
+    rc, _, err = run(capsys, "analyze", "--csv", str(path))
+    assert rc == 2
+    assert "sample_rate_hz" in err
+
+
 # -- sweep ---------------------------------------------------------------------
 
 
@@ -251,8 +262,13 @@ def test_sweep_invalid_range_exits_2(tmp_path, capsys):
     assert rc == 2
     assert not (tmp_path / "sweep_summary.csv").exists()
     # unbounded ranges and steps, which used to append points without end
-    for arg in ("--to=inf", "--from=-inf", "--step=inf"):
-        rc, _, err = run(capsys, "sweep", arg, "--out", str(tmp_path))
+    # and finite ones too long to list or with a step that cannot advance
+    # --from; each is rejected before any point is made
+    for args in (["--to=inf"], ["--from=-inf"], ["--step=inf"],
+                 ["--to=1e300"], ["--from=1e17", "--to=2e17"]):
+        begin = time.perf_counter()
+        rc, _, err = run(capsys, "sweep", *args, "--out", str(tmp_path))
+        assert time.perf_counter() - begin < 1.0
         assert rc == 2
         assert "config error: sweep" in err
         assert not (tmp_path / "sweep_summary.csv").exists()
@@ -264,6 +280,22 @@ def test_sweep_pressure_below_onset_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "pressure.cmh2o" in err
     assert not (tmp_path / "sweep_summary.csv").exists()
+
+
+def test_sweep_forms_the_traces_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    traces = network.conductance_traces
+
+    def counted(*args):
+        calls.append(args)
+        return traces(*args)
+
+    monkeypatch.setattr(network, "conductance_traces", counted)
+    rc, _, _ = run(capsys, "sweep", "--out", str(tmp_path))
+    assert rc == 0
+    assert len(read_sweep(tmp_path / "sweep_summary.csv")) == 4
+    # one call per block of the 1 s record, not one per pressure per block
+    assert len(calls) == -(-44100 // network._SOLVE_BLOCK) == 3
 
 
 def test_sweep_drive_column_matches_pressure_line(tmp_path, capsys):

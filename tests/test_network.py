@@ -1,6 +1,7 @@
 """Series network solve and the quasi-static simulation."""
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,11 +16,14 @@ from glottisim import (
     GlottalWaveform,
     ModelDomainError,
     OscillatorConfig,
+    PressureCmH2O,
     ResistorElement,
     RunConfig,
     SolverError,
     conductance_traces,
+    pressure_to_voltage,
     simulate,
+    simulate_many,
     solve_series_current,
     validate_config,
 )
@@ -424,3 +428,103 @@ def test_iteration_cap_names_the_failing_sample(monkeypatch):
     assert exc.time_s == exc.index / 44100.0
     assert exc.residual > 0.0  # Newton approaches the root from above
     assert f"at t = {exc.time_s!r} s" in str(exc)
+
+
+# -- simulate_many ---------------------------------------------------------
+
+
+def _drives(circuit, pressures):
+    """circuit at each pressure; 0 cmH2O, below onset, stands for 0 V."""
+    return [replace(circuit, drive=DcVoltage(0.0) if p == 0.0 else
+                    pressure_to_voltage(PressureCmH2O(p)))
+            for p in pressures]
+
+
+TWO_MS_PULSES = RunConfig(
+    lower_oscillator=OscillatorConfig(pulse_duration_s=0.002),
+    upper_oscillator=OscillatorConfig(pulse_duration_s=0.002,
+                                      phase_lag_s=0.001)).build_circuit()
+
+
+@pytest.mark.parametrize("samples", [16383, 16384, 16385])
+@pytest.mark.parametrize("circuit", [
+    pytest.param(GlottalCircuit.normal_voice(), id="normal"),
+    pytest.param(RunConfig(upper_linear_gain=0.0).build_circuit(),
+                 id="zero-gain"),
+    pytest.param(TWO_MS_PULSES, id="2ms-pulses")])
+def test_simulate_many_is_bitwise_simulate(circuit, samples):
+    circuits = _drives(circuit, (0.0, 6.0, 10.0, 15.0))
+    duration = samples / 44100
+    gl, gu = conductance_traces(circuit, duration, 44100)
+    waveforms = list(simulate_many(circuits, duration, 44100))
+    assert len(waveforms) == len(circuits)
+    for c, w in zip(circuits, waveforms):
+        want = simulate(c, duration, 44100)
+        assert len(w) == samples and w.sample_rate_hz == 44100
+        for name in ("u_gl", "g_lower", "g_upper"):
+            assert getattr(w, name).tobytes() == getattr(want, name).tobytes()
+        # the traces of one call over the whole record, unblocked
+        assert w.g_lower.tobytes() == gl.tobytes()
+        assert w.g_upper.tobytes() == gu.tobytes()
+    assert not waveforms[0].u_gl.any()  # 0 V drives no flow
+    if circuit.upper.linear.gain > 0.0:
+        assert waveforms[-1].u_gl.any()
+
+
+def test_simulate_many_shares_read_only_traces():
+    a, b = simulate_many(_drives(GlottalCircuit.normal_voice(), (7.0, 9.0)),
+                         0.05, 44100)
+    assert a.g_lower is b.g_lower and a.g_upper is b.g_upper
+    for arr in (a.g_lower, a.g_upper):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    assert not np.shares_memory(a.u_gl, b.u_gl)
+    a.u_gl[:] = 0.0  # each flow is the caller's own
+    assert b.u_gl.any()
+
+
+def test_simulate_many_rejects_circuits_that_differ_beyond_the_drive():
+    base = RunConfig(pressure_cmh2o=8.0)
+    others = [
+        replace(base, upper_expansive_gain=2.0),
+        replace(base, lower_linear_gain=0.0),
+        replace(base, lower_oscillator=OscillatorConfig(period_s=0.009)),
+        replace(base, upper_oscillator=OscillatorConfig(phase_lag_s=0.002)),
+    ]
+    for other in others:
+        circuits = [base.build_circuit(), other.build_circuit()]
+        with pytest.raises(ModelDomainError, match="differ only in"):
+            next(simulate_many(circuits, 0.01, 44100))
+    assert list(simulate_many([], 0.01, 44100)) == []
+
+
+def test_simulate_many_names_the_failing_sample_time(monkeypatch):
+    # the failing sample lies in the third block of the second circuit
+    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 1)
+    monkeypatch.setattr(network, "_SOLVE_BLOCK", 20)
+    circuits = _drives(GlottalCircuit.normal_voice(), (0.0, 10.0))
+    waveforms = simulate_many(circuits, 0.01, 44100)
+    assert not next(waveforms).u_gl.any()
+    with pytest.raises(SolverError) as info:
+        next(waveforms)
+    exc = info.value
+    gl, gu = conductance_traces(circuits[1], 0.01, 44100)
+    assert exc.index == np.flatnonzero((gl > 0.0) & (gu > 0.0))[0] >= 40
+    assert exc.time_s == exc.index / 44100.0
+    assert f"at t = {exc.time_s!r} s" in str(exc)
+
+
+def test_simulate_many_memory_does_not_grow_with_the_circuit_count():
+    circuits = _drives(GlottalCircuit.normal_voice(),
+                       [6.0 + 0.1 * k for k in range(91)])
+    tracemalloc.start()
+    try:
+        for w in simulate_many(circuits, 1.0, 44100):
+            del w
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 91 simulate calls over these circuits, each waveform dropped before
+    # the next call, peaked here at 3 700 540 bytes before simulate_many
+    # existed: one waveform (1.06 MB) plus one block of solve temporaries
+    assert peak <= 3_700_540
