@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -356,7 +356,8 @@ def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
     return u
 
 
-def simulate_many(circuits, duration_s: float = DEFAULT_DURATION_S,
+def simulate_many(circuits: Iterable[GlottalCircuit],
+                  duration_s: float = DEFAULT_DURATION_S,
                   sample_rate_hz: int = DEFAULT_SAMPLE_RATE_HZ
                   ) -> Iterator[GlottalWaveform]:
     """simulate for each of circuits that differ only in their drive,
