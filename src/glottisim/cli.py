@@ -15,7 +15,7 @@ from .config import RunConfig, parse_config, validate_config
 from .errors import ConfigError, ModelDomainError, SolverError
 from .exporters import (export_csv, export_wav, format_number, format_report,
                         read_waveform_csv, write_report)
-from .network import _MAX_SAMPLES, simulate, simulate_many
+from .network import simulate, simulate_many
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -24,6 +24,10 @@ EXIT_IO = 4
 
 SWEEP_COLUMNS = ("pressure_cmh2o", "drive_v", "peak_flow", "f0_hz",
                  "max_negative_derivative")
+# A sweep validates and builds every point's circuit before it solves one;
+# 100 000 of them take about 78 MiB (tracemalloc), and a longer list would
+# exhaust memory long before its solves ended.
+_MAX_SWEEP_POINTS = 100_000
 
 
 def _load_config(path: str | None) -> RunConfig:
@@ -67,9 +71,9 @@ def _sweep_pressures(start: float, stop: float, step: float) -> list[float]:
         raise ConfigError(f"sweep --step {step!r} is too small to advance "
                           f"--from {start!r}")
     steps = (stop - start) / step
-    if not steps < _MAX_SAMPLES:
+    if not steps < _MAX_SWEEP_POINTS:
         raise ConfigError(f"sweep from {start!r} to {stop!r} by {step!r} has "
-                          f"more points than an array can hold")
+                          f"more than {_MAX_SWEEP_POINTS} points")
 
     def beyond(k: int) -> bool:
         return start + k * step > stop + 1e-9 * step

@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 from .analysis import MIN_DERIVATIVE_SAMPLES
 from .elements import ElementKind, ResistorElement
 from .errors import ConfigError, ModelDomainError
-from .network import (DEFAULT_SAMPLE_RATE_HZ, GlottalCircuit,
-                      _check_flow_range, _check_grid, _check_rate,
-                      _two_fold_circuit)
+from .exporters import _check_wav_rate
+from .network import (DEFAULT_SAMPLE_RATE_HZ, FoldStage, GlottalCircuit,
+                      _check_flow_range, _check_grid, _check_rate)
 from .oscillator import DEFAULT_FOLD_LAG_S, OscillatorConfig
 from .pressure import PressureCmH2O, pressure_to_voltage
 
@@ -62,9 +62,14 @@ class RunConfig:
     write_wav: bool = False
 
     def build_circuit(self) -> GlottalCircuit:
-        return _two_fold_circuit(
-            self.pressure_cmh2o, self.lower_oscillator, self.upper_oscillator,
-            *(getattr(self, key) for key in _GAIN_KEYS))
+        """Linear + compressive lower fold and linear + expansive upper fold
+        in series across the drive of the lung pressure."""
+        ll, lc, ul, ue = (ResistorElement(kind, getattr(self, key))
+                          for key, kind in _GAIN_KEYS.items())
+        return GlottalCircuit(
+            lower=FoldStage(ll, lc, self.lower_oscillator),
+            upper=FoldStage(ul, ue, self.upper_oscillator),
+            drive=pressure_to_voltage(PressureCmH2O(self.pressure_cmh2o)))
 
 
 def _holder(cfg: RunConfig, osc: str | None):
@@ -135,7 +140,8 @@ def parse_config(text: str) -> RunConfig:
 def validate_config(cfg: RunConfig) -> None:
     """Run the model's own bound checks on cfg, each under its section.key,
     raising ConfigError.  Only two rules are the config's: the sample rate
-    is an int, and the record spans the samples a flow derivative needs."""
+    is an int, and the record spans the samples a flow derivative needs.
+    With write_wav set, the rate must also fit a WAV header."""
     with _named("pressure.cmh2o"):
         pressure_to_voltage(PressureCmH2O(cfg.pressure_cmh2o))
     if not isinstance(cfg.sample_rate_hz, int):
@@ -143,6 +149,8 @@ def validate_config(cfg: RunConfig) -> None:
                           f"got {cfg.sample_rate_hz!r}")
     with _named("output.sample_rate_hz"):
         _check_rate(cfg.sample_rate_hz)
+        if cfg.write_wav:
+            _check_wav_rate(cfg.sample_rate_hz)
     with _named("output.duration_s"):
         n, rate = _check_grid(cfg.duration_s, cfg.sample_rate_hz)
     if n < MIN_DERIVATIVE_SAMPLES:

@@ -35,6 +35,9 @@ _ROW_TEMPLATES = tuple(
 _ZERO_BITS = 1 << np.arange(len(CSV_COLUMNS))
 WAV_PEAK_FRACTION = 0.9
 _FULL_SCALE = 32767
+# The RIFF header holds the byte rate, 2 bytes per mono 16-bit frame, in 32
+# unsigned bits, so a WAV can carry a rate up to 2**31 - 1 Hz.
+_MAX_WAV_RATE_HZ = 2**31 - 1
 
 
 def format_number(x: float) -> str:
@@ -95,9 +98,19 @@ def read_waveform_csv(path) -> tuple[GlottalWaveform, np.ndarray]:
     return w, data[:, 2]
 
 
+def _check_wav_rate(sample_rate_hz: int) -> None:
+    if sample_rate_hz > _MAX_WAV_RATE_HZ:
+        raise ModelDomainError(
+            f"a WAV file holds a sample rate of at most {_MAX_WAV_RATE_HZ} "
+            f"Hz, got {sample_rate_hz!r}")
+
+
 def export_wav(w: GlottalWaveform, path) -> None:
     """Write the flow as mono 16-bit PCM at the waveform's own rate, with the
-    peak at 90% full scale.  An all-zero flow stays all-zero."""
+    peak at 90% full scale.  An all-zero flow stays all-zero.  A rate beyond
+    what the RIFF header holds raises ModelDomainError before the file is
+    opened."""
+    _check_wav_rate(w.sample_rate_hz)
     samples = w.u_gl
     peak = float(np.abs(samples).max())
     if peak == 0.0:

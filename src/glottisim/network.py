@@ -45,8 +45,8 @@ import numpy as np
 
 from .elements import ElementKind, ResistorElement
 from .errors import ModelDomainError, SolverError
-from .oscillator import DEFAULT_FOLD_LAG_S, OscillatorConfig
-from .pressure import DcVoltage, PressureCmH2O, pressure_to_voltage
+from .oscillator import OscillatorConfig
+from .pressure import DcVoltage
 
 DEFAULT_SAMPLE_RATE_HZ = 44100
 MIN_SAMPLE_RATE_HZ = 8000
@@ -113,27 +113,9 @@ class GlottalCircuit:
 
         Build any other circuit with RunConfig(...).build_circuit().
         """
-        return _two_fold_circuit(
-            pressure_cmh2o, OscillatorConfig(),
-            OscillatorConfig(phase_lag_s=DEFAULT_FOLD_LAG_S), 1.0, 1.0, 1.0, 1.0)
-
-
-def _two_fold_circuit(pressure_cmh2o: float, lower_osc: OscillatorConfig,
-                     upper_osc: OscillatorConfig, lower_linear_gain: float,
-                     lower_compressive_gain: float, upper_linear_gain: float,
-                     upper_expansive_gain: float) -> GlottalCircuit:
-    """Linear + compressive lower fold and linear + expansive upper fold in
-    series across the drive of the given lung pressure."""
-    return GlottalCircuit(
-        lower=FoldStage(ResistorElement(ElementKind.LINEAR, lower_linear_gain),
-                        ResistorElement(ElementKind.COMPRESSIVE,
-                                        lower_compressive_gain),
-                        lower_osc),
-        upper=FoldStage(ResistorElement(ElementKind.LINEAR, upper_linear_gain),
-                        ResistorElement(ElementKind.EXPANSIVE,
-                                        upper_expansive_gain),
-                        upper_osc),
-        drive=pressure_to_voltage(PressureCmH2O(pressure_cmh2o)))
+        # config builds on this module, so it is imported at call time
+        from .config import RunConfig
+        return RunConfig(pressure_cmh2o=pressure_cmh2o).build_circuit()
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,21 +265,17 @@ def _check_grid(duration_s: float, sample_rate_hz: int) -> tuple[int, int]:
 
 
 def conductance_traces(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURATION_S,
-                       sample_rate_hz: int = DEFAULT_SAMPLE_RATE_HZ,
-                       start: int = 0, stop: int | None = None
+                       sample_rate_hz: int = DEFAULT_SAMPLE_RATE_HZ
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized bias traces (oscillator sample / peak) of both folds, over
-    the samples start <= k < stop of the record (by default all of it)."""
+    """Normalized bias traces (oscillator sample / peak) of both folds over
+    the record, formed one block of samples at a time."""
     n, rate = _check_grid(duration_s, sample_rate_hz)
-    stop = n if stop is None else stop
-    if not 0 <= start <= stop <= n:
-        raise ModelDomainError(
-            f"sample range [{start!r}, {stop!r}) must lie within [0, {n}]")
-    t = np.arange(start, stop) / float(rate)
-    lower_osc = circuit.lower.oscillator
-    upper_osc = circuit.upper.oscillator
-    g_lower = lower_osc.sample_times(t) / lower_osc.peak_current
-    g_upper = upper_osc.sample_times(t) / upper_osc.peak_current
+    g_lower, g_upper = np.empty(n), np.empty(n)
+    for start in range(0, n, _SOLVE_BLOCK):
+        t = np.arange(start, min(start + _SOLVE_BLOCK, n)) / float(rate)
+        for g, fold in ((g_lower, circuit.lower), (g_upper, circuit.upper)):
+            osc = fold.oscillator
+            g[start:start + len(t)] = osc.sample_times(t) / osc.peak_current
     return g_lower, g_upper
 
 
@@ -384,12 +362,7 @@ def simulate_many(circuits: Iterable[GlottalCircuit],
                 f"drive; circuit {k} differs from circuit 0 in its "
                 f"oscillators or gains")
         _check_flow_range(circuit)
-    g_lower = np.empty(n)
-    g_upper = np.empty(n)
-    for start in range(0, n, _SOLVE_BLOCK):
-        stop = min(start + _SOLVE_BLOCK, n)
-        g_lower[start:stop], g_upper[start:stop] = conductance_traces(
-            first, duration_s, rate, start, stop)
+    g_lower, g_upper = conductance_traces(first, duration_s, rate)
     g_lower.flags.writeable = False
     g_upper.flags.writeable = False
     for circuit in circuits:

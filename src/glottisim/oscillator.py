@@ -82,41 +82,36 @@ class OscillatorConfig:
         return self.rise_fraction * self.pulse_duration_s
 
     def sample(self, t: float) -> float:
-        """Generator output at time t (zero before the lag)."""
-        if t < self.phase_lag_s:
-            return 0.0
-        tau = math.fmod(t - self.phase_lag_s, self.period_s)
-        if tau <= 0.0 or tau >= self.pulse_duration_s:
-            return 0.0
-        rise_end = self.rise_end_s
-        if tau < rise_end:
-            return self.peak_current * (tau / rise_end)
-        return self.peak_current * ((self.pulse_duration_s - tau)
-                                    / (self.pulse_duration_s - rise_end))
+        """Generator output at time t (zero before the lag).  Raises
+        ModelDomainError for a non-finite t."""
+        if not math.isfinite(t):
+            raise ModelDomainError(f"time must be finite, got {t!r}")
+        return float(self.sample_times(t))
 
     def sample_times(self, times: np.ndarray) -> np.ndarray:
-        """Vectorized sample(); bitwise-identical to the scalar path."""
-        t = np.asarray(times, dtype=float)
-        tau = np.fmod(t - self.phase_lag_s, self.period_s)
+        """The output at each of times.  Before the lag t - phase_lag_s is
+        exactly negative (x != y implies x - y != 0 under gradual underflow),
+        so its fmod is <= 0 and the tau <= 0 test keeps those times silent."""
+        tau = np.fmod(np.asarray(times, dtype=float) - self.phase_lag_s,
+                      self.period_s)
         rise_end = self.rise_end_s
         rising = self.peak_current * (tau / rise_end)
         falling = self.peak_current * ((self.pulse_duration_s - tau)
                                        / (self.pulse_duration_s - rise_end))
         out = np.where(tau < rise_end, rising, falling)
-        silent = (t < self.phase_lag_s) | (tau <= 0.0) | (tau >= self.pulse_duration_s)
-        return np.where(silent, 0.0, out)
+        return np.where((tau <= 0.0) | (tau >= self.pulse_duration_s), 0.0, out)
 
     def phase(self, t: float) -> OscillatorPhase:
         """Cycle segment at time t.  CLOSED exactly where sample(t) == 0."""
-        if self.sample(t) == 0.0:
-            position = 0.0
-            if t >= self.phase_lag_s and self.period_s > self.pulse_duration_s:
-                tau = math.fmod(t - self.phase_lag_s, self.period_s)
-                if tau >= self.pulse_duration_s:
-                    position = ((tau - self.pulse_duration_s)
-                                / (self.period_s - self.pulse_duration_s))
-            return OscillatorPhase(PhaseKind.CLOSED, position)
+        silent = self.sample(t) == 0.0
         tau = math.fmod(t - self.phase_lag_s, self.period_s)
+        if silent:
+            # tau >= pulse_duration_s only after the lag and within a gap
+            position = 0.0
+            if tau >= self.pulse_duration_s:
+                position = ((tau - self.pulse_duration_s)
+                            / (self.period_s - self.pulse_duration_s))
+            return OscillatorPhase(PhaseKind.CLOSED, position)
         rise_end = self.rise_end_s
         if tau < rise_end:
             return OscillatorPhase(PhaseKind.RISING, tau / rise_end)

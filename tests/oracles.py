@@ -1,7 +1,7 @@
 """Independent reference implementations used by the tests.
 
-Everything here is deliberately written from scratch: a brute-force
-bisection solver with its own inverse-law formulas, a struct-level RIFF
+Everything here is deliberately written from scratch: a scalar sawtooth
+pulse, a brute-force bisection solver with its own inverse-law formulas, a struct-level RIFF
 reader that does not touch the wave module, a circular correlator and a
 sample-by-sample peak picker.  The one exception is the row-by-row CSV
 writer, which formats each cell with the package's ``format_number``; the
@@ -19,6 +19,23 @@ import numpy as np
 from glottisim.exporters import format_number
 
 KIND_NAMES = ("linear", "compressive", "expansive")
+
+
+def pulse_ref(cfg, t: float) -> float:
+    """The sawtooth of an OscillatorConfig at time t, read off its docstring:
+    zero before the lag; then, with tau = (t - lag) mod period, a ramp from
+    0 to the peak over [0, rise_end), a linear fall back to zero over the
+    rest of the pulse, and zero from the pulse end on.  tau = 0 is zero."""
+    if t < cfg.phase_lag_s:
+        return 0.0
+    tau = math.fmod(t - cfg.phase_lag_s, cfg.period_s)
+    if tau <= 0.0 or tau >= cfg.pulse_duration_s:
+        return 0.0
+    rise_end = cfg.rise_fraction * cfg.pulse_duration_s
+    if tau < rise_end:
+        return cfg.peak_current * (tau / rise_end)
+    return cfg.peak_current * ((cfg.pulse_duration_s - tau)
+                               / (cfg.pulse_duration_s - rise_end))
 
 
 def element_voltage_ref(kind: str, coeff: float, i: float) -> float:

@@ -45,3 +45,38 @@ def test_gap_within_the_base_spread_is_no_gain():
                                {"t": "lower"})
     assert out["metrics"]["t"]["head_wins"] == 10
     assert not out["metrics"]["t"]["gain"]
+
+
+def test_regression_beyond_the_bound():
+    base = [1.0, 1.01, 1.02] * 3 + [1.01]
+    out = bench_pair.summarize(_runs(base, [b * 1.3 for b in base]),
+                               {"t": "lower"}, {"t": 0.25})
+    t = out["metrics"]["t"]
+    assert t["bound"] == 0.25
+    assert t["regressed"] and not t["unresolved"]
+    # 20 % worse is within a 25 % bound
+    out = bench_pair.summarize(_runs(base, [b * 1.2 for b in base]),
+                               {"t": "lower"}, {"t": 0.25})
+    assert not out["metrics"]["t"]["regressed"]
+    # where higher is better, a lower head is the regression
+    out = bench_pair.summarize(_runs(base, [b * 0.7 for b in base]),
+                               {"t": "higher"}, {"t": 0.25})
+    assert out["metrics"]["t"]["regressed"]
+    # without a bound there is no verdict
+    t = bench_pair.summarize(_runs(base, base), {"t": "lower"})["metrics"]["t"]
+    assert t["bound"] is t["regressed"] is t["unresolved"] is None
+
+
+def test_base_spread_beyond_the_bound_is_unresolved():
+    base = [1.0, 2.0] * 5  # IQR 1.0, beyond 0.25 x the median 1.5
+    out = bench_pair.summarize(_runs(base, base), {"t": "lower"}, {"t": 0.25})
+    t = out["metrics"]["t"]
+    assert t["unresolved"] and not t["regressed"]
+    # unless every head run beats every base run
+    out = bench_pair.summarize(_runs(base, [0.9] * 10), {"t": "lower"},
+                               {"t": 0.25})
+    assert not out["metrics"]["t"]["unresolved"]
+    # a tight base resolves whatever the head does
+    tight = [1.0, 1.01] * 5
+    out = bench_pair.summarize(_runs(tight, base), {"t": "lower"}, {"t": 0.25})
+    assert not out["metrics"]["t"]["unresolved"]

@@ -90,6 +90,24 @@ def test_simulate_wav_flag(tmp_path, capsys):
     assert info["channels"] == 1
 
 
+def test_simulate_wav_rate_beyond_the_riff_header_exits_2(tmp_path, capsys):
+    # the RIFF header keeps the byte rate, 2 * rate, in 32 bits
+    out = tmp_path / "run"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[output]\nsample_rate_hz = 2147483648\n"
+                   "duration_s = 2e-9\n")
+    rc, _, err = run(capsys, "simulate", "--config", str(cfg),
+                     "--out", str(out), "--wav")
+    assert rc == 2
+    assert "output.sample_rate_hz" in err
+    assert not out.exists()
+    # without a WAV file the rate is valid
+    rc, _, err = run(capsys, "simulate", "--config", str(cfg),
+                     "--out", str(out))
+    assert rc == 0, err
+    assert (out / "waveform.csv").exists() and not (out / "waveform.wav").exists()
+
+
 def test_simulate_reads_config_file(tmp_path, capsys):
     out = tmp_path / "o"
     cfg = tmp_path / "run.cfg"
@@ -263,15 +281,17 @@ def test_sweep_invalid_range_exits_2(tmp_path, capsys):
     assert not (tmp_path / "sweep_summary.csv").exists()
     # unbounded ranges and steps, which used to append points without end
     # and finite ones too long to list or with a step that cannot advance
-    # --from; each is rejected before any point is made
+    # --from; each is rejected before any point or output directory is made
+    out = tmp_path / "points"
     for args in (["--to=inf"], ["--from=-inf"], ["--step=inf"],
-                 ["--to=1e300"], ["--from=1e17", "--to=2e17"]):
+                 ["--to=1e300"], ["--from=1e17", "--to=2e17"],
+                 ["--to=1e7"]):
         begin = time.perf_counter()
-        rc, _, err = run(capsys, "sweep", *args, "--out", str(tmp_path))
+        rc, _, err = run(capsys, "sweep", *args, "--out", str(out))
         assert time.perf_counter() - begin < 1.0
         assert rc == 2
         assert "config error: sweep" in err
-        assert not (tmp_path / "sweep_summary.csv").exists()
+        assert not out.exists()
 
 
 def test_sweep_pressure_below_onset_exits_2(tmp_path, capsys):
@@ -294,8 +314,8 @@ def test_sweep_forms_the_traces_once(tmp_path, capsys, monkeypatch):
     rc, _, _ = run(capsys, "sweep", "--out", str(tmp_path))
     assert rc == 0
     assert len(read_sweep(tmp_path / "sweep_summary.csv")) == 4
-    # one call per block of the 1 s record, not one per pressure per block
-    assert len(calls) == -(-44100 // network._SOLVE_BLOCK) == 3
+    # one call for the whole record, not one per pressure
+    assert len(calls) == 1
 
 
 def test_sweep_drive_column_matches_pressure_line(tmp_path, capsys):

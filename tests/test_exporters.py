@@ -259,6 +259,22 @@ def test_wav_input_validation(tmp_path):
         assert not path.exists()
 
 
+def test_wav_rate_bound_of_the_riff_header(tmp_path):
+    # the header keeps the byte rate, 2 * rate, in 32 unsigned bits
+    u = np.array([0.0, 0.5, 1.0, 0.25])
+    ones = np.ones_like(u)
+    path = tmp_path / "w.wav"
+    export_wav(GlottalWaveform(2**31 - 1, u, ones, ones), path)
+    info = oracles.parse_riff_wav(path)
+    assert info["sample_rate"] == 2**31 - 1
+    assert info["byte_rate"] == 2**32 - 2
+    assert info["samples"].tolist() == [0, 14745, 29490, 7373]
+    path.unlink()
+    with pytest.raises(ModelDomainError, match="WAV"):
+        export_wav(GlottalWaveform(2**31, u, ones, ones), path)
+    assert not path.exists()
+
+
 # -- report ------------------------------------------------------------------
 
 

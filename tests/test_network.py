@@ -310,12 +310,6 @@ def test_conductance_traces_match_waveform(loud_waveform):
     # the grid straddles the exact ramp peak but must come close
     assert gl.max() > 0.999 and gu.max() > 0.999
     assert gl.max() <= 1.0 and gu.max() <= 1.0
-    part = conductance_traces(c, 1.0, 44100, 1000, 1317)
-    assert np.array_equal(part[0], gl[1000:1317])
-    assert np.array_equal(part[1], gu[1000:1317])
-    for start, stop in ((-1, 10), (10, 9), (0, 44101)):
-        with pytest.raises(ModelDomainError, match="sample range"):
-            conductance_traces(c, 1.0, 44100, start, stop)
 
 
 def test_peak_current_scales_bias_not_flow():
@@ -455,7 +449,9 @@ TWO_MS_PULSES = RunConfig(
 def test_simulate_many_is_bitwise_simulate(circuit, samples):
     circuits = _drives(circuit, (0.0, 6.0, 10.0, 15.0))
     duration = samples / 44100
-    gl, gu = conductance_traces(circuit, duration, 44100)
+    t = np.arange(samples) / 44100.0
+    gl, gu = (fold.oscillator.sample_times(t) / fold.oscillator.peak_current
+              for fold in (circuit.lower, circuit.upper))
     waveforms = list(simulate_many(circuits, duration, 44100))
     assert len(waveforms) == len(circuits)
     for c, w in zip(circuits, waveforms):
@@ -463,7 +459,7 @@ def test_simulate_many_is_bitwise_simulate(circuit, samples):
         assert len(w) == samples and w.sample_rate_hz == 44100
         for name in ("u_gl", "g_lower", "g_upper"):
             assert getattr(w, name).tobytes() == getattr(want, name).tobytes()
-        # the traces of one call over the whole record, unblocked
+        # the traces formed in one pass over the whole record
         assert w.g_lower.tobytes() == gl.tobytes()
         assert w.g_upper.tobytes() == gu.tobytes()
     assert not waveforms[0].u_gl.any()  # 0 V drives no flow

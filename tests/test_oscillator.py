@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from glottisim import ModelDomainError, OscillatorConfig, PhaseKind
+import oracles
 
 
 def test_default_shape_points():
@@ -103,10 +104,30 @@ def test_vectorized_matches_scalar_bitwise():
     cfg = OscillatorConfig(period_s=0.008, pulse_duration_s=0.0065,
                            rise_fraction=0.77, peak_current=1.3,
                            phase_lag_s=0.0012)
-    t = np.linspace(0.0, 0.05, 1111)
-    vec = cfg.sample_times(t)
-    scalar = np.array([cfg.sample(float(x)) for x in t])
-    assert np.array_equal(vec, scalar)
+    lag = cfg.phase_lag_s
+    # the grid, plus times at, just before and just after the lag
+    t = np.concatenate((np.linspace(0.0, 0.05, 1111),
+                        [lag, np.nextafter(lag, 0.0), np.nextafter(lag, 1.0),
+                         lag - 5e-324, lag + 0.008, -1e-300]))
+    ref = np.array([oracles.pulse_ref(cfg, float(x)) for x in t])
+    assert np.array_equal(cfg.sample_times(t), ref)
+    assert [cfg.sample(float(x)) for x in t] == ref.tolist()
+    # the smallest lag leaves t = 0 silent, and the first subnormal after it
+    tiny = OscillatorConfig(phase_lag_s=5e-324)
+    t = np.array([0.0, 5e-324, 1e-323, 1e-300])
+    ref = np.array([oracles.pulse_ref(tiny, float(x)) for x in t])
+    assert ref[0] == ref[1] == 0.0
+    assert np.array_equal(tiny.sample_times(t), ref)
+    assert tiny.sample(0.0) == 0.0
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_is_rejected(t):
+    cfg = OscillatorConfig(phase_lag_s=0.001)
+    with pytest.raises(ModelDomainError, match="time must be finite"):
+        cfg.sample(t)
+    with pytest.raises(ModelDomainError, match="time must be finite"):
+        cfg.phase(t)
 
 
 def test_phase_kinds_on_default_cycle():

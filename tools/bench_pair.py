@@ -14,10 +14,14 @@ of the host does not favour one side.  Each side runs its own
 
 The output holds both commit ids, the settings, the machine, every run's
 final JSON line and, per workload and metric, each side's median and
-quartiles and the pairs the head won.  A metric's direction comes from
-BENCHMARK.json.  `gain` is true where the head won at least nine tenths of
-the pairs and its median beats the base's by more than the base's
-interquartile range.  Only the Python standard library is used.
+quartiles and the pairs the head won.  A metric's direction and bound come
+from BENCHMARK.json.  `gain` is true where the head won at least nine
+tenths of the pairs and its median beats the base's by more than the base's
+interquartile range.  `regressed` is true where the head's median is worse
+than the base's by more than bound x the base median, and `unresolved` where
+the base's interquartile range is wider than that margin and not every head
+run beats every base run, so the runs spread too widely to rule a
+regression out.  Only the Python standard library is used.
 """
 from __future__ import annotations
 
@@ -65,9 +69,12 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def summarize(runs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     """Each side's op counts and, per metric, each side's quartiles, the
-    head's wins and the verdict."""
+    head's wins and the verdicts; `regressed` and `unresolved` are None for
+    a metric without a bound."""
+    bounds = bounds or {}
     pairs = {}
     for run in runs:
         pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]
@@ -82,6 +89,12 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         diffs = [sign * (b - h) for b, h in zip(sides["base"], sides["head"])]
         base, head = quartiles(sides["base"]), quartiles(sides["head"])
         wins = sum(d > 0 for d in diffs)
+        regressed = unresolved = None
+        if name in bounds:
+            margin = bounds[name] * abs(base["median"])
+            regressed = sign * (head["median"] - base["median"]) > margin
+            unresolved = base["q3"] - base["q1"] > margin and not all(
+                sign * (b - h) > 0 for b in sides["base"] for h in sides["head"])
         metrics[name] = {
             "better": direction, "base": base, "head": head,
             "head_wins": wins, "ties": sum(d == 0 for d in diffs),
@@ -90,6 +103,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                                   if base["median"] else None),
             "gain": (wins >= 0.9 * len(diffs) and sign * (
                 base["median"] - head["median"]) > base["q3"] - base["q1"]),
+            "bound": bounds.get(name), "regressed": regressed,
+            "unresolved": unresolved,
         }
     return {"ops": ops, "metrics": metrics}
 
@@ -131,6 +146,8 @@ def main(argv: list[str] | None = None) -> int:
         extract(commit, checkouts[side])
     declared = json.loads((checkouts["base"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]
+              if "bound" in m}
 
     doc = {"base": commits["base"], "head": commits["head"],
            "settings": {"pairs": args.pairs, "seconds": args.seconds,
@@ -150,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"{k}={v['value']:.4g}"
                     for k, v in result["metrics"].items()), flush=True)
         doc["workloads"][workload] = {"runs": runs,
-                                      **summarize(runs, better)}
+                                      **summarize(runs, better, bounds)}
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
