@@ -1,9 +1,9 @@
 """Independent reference implementations used by the tests.
 
 Everything here is deliberately written from scratch: a scalar sawtooth
-pulse, a brute-force bisection solver with its own inverse-law formulas, a struct-level RIFF
-reader that does not touch the wave module, a circular correlator and a
-sample-by-sample peak picker.  The one exception is the row-by-row CSV
+pulse, a brute-force bisection solver with its own inverse-law formulas, a
+struct-level RIFF reader that does not touch the wave module, a circular
+correlator and a sample-by-sample peak picker.  The one exception is the row-by-row CSV
 writer, which formats each cell with the package's ``format_number``; the
 tests pin that function's output on its own.
 The suite trusts these, not the package, when checking numbers.

@@ -10,6 +10,7 @@ from glottisim import (
     ConfigError,
     GlottalCircuit,
     ModelDomainError,
+    OscillatorConfig,
     RunConfig,
     parse_config,
     serialize_config,
@@ -257,4 +258,13 @@ def test_build_circuit_wires_everything_through():
     assert circuit.lower.oscillator == cfg.lower_oscillator
     assert circuit.upper.oscillator == cfg.upper_oscillator
     assert circuit.inter_fold_lag_s == pytest.approx(0.0012)
-    assert RunConfig().build_circuit() == GlottalCircuit.normal_voice()
+    # the normal voice, spelled out: 125 Hz pulses rising over 90 %, a 1 ms
+    # upper-fold lag and unit gains, at the drive of 10 cmH2O
+    nv = GlottalCircuit.normal_voice()
+    pulse = dict(period_s=0.008, pulse_duration_s=0.008, rise_fraction=0.9,
+                 peak_current=1.0)
+    assert nv.lower.oscillator == OscillatorConfig(**pulse, phase_lag_s=0.0)
+    assert nv.upper.oscillator == OscillatorConfig(**pulse, phase_lag_s=0.001)
+    assert [e.gain for e in (nv.lower.linear, nv.lower.nonlinear,
+                             nv.upper.linear, nv.upper.nonlinear)] == [1.0] * 4
+    assert nv.drive.value == pytest.approx((10.0 - 5.94) / 1.27, rel=1e-15)

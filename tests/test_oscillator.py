@@ -108,11 +108,11 @@ def test_vectorized_matches_scalar_bitwise():
     # the grid, plus times at, just before and just after the lag
     t = np.concatenate((np.linspace(0.0, 0.05, 1111),
                         [lag, np.nextafter(lag, 0.0), np.nextafter(lag, 1.0),
-                         lag - 5e-324, lag + 0.008, -1e-300]))
+                         lag + 0.008, -1e-300]))
     ref = np.array([oracles.pulse_ref(cfg, float(x)) for x in t])
     assert np.array_equal(cfg.sample_times(t), ref)
     assert [cfg.sample(float(x)) for x in t] == ref.tolist()
-    # the smallest lag leaves t = 0 silent, and the first subnormal after it
+    # the smallest lag: t = 0 lies before it and t = 5e-324 at it, both silent
     tiny = OscillatorConfig(phase_lag_s=5e-324)
     t = np.array([0.0, 5e-324, 1e-323, 1e-300])
     ref = np.array([oracles.pulse_ref(tiny, float(x)) for x in t])
