@@ -16,6 +16,7 @@ from .errors import ConfigError, ModelDomainError, SolverError
 from .exporters import (export_csv, export_wav, format_number, format_report,
                         read_waveform_csv, write_report)
 from .network import simulate, simulate_many
+from .pressure import PressureCmH2O, pressure_to_voltage
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -24,9 +25,9 @@ EXIT_IO = 4
 
 SWEEP_COLUMNS = ("pressure_cmh2o", "drive_v", "peak_flow", "f0_hz",
                  "max_negative_derivative")
-# A sweep validates and builds every point's circuit before it solves one;
-# 100 000 of them take about 78 MiB (tracemalloc), and a longer list would
-# exhaust memory long before its solves ended.
+# A sweep validates every point and holds each point's drive and circuit
+# before it solves one; 100 000 of them take about 24 MiB (tracemalloc) and
+# their solves about 6 minutes (4 ms a point), and both grow with the list.
 _MAX_SWEEP_POINTS = 100_000
 
 
@@ -94,29 +95,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
     pressures = _sweep_pressures(args.start, args.stop, args.step)
-    circuits = []
     for p in pressures:
-        cfg_p = replace(cfg, pressure_cmh2o=p)
-        validate_config(cfg_p)
-        circuits.append(cfg_p.build_circuit())
+        validate_config(replace(cfg, pressure_cmh2o=p))
+    drives = [pressure_to_voltage(PressureCmH2O(p)) for p in pressures]
 
-    # The waveforms come one at a time: each is dropped once its row is kept.
-    rows: list[tuple[float, float, float, float | None, float]] = []
-    waveforms = simulate_many(circuits, cfg.duration_s, cfg.sample_rate_hz)
-    for p, circuit, w in zip(pressures, circuits, waveforms):
+    # Each waveform is dropped once its summary line is formatted.
+    lines = [",".join(SWEEP_COLUMNS)]
+    waveforms = simulate_many(cfg.build_circuit(), drives, cfg.duration_s,
+                              cfg.sample_rate_hz)
+    for p, v, w in zip(pressures, drives, waveforms):
         rep = analyze(w)
-        rows.append((p, circuit.drive.value, float(w.u_gl.max()),
-                     rep.f0_hz, rep.max_negative_derivative))
+        lines.append(",".join((
+            format_number(p), format_number(v.value),
+            format_number(float(w.u_gl.max())),
+            "nan" if rep.f0_hz is None else format_number(rep.f0_hz),
+            format_number(rep.max_negative_derivative))))
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "sweep_summary.csv"
-    header = ",".join(SWEEP_COLUMNS)
-    lines = [header]
-    for p, v, peak, f0, mnd in rows:
-        lines.append(",".join((
-            format_number(p), format_number(v), format_number(peak),
-            "nan" if f0 is None else format_number(f0), format_number(mnd))))
     try:
         with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -30,8 +30,8 @@ sum c_k**(-p / 2), overflows on 56 of the 162 extreme-gain cases of the tests
 simulate streams the record: the oscillator traces and the solve run one
 block of samples at a time into the preallocated output arrays, so the
 temporaries stay at one block however long the record is.  The traces do not
-depend on the drive, so simulate_many forms them once for circuits that
-differ only in their drive and shares them, read-only, among its waveforms.
+depend on the drive, so simulate_many forms them once for one circuit at many
+drives and shares them, read-only, among its waveforms.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ import functools
 import math
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -142,6 +142,8 @@ class GlottalWaveform:
             raise ModelDomainError("waveform must hold at least one sample")
         object.__setattr__(self, "sample_rate_hz",
                            _check_rate(self.sample_rate_hz))
+        if not math.isfinite(self.t0):
+            raise ModelDomainError(f"t0 must be finite, got {self.t0!r}")
         if np.any(self.u_gl < 0.0):
             raise ModelDomainError("glottal flow is unipolar; u_gl must be >= 0")
         closed = (self.g_lower == 0.0) | (self.g_upper == 0.0)
@@ -334,41 +336,35 @@ def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
     return u
 
 
-def simulate_many(circuits: Iterable[GlottalCircuit],
+def simulate_many(circuit: GlottalCircuit, drives: Iterable[DcVoltage],
                   duration_s: float = DEFAULT_DURATION_S,
                   sample_rate_hz: int = DEFAULT_SAMPLE_RATE_HZ
                   ) -> Iterator[GlottalWaveform]:
-    """simulate for each of circuits that differ only in their drive,
-    yielding the waveforms in order; each is bitwise equal to
-    simulate(circuit, duration_s, sample_rate_hz).
+    """simulate of circuit at each of drives, yielding the waveforms in
+    order; each is bitwise equal to
+    simulate(replace(circuit, drive=d), duration_s, sample_rate_hz).
 
     The oscillator traces are formed once, one block of samples at a time,
     and every waveform shares them as read-only arrays; each flow is then
     solved block by block.  Only the waveform being yielded is built, so
-    memory does not grow with the number of circuits.  On the first next(),
-    before any trace is formed, the grid and every circuit are checked:
-    ModelDomainError is raised when two circuits differ in anything but the
-    drive, or when a flow at full bias exceeds the float range.
+    memory does not grow with the number of drives.  On the first next(),
+    before any trace is formed, the grid and every drive are checked:
+    ModelDomainError is raised for a negative drive, or when a flow at full
+    bias exceeds the float range.
     """
-    n, rate = _check_grid(duration_s, sample_rate_hz)
-    circuits = list(circuits)
+    _, rate = _check_grid(duration_s, sample_rate_hz)
+    circuits = [replace(circuit, drive=d) for d in drives]
+    for c in circuits:
+        _check_flow_range(c)
     if not circuits:
         return
-    first = circuits[0]
-    for k, circuit in enumerate(circuits):
-        if (circuit.lower, circuit.upper) != (first.lower, first.upper):
-            raise ModelDomainError(
-                f"simulate_many needs circuits that differ only in their "
-                f"drive; circuit {k} differs from circuit 0 in its "
-                f"oscillators or gains")
-        _check_flow_range(circuit)
-    g_lower, g_upper = conductance_traces(first, duration_s, rate)
+    g_lower, g_upper = conductance_traces(circuit, duration_s, rate)
     g_lower.flags.writeable = False
     g_upper.flags.writeable = False
-    for circuit in circuits:
+    for c in circuits:
         yield GlottalWaveform(
             sample_rate_hz=rate, g_lower=g_lower, g_upper=g_upper,
-            u_gl=_solve_flow(circuit, g_lower, g_upper, rate))
+            u_gl=_solve_flow(c, g_lower, g_upper, rate))
 
 
 def simulate(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURATION_S,
@@ -384,4 +380,5 @@ def simulate(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURATION_S,
     ModelDomainError up front when the flow at full bias exceeds the float
     range.
     """
-    return next(simulate_many((circuit,), duration_s, sample_rate_hz))
+    return next(simulate_many(circuit, (circuit.drive,), duration_s,
+                              sample_rate_hz))

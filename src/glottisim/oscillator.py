@@ -84,16 +84,19 @@ class OscillatorConfig:
     def sample(self, t: float) -> float:
         """Generator output at time t (zero before the lag).  Raises
         ModelDomainError for a non-finite t."""
-        if not math.isfinite(t):
-            raise ModelDomainError(f"time must be finite, got {t!r}")
         return float(self.sample_times(t))
 
     def sample_times(self, times: np.ndarray) -> np.ndarray:
-        """The output at each of times.  Before the lag t - phase_lag_s is
-        exactly negative (x != y implies x - y != 0 under gradual underflow),
-        so its fmod is <= 0 and the tau <= 0 test keeps those times silent."""
-        tau = np.fmod(np.asarray(times, dtype=float) - self.phase_lag_s,
-                      self.period_s)
+        """The output at each of times; ModelDomainError if any is not
+        finite.  Before the lag t - phase_lag_s is exactly negative (x != y
+        implies x - y != 0 under gradual underflow), so its fmod is <= 0 and
+        the tau <= 0 test keeps those times silent."""
+        t = np.asarray(times, dtype=float)
+        finite = np.isfinite(t)
+        if not finite.all():
+            raise ModelDomainError(
+                f"time must be finite, got {float(t[~finite][0])!r}")
+        tau = np.fmod(t - self.phase_lag_s, self.period_s)
         rise_end = self.rise_end_s
         rising = self.peak_current * (tau / rise_end)
         falling = self.peak_current * ((self.pulse_duration_s - tau)
@@ -126,8 +129,9 @@ class OscillatorConfig:
         clipped to the query window; the output is strictly positive on the
         interior of each returned span (endpoints may touch zero).
         """
-        if not t0 < t1:
-            raise ModelDomainError(f"need t0 < t1, got [{t0!r}, {t1!r}]")
+        if not -math.inf < t0 < t1 < math.inf:
+            raise ModelDomainError(
+                f"need finite t0 < t1, got [{t0!r}, {t1!r}]")
         spans: list[tuple[float, float]] = []
         n = max(0, math.floor((t0 - self.phase_lag_s) / self.period_s) - 1)
         while True:

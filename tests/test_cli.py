@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from glottisim import analysis, cli, network
+from glottisim import RunConfig, analysis, cli, network
 from glottisim.cli import main
 from glottisim.exporters import read_waveform_csv
 import oracles
@@ -303,19 +303,27 @@ def test_sweep_pressure_below_onset_exits_2(tmp_path, capsys):
 
 
 def test_sweep_forms_the_traces_once(tmp_path, capsys, monkeypatch):
-    calls = []
+    calls, builds = [], []
     traces = network.conductance_traces
+    build = RunConfig.build_circuit
 
     def counted(*args):
         calls.append(args)
         return traces(*args)
 
+    def counted_build(cfg):
+        builds.append(cfg)
+        return build(cfg)
+
     monkeypatch.setattr(network, "conductance_traces", counted)
+    monkeypatch.setattr(RunConfig, "build_circuit", counted_build)
     rc, _, _ = run(capsys, "sweep", "--out", str(tmp_path))
     assert rc == 0
     assert len(read_sweep(tmp_path / "sweep_summary.csv")) == 4
     # one call for the whole record, not one per pressure
     assert len(calls) == 1
+    # one build per point to check it, and one circuit for every drive
+    assert len(builds) == 5
 
 
 def test_sweep_drive_column_matches_pressure_line(tmp_path, capsys):

@@ -189,9 +189,9 @@ def test_output_bounds():
 def test_config_and_model_agree_on_the_grid(duration, rate):
     # validate_config rejects a grid exactly when the model does, apart from
     # its own two rules: an int rate and the derivative's three samples.
-    # No circuits: the model checks the grid without forming a sample.
+    # No drives: the model checks the grid without forming a sample.
     try:
-        list(simulate_many((), duration, rate))
+        list(simulate_many(GlottalCircuit.normal_voice(), (), duration, rate))
         model_ok = True
     except ModelDomainError:
         model_ok = False

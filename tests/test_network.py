@@ -150,6 +150,8 @@ def test_waveform_invariants():
         GlottalWaveform(44100, [], [], [])
     with pytest.raises(ModelDomainError):
         GlottalWaveform(44100, [np.nan], [1.0], [1.0])
+    with pytest.raises(ModelDomainError, match="t0 must be finite"):
+        GlottalWaveform(44100, [1.0], [1.0], [1.0], t0=np.inf)
     w = GlottalWaveform(44100, [0.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0])
     assert len(w) == 3
     assert w.times[1] == pytest.approx(1.0 / 44100.0)
@@ -427,11 +429,10 @@ def test_iteration_cap_names_the_failing_sample(monkeypatch):
 # -- simulate_many ---------------------------------------------------------
 
 
-def _drives(circuit, pressures):
-    """circuit at each pressure; 0 cmH2O, below onset, stands for 0 V."""
-    return [replace(circuit, drive=DcVoltage(0.0) if p == 0.0 else
-                    pressure_to_voltage(PressureCmH2O(p)))
-            for p in pressures]
+def _drives(pressures):
+    """The drive of each pressure; 0 cmH2O, below onset, stands for 0 V."""
+    return [DcVoltage(0.0) if p == 0.0 else
+            pressure_to_voltage(PressureCmH2O(p)) for p in pressures]
 
 
 TWO_MS_PULSES = RunConfig(
@@ -447,15 +448,15 @@ TWO_MS_PULSES = RunConfig(
                  id="zero-gain"),
     pytest.param(TWO_MS_PULSES, id="2ms-pulses")])
 def test_simulate_many_is_bitwise_simulate(circuit, samples):
-    circuits = _drives(circuit, (0.0, 6.0, 10.0, 15.0))
+    drives = _drives((0.0, 6.0, 10.0, 15.0))
     duration = samples / 44100
     t = np.arange(samples) / 44100.0
     gl, gu = (fold.oscillator.sample_times(t) / fold.oscillator.peak_current
               for fold in (circuit.lower, circuit.upper))
-    waveforms = list(simulate_many(circuits, duration, 44100))
-    assert len(waveforms) == len(circuits)
-    for c, w in zip(circuits, waveforms):
-        want = simulate(c, duration, 44100)
+    waveforms = list(simulate_many(circuit, drives, duration, 44100))
+    assert len(waveforms) == len(drives)
+    for d, w in zip(drives, waveforms):
+        want = simulate(replace(circuit, drive=d), duration, 44100)
         assert len(w) == samples and w.sample_rate_hz == 44100
         for name in ("u_gl", "g_lower", "g_upper"):
             assert getattr(w, name).tobytes() == getattr(want, name).tobytes()
@@ -468,8 +469,9 @@ def test_simulate_many_is_bitwise_simulate(circuit, samples):
 
 
 def test_simulate_many_shares_read_only_traces():
-    a, b = simulate_many(_drives(GlottalCircuit.normal_voice(), (7.0, 9.0)),
-                         0.05, 44100)
+    c = GlottalCircuit.normal_voice()
+    assert list(simulate_many(c, (), 0.01, 44100)) == []
+    a, b = simulate_many(c, _drives((7.0, 9.0)), 0.05, 44100)
     assert a.g_lower is b.g_lower and a.g_upper is b.g_upper
     for arr in (a.g_lower, a.g_upper):
         with pytest.raises(ValueError, match="read-only"):
@@ -479,43 +481,42 @@ def test_simulate_many_shares_read_only_traces():
     assert b.u_gl.any()
 
 
-def test_simulate_many_rejects_circuits_that_differ_beyond_the_drive():
-    base = RunConfig(pressure_cmh2o=8.0)
-    others = [
-        replace(base, upper_expansive_gain=2.0),
-        replace(base, lower_linear_gain=0.0),
-        replace(base, lower_oscillator=OscillatorConfig(period_s=0.009)),
-        replace(base, upper_oscillator=OscillatorConfig(phase_lag_s=0.002)),
-    ]
-    for other in others:
-        circuits = [base.build_circuit(), other.build_circuit()]
-        with pytest.raises(ModelDomainError, match="differ only in"):
-            next(simulate_many(circuits, 0.01, 44100))
-    assert list(simulate_many([], 0.01, 44100)) == []
+def test_simulate_many_checks_every_drive_before_any_trace(monkeypatch):
+    def no_traces(*args):
+        raise AssertionError("formed traces for a drive that is rejected")
+    monkeypatch.setattr(network, "conductance_traces", no_traces)
+    ok = pressure_to_voltage(PressureCmH2O(10.0))
+    huge = RunConfig(pressure_cmh2o=1e300,
+                     **dict.fromkeys(GAIN_NAMES, 1e300)).build_circuit()
+    cases = [(GlottalCircuit.normal_voice(), DcVoltage(-1.0), "drive"),
+             (huge, huge.drive, "float range")]
+    for circuit, bad, match in cases:
+        with pytest.raises(ModelDomainError, match=match):
+            next(simulate_many(circuit, (ok, bad), 0.01, 44100))
 
 
 def test_simulate_many_names_the_failing_sample_time(monkeypatch):
     # the failing sample lies in the third block of the second circuit
     monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 1)
     monkeypatch.setattr(network, "_SOLVE_BLOCK", 20)
-    circuits = _drives(GlottalCircuit.normal_voice(), (0.0, 10.0))
-    waveforms = simulate_many(circuits, 0.01, 44100)
+    c = GlottalCircuit.normal_voice()
+    waveforms = simulate_many(c, _drives((0.0, 10.0)), 0.01, 44100)
     assert not next(waveforms).u_gl.any()
     with pytest.raises(SolverError) as info:
         next(waveforms)
     exc = info.value
-    gl, gu = conductance_traces(circuits[1], 0.01, 44100)
+    gl, gu = conductance_traces(c, 0.01, 44100)
     assert exc.index == np.flatnonzero((gl > 0.0) & (gu > 0.0))[0] >= 40
     assert exc.time_s == exc.index / 44100.0
     assert f"at t = {exc.time_s!r} s" in str(exc)
 
 
 def test_simulate_many_memory_does_not_grow_with_the_circuit_count():
-    circuits = _drives(GlottalCircuit.normal_voice(),
-                       [6.0 + 0.1 * k for k in range(91)])
+    c = GlottalCircuit.normal_voice()
+    drives = _drives([6.0 + 0.1 * k for k in range(91)])
     tracemalloc.start()
     try:
-        for w in simulate_many(circuits, 1.0, 44100):
+        for w in simulate_many(c, drives, 1.0, 44100):
             del w
         _, peak = tracemalloc.get_traced_memory()
     finally:

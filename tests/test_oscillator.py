@@ -128,6 +128,8 @@ def test_non_finite_time_is_rejected(t):
         cfg.sample(t)
     with pytest.raises(ModelDomainError, match="time must be finite"):
         cfg.phase(t)
+    with pytest.raises(ModelDomainError, match="time must be finite"):
+        cfg.sample_times(np.array([0.0, t]))
 
 
 def test_phase_kinds_on_default_cycle():
@@ -178,6 +180,10 @@ def test_open_intervals_rejects_empty_window():
         cfg.open_intervals(1.0, 1.0)
     with pytest.raises(ModelDomainError):
         cfg.open_intervals(2.0, 1.0)
+    # an infinite end would make the pulse list endless
+    for t0, t1 in ((-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ModelDomainError, match="finite"):
+            cfg.open_intervals(t0, t1)
 
 
 def test_open_intervals_cover_positive_output():
