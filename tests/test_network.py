@@ -496,7 +496,7 @@ def test_simulate_many_checks_every_drive_before_any_trace(monkeypatch):
 
 
 def test_simulate_many_names_the_failing_sample_time(monkeypatch):
-    # the failing sample lies in the third block of the second circuit
+    # the failing sample lies in the third block of the second drive
     monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 1)
     monkeypatch.setattr(network, "_SOLVE_BLOCK", 20)
     c = GlottalCircuit.normal_voice()
