@@ -11,12 +11,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from .analysis import analyze, derivative
-from .config import RunConfig, parse_config, validate_config
+from .config import RunConfig, check_drive, parse_config, validate_config
 from .errors import ConfigError, ModelDomainError, SolverError
 from .exporters import (export_csv, export_wav, format_number, format_report,
                         read_waveform_csv, write_report)
 from .network import simulate, simulate_many
-from .pressure import PressureCmH2O, pressure_to_voltage
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -25,9 +24,10 @@ EXIT_IO = 4
 
 SWEEP_COLUMNS = ("pressure_cmh2o", "drive_v", "peak_flow", "f0_hz",
                  "max_negative_derivative")
-# A sweep validates every point and holds each point's drive and circuit
+# A sweep checks every point and holds each point's drive and circuit
 # before it solves one; 100 000 of them take about 24 MiB (tracemalloc) and
-# their solves about 6 minutes (4 ms a point), and both grow with the list.
+# their solves about 4.5 minutes (2.6 ms a point of 1 s at 44.1 kHz on a
+# 2-core Xeon), and both grow with the list.
 _MAX_SWEEP_POINTS = 100_000
 
 
@@ -95,13 +95,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
     pressures = _sweep_pressures(args.start, args.stop, args.step)
-    for p in pressures:
-        validate_config(replace(cfg, pressure_cmh2o=p))
-    drives = [pressure_to_voltage(PressureCmH2O(p)) for p in pressures]
+    # The checks that do not depend on the pressure run once.
+    first = replace(cfg, pressure_cmh2o=pressures[0])
+    validate_config(first)
+    circuit = first.build_circuit()
+    drives = [check_drive(circuit, p) for p in pressures]
 
     # Each waveform is dropped once its summary line is formatted.
     lines = [",".join(SWEEP_COLUMNS)]
-    waveforms = simulate_many(cfg.build_circuit(), drives, cfg.duration_s,
+    waveforms = simulate_many(circuit, drives, cfg.duration_s,
                               cfg.sample_rate_hz)
     for p, v, w in zip(pressures, drives, waveforms):
         rep = analyze(w)

@@ -19,7 +19,7 @@ from .exporters import _check_wav_rate
 from .network import (DEFAULT_SAMPLE_RATE_HZ, FoldStage, GlottalCircuit,
                       _check_flow_range, _check_grid, _check_rate)
 from .oscillator import DEFAULT_FOLD_LAG_S, OscillatorConfig
-from .pressure import PressureCmH2O, pressure_to_voltage
+from .pressure import DcVoltage, PressureCmH2O, pressure_to_voltage
 
 # The element gains in circuit order, each with the law of its element.
 _GAIN_KEYS = {"lower_linear_gain": ElementKind.LINEAR,
@@ -161,8 +161,19 @@ def validate_config(cfg: RunConfig) -> None:
     for key, kind in _GAIN_KEYS.items():
         with _named(f"elements.{key}"):
             ResistorElement(kind, getattr(cfg, key))
-    with _named(f"elements: at pressure.cmh2o = {cfg.pressure_cmh2o!r}"):
-        _check_flow_range(cfg.build_circuit())
+    check_drive(cfg.build_circuit(), cfg.pressure_cmh2o)
+
+
+def check_drive(circuit: GlottalCircuit, pressure_cmh2o: float) -> DcVoltage:
+    """The drive of pressure_cmh2o, after the two checks of validate_config
+    that depend on the pressure: the pressure itself, and the flow of
+    circuit at full bias at that drive.  A sweep runs validate_config once
+    and this at every point."""
+    with _named("pressure.cmh2o"):
+        drive = pressure_to_voltage(PressureCmH2O(pressure_cmh2o))
+    with _named(f"elements: at pressure.cmh2o = {pressure_cmh2o!r}"):
+        _check_flow_range(replace(circuit, drive=drive))
+    return drive
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -31,11 +31,13 @@ class SolverError(GlottisimError, RuntimeError):
     """
 
     def __init__(self, message: str, residual: float | None = None,
-                 index: int | None = None, time_s: float | None = None):
+                 index: int | None = None, time_s: float | None = None,
+                 failed: int | None = None):
         super().__init__(message)
         self.residual = residual
         self.index = index
         self.time_s = time_s
+        self.failed = failed
 
 
 class InsufficientPulsesError(GlottisimError, ValueError):

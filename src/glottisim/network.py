@@ -22,16 +22,30 @@ the balance divided by v reads
 
 which is convex and increasing on x >= 0 with g(1) >= 0, so Newton from
 x = 1 converges monotonically from above.  The normalization is required,
-not cosmetic: every sigma / rho_k lies in [0, 1], so nothing in the
+not cosmetic: every sigma / rho_k lies in [0, 1] (up to the rounding of the
+factored set-up below, and exactly 1 for the least rho), so nothing in the
 iteration can overflow, whereas the raw quartic in s, with coefficients
 sum c_k**(-p / 2), overflows on 56 of the 162 extreme-gain cases of the tests
 (gains 1e-300, 1 and 1e300 at 6 and 15 cmH2O).
+
+Both elements of a fold share its bias g_f, so c_k = gain_k * g_f and
+rho_k = sqrt(g_f) * kappa_k, where kappa_k = sqrt(gain_k) * v**(q_k / 2) is
+one number per drive.  A sample then needs sqrt(g_f) per fold, sigma as the
+lesser fold product, and sigma / rho_k as (sigma / sqrt(g_f)) / kappa_k; the
+fold that holds sigma gives its least element exactly 1, which also covers a
+kappa of 0 or inf.  The scalar solve is the case of one element per fold
+(g_k = c_k, kappa_k = v**(q_k / 2)), and the full-bias range check the case
+g_f = 1, so all three share this one set-up.
 
 simulate streams the record: the oscillator traces and the solve run one
 block of samples at a time into the preallocated output arrays, so the
 temporaries stay at one block however long the record is.  The traces do not
 depend on the drive, so simulate_many forms them once for one circuit at many
-drives and shares them, read-only, among its waveforms.
+drives and shares them, read-only, among its waveforms.  Each result of the
+kernel depends on its own entry's inputs only, so simulate_many also finds
+the distinct active (g_lower, g_upper) pairs once and, at each drive, solves
+only those and spreads their flows over the record; the flows are bitwise
+those of simulate.
 """
 from __future__ import annotations
 
@@ -56,8 +70,9 @@ DEFAULT_DURATION_S = 1.0
 # well inside the 1e-10 voltage-balance budget of the simulate contract.
 _RESIDUAL_RTOL = 1e-12
 _MAX_SOLVER_STEPS = 200
-# simulate forms the traces and solves them this many samples at a time.
-# The samples are independent, so the result does not depend on it, and the
+# simulate forms the traces and solves them this many samples at a time, and
+# simulate_many solves its distinct bias pairs this many at a time.  The
+# entries are independent, so the result does not depend on it, and the
 # temporaries stay at a few MB however long the record is.
 _SOLVE_BLOCK = 16384
 # A current I = s * s is finite while s <= _SQRT_MAX.
@@ -158,53 +173,84 @@ class GlottalWaveform:
         return self.t0 + np.arange(len(self.u_gl)) / float(self.sample_rate_hz)
 
 
-def _quartic(kinds, coeffs, v):
+def _quartic(folds):
     """sigma = min_k rho_k and the coefficients (b4, b2, b1) of the
-    normalized voltage balance g(x) (see the module docstring)."""
+    normalized voltage balance g(x) (see the module docstring).
+
+    Each fold is (root, [(kind, kappa), ...]): its elements share one bias,
+    root is its square root, and element k has rho_k = root * kappa_k.  So a
+    fold's least rho is root * min(kappa), and sigma / rho_k is
+    (sigma / root) / kappa_k: one array divide per fold, then a divide by a
+    scalar per element.
+    """
     with np.errstate(over="ignore"):
-        rhos = [np.sqrt(c) * v ** (0.5 * kind.exponent)
-                for kind, c in zip(kinds, coeffs)]
-    sigma = functools.reduce(np.minimum, rhos)
-    b = {1.0: 0.0, 2.0: 0.0, 4.0: 0.0}
-    for kind, rho in zip(kinds, rhos):
-        # 1 where rho is the minimum, which covers sigma = rho = 0 or inf
-        r = np.divide(sigma, rho, out=np.ones_like(sigma), where=rho > sigma)
-        p = 2.0 / kind.exponent
-        term = r if p == 1.0 else r * r
-        b[p] = b[p] + (term * term if p == 4.0 else term)
+        least = [min(kappa for _, kappa in elements) for _, elements in folds]
+        rhos = [root * k for (root, _), k in zip(folds, least)]
+        sigma = functools.reduce(np.minimum, rhos)
+        b = {1.0: 0.0, 2.0: 0.0, 4.0: 0.0}
+        for (root, elements), rho, k in zip(folds, rhos, least):
+            q = sigma / root
+            above = rho > sigma
+            for kind, kappa in elements:
+                if kappa == k:
+                    # 1 where this fold holds sigma, which covers
+                    # sigma = rho = 0 or inf (a kappa of 0 or inf)
+                    r = np.divide(q, kappa, out=np.ones_like(q), where=above)
+                else:
+                    r = q / kappa
+                p = 2.0 / kind.exponent
+                term = r if p == 1.0 else r * r
+                b[p] = b[p] + (term * term if p == 4.0 else term)
     return sigma, b[4.0], b[2.0], b[1.0]
 
 
-def _series_root(kinds, coeffs, v):
-    """Square root s = sqrt(I) of the series current, for 1-D arrays of
-    coefficients at drive v > 0: the normalized quartic Newton kernel.
+def _series_root(folds, v):
+    """Square root s = sqrt(I) of the series current at drive v > 0, for the
+    folds of _quartic over 1-D bias roots: the normalized quartic Newton
+    kernel.
 
     The coefficients of g come from _quartic, in which elements of one law
-    fold into one b_p; g and g' are evaluated by Horner.  The root lies in
-    [1 / n, 1] for n elements, and a rho_k beyond the float range only adds
-    0 to its b_p.  Converged entries are frozen in place rather than removed,
-    and the loop uses only correctly rounded operations, so each result
-    depends on that entry's own inputs only, whatever the batch size.  s
-    comes out as inf, without a warning, where sigma is beyond the float
-    range.  The stopping test |g| <= 1e-12 * max(v, 1) / v is the voltage
-    residual within 1e-12 * max(v, 1).
+    fold into one b_p; g and g' are evaluated by Horner into buffers
+    allocated once per call.  The root lies in [1 / n, 1] for n elements,
+    and a rho_k beyond the float range only adds 0 to its b_p.  Converged
+    entries are frozen in place rather than removed, and the loop uses only
+    correctly rounded operations, so each result depends on that entry's own
+    inputs only, whatever the batch.  s comes out as inf, without a warning,
+    where sigma is beyond the float range.  The stopping test
+    |g| <= 1e-12 * max(v, 1) / v is the voltage residual within
+    1e-12 * max(v, 1).  A SolverError gives the batch index of the first
+    entry that failed and how many failed.
     """
-    sigma, b4, b2, b1 = _quartic(kinds, coeffs, v)
+    sigma, b4, b2, b1 = _quartic(folds)
     d4, d2 = 4.0 * b4, 2.0 * b2
     tol = _RESIDUAL_RTOL * max(v, 1.0) / v
     x = np.ones_like(sigma)
+    y, g, step = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    done, todo = np.empty(len(x), bool), np.empty(len(x), bool)
     for _ in range(_MAX_SOLVER_STEPS):
-        y = x * x
-        g = (b4 * y + b2) * y + b1 * x - 1.0
-        done = np.abs(g) <= tol
+        np.multiply(x, x, out=y)
+        np.multiply(b4, y, out=g)
+        g += b2
+        g *= y
+        g += np.multiply(b1, x, out=step)
+        g -= 1.0
+        np.less_equal(np.abs(g, out=step), tol, out=done)
         if done.all():
-            return sigma * x
-        x = np.where(done, x, x - g / ((d4 * y + d2) * x + b1))
+            return np.multiply(sigma, x, out=x)
+        np.multiply(d4, y, out=step)
+        step += d2
+        step *= x
+        step += b1
+        np.divide(g, step, out=step)
+        np.subtract(x, step, out=step)
+        np.copyto(x, step, where=np.logical_not(done, out=todo))
     k = int(np.argmin(done))
+    failed = len(done) - int(np.count_nonzero(done))
     residual = float(g[k]) * v
     raise SolverError(
         f"series current solve did not converge in {_MAX_SOLVER_STEPS} steps "
-        f"(residual {residual!r} V)", residual=residual, index=k)
+        f"for {failed} of {len(done)} entries (residual {residual!r} V)",
+        residual=residual, index=k, failed=failed)
 
 
 def solve_series_current(elements, v_drive: float) -> float:
@@ -226,9 +272,11 @@ def solve_series_current(elements, v_drive: float) -> float:
     coeffs = [e.effective_coefficient for e in elements]
     if min(coeffs) == 0.0:
         return 0.0
-    arrays = [np.full(1, c, dtype=float) for c in coeffs]
-    s = float(_series_root([e.kind for e in elements], arrays,
-                           float(v_drive))[0])
+    v = float(v_drive)
+    # each element is a fold of its own: bias c_k, kappa_k = v**(q_k / 2)
+    folds = [(np.sqrt(np.full(1, c)), [(e.kind, v ** (0.5 * e.kind.exponent))])
+             for e, c in zip(elements, coeffs)]
+    s = float(_series_root(folds, v)[0])
     current = s * s
     if not math.isfinite(current):
         raise ModelDomainError(
@@ -286,6 +334,15 @@ def _series_elements(circuit: GlottalCircuit) -> tuple[ResistorElement, ...]:
             circuit.upper.linear, circuit.upper.nonlinear)
 
 
+def _folds(circuit: GlottalCircuit, roots) -> list:
+    """The folds of _quartic for circuit, with bias roots (lower, upper) and
+    kappa_k = sqrt(gain_k) * v**(q_k / 2) at its drive v."""
+    v = circuit.drive.value
+    return [(root, [(e.kind, math.sqrt(e.gain) * v ** (0.5 * e.kind.exponent))
+                    for e in (fold.linear, fold.nonlinear)])
+            for root, fold in zip(roots, (circuit.lower, circuit.upper))]
+
+
 def _check_flow_range(circuit: GlottalCircuit) -> None:
     """Raise ModelDomainError if the flow at full bias, the most the circuit
     can carry, exceeds the float range.
@@ -293,46 +350,89 @@ def _check_flow_range(circuit: GlottalCircuit) -> None:
     The flow (sigma * x)**2 overflows when x exceeds x_c = _SQRT_MAX / sigma,
     and since g increases, that is when g(x_c) < 0; so no Newton is needed.
     """
-    elements = _series_elements(circuit)
+    full = np.float64(1.0)
     sigma, b4, b2, b1 = (float(a) for a in _quartic(
-        [e.kind for e in elements], [np.float64(e.gain) for e in elements],
-        circuit.drive.value))
+        _folds(circuit, (full, full))))
     if sigma > _SQRT_MAX:
         x = _SQRT_MAX / sigma
         if (b4 * x * x + b2) * x * x + b1 * x < 1.0:
             raise ModelDomainError(
                 f"the flow at full bias exceeds the float range (drive "
                 f"{circuit.drive.value!r} V, gains "
-                f"{tuple(e.gain for e in elements)!r})")
+                f"{tuple(e.gain for e in _series_elements(circuit))!r})")
+
+
+def _distinct_pairs(g_lower: np.ndarray, g_upper: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bias roots of the distinct active (g_lower, g_upper) pairs, and a
+    slot per sample: 0 where a fold is closed, else 1 + its pair's index.
+
+    The pairs are found by sorting the complex key g_lower + 1j * g_upper,
+    which is freed before any solve.
+    """
+    active = np.flatnonzero((g_lower > 0.0) & (g_upper > 0.0))
+    key = np.empty(len(active), complex)
+    key.real = g_lower[active]
+    key.imag = g_upper[active]
+    order = np.argsort(key)
+    key = key[order]
+    new = np.empty(len(key), bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    del key
+    slot = np.zeros(len(g_lower),
+                    np.int32 if len(g_lower) <= np.iinfo(np.int32).max
+                    else np.intp)
+    slot[active[order]] = np.cumsum(new)
+    first = active[order[new]]
+    return np.sqrt(g_lower[first]), np.sqrt(g_upper[first]), slot
 
 
 def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
-                g_upper: np.ndarray, rate: int) -> np.ndarray:
-    """The flow of circuit over full-record bias traces, solved one block of
-    samples at a time; a SolverError names the sample time that failed."""
-    elements = _series_elements(circuit)
-    kinds = [e.kind for e in elements]
+                g_upper: np.ndarray, rate: int,
+                pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+                ) -> np.ndarray:
+    """The flow of circuit over full-record bias traces; a SolverError names
+    the earliest sample time that failed.
+
+    Without pairs, the record is solved one block of samples at a time.
+    With pairs = _distinct_pairs(g_lower, g_upper), each distinct pair is
+    solved once, one block of pairs at a time, and np.take spreads the flows
+    over the record.  A failure there is solved again block by block, which
+    meets the samples in time order.
+    """
     drive = circuit.drive.value
+    if not (drive > 0.0
+            and min(e.gain for e in _series_elements(circuit)) > 0.0):
+        return np.zeros(len(g_lower))
+    if pairs is not None:
+        root_lower, root_upper, slot = pairs
+        table = np.zeros(len(root_lower) + 1)
+        try:
+            for start in range(0, len(root_lower), _SOLVE_BLOCK):
+                roots = (root_lower[start:start + _SOLVE_BLOCK],
+                         root_upper[start:start + _SOLVE_BLOCK])
+                s = _series_root(_folds(circuit, roots), drive)
+                np.multiply(s, s, out=table[1 + start:1 + start + len(s)])
+        except SolverError:
+            return _solve_flow(circuit, g_lower, g_upper, rate)
+        return np.take(table, slot)
     u = np.zeros(len(g_lower))
-    if not (drive > 0.0 and min(e.gain for e in elements) > 0.0):
-        return u
     for start in range(0, len(u), _SOLVE_BLOCK):
         gl = g_lower[start:start + _SOLVE_BLOCK]
         gu = g_upper[start:start + _SOLVE_BLOCK]
         active = np.flatnonzero((gl > 0.0) & (gu > 0.0))
-        gl, gu = gl[active], gu[active]
-        coeffs = [e.gain * g for e, g in zip(elements, (gl, gl, gu, gu))]
-        del gl, gu  # freed before the solve's temporaries peak
+        roots = (np.sqrt(gl[active]), np.sqrt(gu[active]))
         try:
-            s = _series_root(kinds, coeffs, drive)
+            s = _series_root(_folds(circuit, roots), drive)
         except SolverError as exc:
             # Map the failing solve entry back to its sample time.
             k = start + int(active[exc.index])
             t_k = k / float(rate)
             raise SolverError(
-                f"{exc} at t = {t_k!r} s", residual=exc.residual,
-                index=k, time_s=t_k) from exc
-        u[start + active] = s * s
+                f"{exc} at t = {t_k!r} s", residual=exc.residual, index=k,
+                time_s=t_k, failed=exc.failed) from exc
+        u[start + active] = np.multiply(s, s, out=s)
     return u
 
 
@@ -345,9 +445,11 @@ def simulate_many(circuit: GlottalCircuit, drives: Iterable[DcVoltage],
     simulate(replace(circuit, drive=d), duration_s, sample_rate_hz).
 
     The oscillator traces are formed once, one block of samples at a time,
-    and every waveform shares them as read-only arrays; each flow is then
-    solved block by block.  Only the waveform being yielded is built, so
-    memory does not grow with the number of drives.  On the first next(),
+    and every waveform shares them as read-only arrays.  With two or more
+    drives, the distinct active bias pairs are found once and each flow
+    solves only those; a single drive is solved block by block.  Only the
+    waveform being yielded is built, so memory does not grow with the number
+    of drives.  On the first next(),
     before any trace is formed, the grid and every drive are checked:
     ModelDomainError is raised for a negative drive, or when a flow at full
     bias exceeds the float range.
@@ -361,10 +463,11 @@ def simulate_many(circuit: GlottalCircuit, drives: Iterable[DcVoltage],
     g_lower, g_upper = conductance_traces(circuit, duration_s, rate)
     g_lower.flags.writeable = False
     g_upper.flags.writeable = False
+    pairs = _distinct_pairs(g_lower, g_upper) if len(circuits) > 1 else None
     for c in circuits:
         yield GlottalWaveform(
             sample_rate_hz=rate, g_lower=g_lower, g_upper=g_upper,
-            u_gl=_solve_flow(c, g_lower, g_upper, rate))
+            u_gl=_solve_flow(c, g_lower, g_upper, rate, pairs))
 
 
 def simulate(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURATION_S,

@@ -23,6 +23,9 @@ from .errors import ModelDomainError
 DEFAULT_PERIOD_S = 0.008
 DEFAULT_RISE_FRACTION = 0.9
 DEFAULT_FOLD_LAG_S = 0.001
+# open_intervals lists at most this many pulses: about 11 MB of spans, or
+# 800 s of the default 125 Hz pulses.
+_MAX_SPANS = 100_000
 
 
 class PhaseKind(Enum):
@@ -127,13 +130,19 @@ class OscillatorConfig:
 
         Returns the pulse windows [lag + n*period, lag + n*period + pulse]
         clipped to the query window; the output is strictly positive on the
-        interior of each returned span (endpoints may touch zero).
+        interior of each returned span (endpoints may touch zero).  The
+        pulse count is bounded before any span is made.
         """
         if not -math.inf < t0 < t1 < math.inf:
             raise ModelDomainError(
                 f"need finite t0 < t1, got [{t0!r}, {t1!r}]")
+        first = max((t0 - self.phase_lag_s) / self.period_s, 0.0)
+        if not (t1 - self.phase_lag_s) / self.period_s - first <= _MAX_SPANS:
+            raise ModelDomainError(
+                f"[{t0!r}, {t1!r}] holds more than {_MAX_SPANS} pulses of "
+                f"period {self.period_s!r} s")
         spans: list[tuple[float, float]] = []
-        n = max(0, math.floor((t0 - self.phase_lag_s) / self.period_s) - 1)
+        n = max(0, math.floor(first) - 1)
         while True:
             start = self.phase_lag_s + n * self.period_s
             if start >= t1:

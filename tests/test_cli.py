@@ -302,10 +302,29 @@ def test_sweep_pressure_below_onset_exits_2(tmp_path, capsys):
     assert not (tmp_path / "sweep_summary.csv").exists()
 
 
+def test_sweep_point_beyond_the_float_range_exits_2(tmp_path, capsys):
+    # the first point passes the whole check; the second's flow overflows
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text("[elements]\n" + "".join(
+        f"{key} = 1e300\n" for key in ("lower_linear_gain",
+                                       "lower_compressive_gain",
+                                       "upper_linear_gain",
+                                       "upper_expansive_gain")))
+    out = tmp_path / "out"
+    rc, _, err = run(capsys, "sweep", "--config", str(cfg), "--from", "10",
+                     "--to", "1e200", "--step", "1e196", "--out", str(out))
+    assert rc == 2
+    assert err.startswith("config error: elements: at pressure.cmh2o = "
+                          "1e+196: the flow at full bias exceeds the float "
+                          "range")
+    assert not out.exists()
+
+
 def test_sweep_forms_the_traces_once(tmp_path, capsys, monkeypatch):
-    calls, builds = [], []
+    calls, builds, validations = [], [], []
     traces = network.conductance_traces
     build = RunConfig.build_circuit
+    validate = cli.validate_config
 
     def counted(*args):
         calls.append(args)
@@ -315,15 +334,23 @@ def test_sweep_forms_the_traces_once(tmp_path, capsys, monkeypatch):
         builds.append(cfg)
         return build(cfg)
 
+    def counted_validate(cfg):
+        validations.append(cfg)
+        return validate(cfg)
+
     monkeypatch.setattr(network, "conductance_traces", counted)
     monkeypatch.setattr(RunConfig, "build_circuit", counted_build)
+    monkeypatch.setattr(cli, "validate_config", counted_validate)
     rc, _, _ = run(capsys, "sweep", "--out", str(tmp_path))
     assert rc == 0
     assert len(read_sweep(tmp_path / "sweep_summary.csv")) == 4
     # one call for the whole record, not one per pressure
     assert len(calls) == 1
-    # one build per point to check it, and one circuit for every drive
-    assert len(builds) == 5
+    # the whole config is checked once, at the first point, and each point
+    # only for its pressure; one build for that check and one circuit for
+    # every drive (5 builds and 4 checks when every point was checked whole)
+    assert len(validations) == 1
+    assert len(builds) == 2
 
 
 def test_sweep_drive_column_matches_pressure_line(tmp_path, capsys):

@@ -420,10 +420,14 @@ def test_iteration_cap_names_the_failing_sample(monkeypatch):
         simulate(c, 0.01, 44100)
     exc = info.value
     gl, gu = conductance_traces(c, 0.01, 44100)
+    active = np.count_nonzero((gl > 0.0) & (gu > 0.0))
     assert gl[exc.index] > 0.0 and gu[exc.index] > 0.0
     assert exc.time_s == exc.index / 44100.0
     assert exc.residual > 0.0  # Newton approaches the root from above
     assert f"at t = {exc.time_s!r} s" in str(exc)
+    # the record is one block, and no active sample converges in one step
+    assert exc.failed == active
+    assert f"for {active} of {active} entries" in str(exc)
 
 
 # -- simulate_many ---------------------------------------------------------
@@ -496,7 +500,9 @@ def test_simulate_many_checks_every_drive_before_any_trace(monkeypatch):
 
 
 def test_simulate_many_names_the_failing_sample_time(monkeypatch):
-    # the failing sample lies in the third block of the second drive
+    # the failing sample lies in the third block of the second drive; the
+    # solve of its distinct pairs fails first and is solved again block by
+    # block
     monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 1)
     monkeypatch.setattr(network, "_SOLVE_BLOCK", 20)
     c = GlottalCircuit.normal_voice()
@@ -509,6 +515,52 @@ def test_simulate_many_names_the_failing_sample_time(monkeypatch):
     assert exc.index == np.flatnonzero((gl > 0.0) & (gu > 0.0))[0] >= 40
     assert exc.time_s == exc.index / 44100.0
     assert f"at t = {exc.time_s!r} s" in str(exc)
+    assert 0 < exc.failed <= 20
+    assert f"for {exc.failed} of " in str(exc)
+
+
+SEVEN_MS_PULSES = RunConfig(
+    lower_oscillator=OscillatorConfig(period_s=0.0071, pulse_duration_s=0.0071),
+    upper_oscillator=OscillatorConfig(period_s=0.0071, pulse_duration_s=0.0071,
+                                      phase_lag_s=0.00093)).build_circuit()
+
+
+@pytest.mark.parametrize("circuit, rate, share", [
+    # an incommensurate period: every active pair is distinct
+    pytest.param(SEVEN_MS_PULSES, 44100, 1.0, id="7.1ms-44.1kHz"),
+    # 8 ms pulses on an 8 kHz grid repeat most pairs
+    pytest.param(GlottalCircuit.normal_voice(), 8000, 0.153, id="8ms-8kHz")])
+def test_simulate_many_is_bitwise_simulate_over_distinct_pairs(
+        circuit, rate, share):
+    gl, gu = conductance_traces(circuit, 1.0, rate)
+    root_lower, _, slot = network._distinct_pairs(gl, gu)
+    active = (gl > 0.0) & (gu > 0.0)
+    assert len(root_lower) / np.count_nonzero(active) == pytest.approx(
+        share, abs=1e-3)
+    assert np.array_equal(slot > 0, active)
+    drives = _drives((6.0, 10.0, 15.0))
+    for d, w in zip(drives, simulate_many(circuit, drives, 1.0, rate)):
+        want = simulate(replace(circuit, drive=d), 1.0, rate)
+        assert w.u_gl.tobytes() == want.u_gl.tobytes()
+
+
+def test_simulate_many_solves_each_distinct_pair_once(monkeypatch):
+    entries = []
+    series_root = network._series_root
+
+    def counted(folds, v):
+        entries.append(len(folds[0][0]))
+        return series_root(folds, v)
+
+    monkeypatch.setattr(network, "_series_root", counted)
+    c = GlottalCircuit.normal_voice()
+    drives = _drives([6.0 + 0.1 * k for k in range(91)])
+    for _ in simulate_many(c, drives, 1.0, 44100):
+        pass
+    gl, gu = conductance_traces(c, 1.0, 44100)
+    active = np.count_nonzero((gl > 0.0) & (gu > 0.0))
+    # 26 050 distinct pairs among 44 050 active samples
+    assert sum(entries) / len(drives) == 26050 < active == 44050
 
 
 def test_simulate_many_memory_does_not_grow_with_the_circuit_count():

@@ -184,6 +184,15 @@ def test_open_intervals_rejects_empty_window():
     for t0, t1 in ((-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0)):
         with pytest.raises(ModelDomainError, match="finite"):
             cfg.open_intervals(t0, t1)
+    # finite windows of too many pulses are refused before any span is made
+    fast = OscillatorConfig(period_s=1e-300, pulse_duration_s=1e-300)
+    for osc, t0, t1 in ((cfg, 0.0, 1e300), (cfg, 1e300, 1.1e300),
+                        (fast, 1e10, 2e10)):
+        with pytest.raises(ModelDomainError, match="more than 100000 pulses"):
+            osc.open_intervals(t0, t1)
+    # t0 - lag is -inf here, and the first pulse starts at t1
+    assert OscillatorConfig(phase_lag_s=1e308).open_intervals(-1e308,
+                                                              1e308) == []
 
 
 def test_open_intervals_cover_positive_output():
