@@ -21,7 +21,7 @@ from .exporters import export_csv, export_wav, format_report, read_waveform_csv
 from .network import (FoldStage, GlottalCircuit, GlottalWaveform,
                       conductance_traces, simulate, simulate_many,
                       solve_series_current)
-from .oscillator import OscillatorConfig, OscillatorPhase, PhaseKind
+from .oscillator import OscillatorConfig
 from .pressure import (DcVoltage, PressureCmH2O, pressure_to_voltage,
                        voltage_to_pressure)
 
@@ -36,6 +36,6 @@ __all__ = [
     "InsufficientPulsesError", "ModelDomainError", "SolverError", "export_csv",
     "export_wav", "format_report", "read_waveform_csv", "FoldStage",
     "GlottalCircuit", "GlottalWaveform", "conductance_traces", "simulate",
-    "simulate_many", "solve_series_current", "OscillatorConfig", "OscillatorPhase", "PhaseKind",
+    "simulate_many", "solve_series_current", "OscillatorConfig",
     "DcVoltage", "PressureCmH2O", "pressure_to_voltage", "voltage_to_pressure",
 ]

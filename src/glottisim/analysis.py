@@ -130,12 +130,10 @@ def _phases(w: GlottalWaveform, mask: np.ndarray):
     rate = float(w.sample_rate_hz)
     boundaries = np.flatnonzero(mask[1:] != mask[:-1]) + 1
     edges = np.concatenate(([0], boundaries, [n]))
-    opens: list[tuple[float, float]] = []
-    closeds: list[tuple[float, float]] = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        span = (w.t0 + a / rate, w.t0 + b / rate)
-        (opens if mask[a] else closeds).append(span)
-    return opens, closeds
+    times = w.t0 + edges / rate
+    starts, ends, is_open = times[:-1], times[1:], mask[edges[:-1]]
+    return (list(zip(starts[is_open].tolist(), ends[is_open].tolist())),
+            list(zip(starts[~is_open].tolist(), ends[~is_open].tolist())))
 
 
 def analyze(w: GlottalWaveform, d: np.ndarray | None = None) -> AnalysisReport:

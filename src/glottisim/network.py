@@ -321,11 +321,16 @@ def conductance_traces(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURA
     the record, formed one block of samples at a time."""
     n, rate = _check_grid(duration_s, sample_rate_hz)
     g_lower, g_upper = np.empty(n), np.empty(n)
+    # the block's times and the pulse's three scratch arrays
+    buffers = np.empty((4, min(n, _SOLVE_BLOCK)))
     for start in range(0, n, _SOLVE_BLOCK):
-        t = np.arange(start, min(start + _SOLVE_BLOCK, n)) / float(rate)
+        stop = min(start + _SOLVE_BLOCK, n)
+        block = buffers[:, :stop - start]
+        t = np.divide(np.arange(start, stop), float(rate), out=block[0])
         for g, fold in ((g_lower, circuit.lower), (g_upper, circuit.upper)):
             osc = fold.oscillator
-            g[start:start + len(t)] = osc.sample_times(t) / osc.peak_current
+            osc._pulse(t, g[start:stop], block[1:])
+            g[start:stop] /= osc.peak_current
     return g_lower, g_upper
 
 

@@ -9,12 +9,29 @@ instead of integrating the underlying capacitor charge/discharge.
 Defaults describe a normal male voice: 8 ms period and pulse width (125 Hz),
 rise over 90% of the pulse, unit peak.  The two folds run identical
 generators offset by a phase lag (1 ms by default for the upper fold).
+
+The phase within the period, tau = fmod(t - lag, period), is the costly part
+of a trace: glibc's fmod reduces bit by bit, at many times the cost of a
+multiply.  _phase forms the same remainder, bitwise, by Cody-Waite argument
+reduction with a Veltkamp split period = hi + lo, each half of at most 26
+significant bits.  With a = |t - lag| and n = floor(a / period),
+tau = (a - n * hi) - n * lo, plus period where it is negative, is exact:
+- n is the true quotient q, or q + 1 where a / period rounded up to an
+  integer, since rounding is monotone and integers are floats;
+- for n < 2**26 both products are exact;
+- a - n * hi is exact (Sterbenz): both are multiples of ulp(a), and
+  0 <= n * hi <= 2a;
+- the true a - n * period is the remainder, or the remainder less the
+  period, and both are floats, so the last subtraction returns it.
+copysign then gives tau the sign of t - lag, zeros included, as fmod does.
+An array whose largest quotient reaches 2**26, or a period outside
+(1e-280, 1e280), where the split could overflow or n * lo turn subnormal,
+lies beyond that domain and is reduced by np.fmod itself.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -26,20 +43,34 @@ DEFAULT_FOLD_LAG_S = 0.001
 # open_intervals lists at most this many pulses: about 11 MB of spans, or
 # 800 s of the default 125 Hz pulses.
 _MAX_SPANS = 100_000
+# Veltkamp's factor for binary64: with c = _SPLIT * p, hi = c - (c - p)
+# keeps the leading 26 significant bits of p and lo = p - hi the rest, in 26
+# bits with its sign.
+_SPLIT = 2.0 ** 27 + 1.0
+# Below this quotient n * hi and n * lo carry at most 52 bits, so are exact.
+_EXACT_QUOTIENT = 2.0 ** 26
+# Periods for which _SPLIT * p cannot overflow nor n * lo be subnormal.
+_PERIOD_RANGE = (1e-280, 1e280)
 
 
-class PhaseKind(Enum):
-    CLOSED = "closed"
-    RISING = "rising"
-    FALLING = "falling"
-
-
-@dataclass(frozen=True)
-class OscillatorPhase:
-    """Segment of the cycle at some instant, with normalized position in [0, 1]."""
-
-    kind: PhaseKind
-    position: float
+def _phase(d: np.ndarray, period: float, out: np.ndarray,
+           scratch: np.ndarray) -> np.ndarray:
+    """np.fmod(d, period), bitwise, for the finite d, written into out and
+    returned; scratch holds two more arrays of d's length.  The reduction
+    and its exactness are set out in the module docstring."""
+    a = np.abs(d, out=out)
+    low, high = _PERIOD_RANGE
+    if not (low < period < high
+            and float(a.max(initial=0.0)) / period < _EXACT_QUOTIENT):
+        return np.fmod(d, period, out=out)
+    c = _SPLIT * period
+    hi = c - (c - period)
+    n, product = scratch
+    np.floor(np.divide(a, period, out=n), out=n)
+    a -= np.multiply(n, hi, out=product)
+    a -= np.multiply(n, period - hi, out=product)
+    np.add(a, period, out=a, where=a < 0.0)
+    return np.copysign(a, d, out=a)
 
 
 @dataclass(frozen=True)
@@ -91,39 +122,41 @@ class OscillatorConfig:
 
     def sample_times(self, times: np.ndarray) -> np.ndarray:
         """The output at each of times; ModelDomainError if any is not
-        finite.  Before the lag t - phase_lag_s is exactly negative (x != y
-        implies x - y != 0 under gradual underflow), so its fmod is <= 0 and
-        the tau <= 0 test keeps those times silent."""
+        finite.
+
+        tau = fmod(t - phase_lag_s, period_s) comes from an exact Cody-Waite
+        reduction, bitwise np.fmod (see the module docstring): n * hi and
+        n * lo are exact below a quotient n of 2**26, a - n * hi by
+        Sterbenz, and the remainder is a float.  Times whose largest
+        quotient reaches 2**26, or a period outside (1e-280, 1e280), are
+        reduced by np.fmod.  Before the lag t - phase_lag_s is exactly
+        negative (x != y implies x - y != 0 under gradual underflow), so its
+        tau is <= 0 and the tau <= 0 test keeps those times silent."""
         t = np.asarray(times, dtype=float)
         finite = np.isfinite(t)
         if not finite.all():
             raise ModelDomainError(
                 f"time must be finite, got {float(t[~finite][0])!r}")
-        tau = np.fmod(t - self.phase_lag_s, self.period_s)
-        rise_end = self.rise_end_s
-        rising = self.peak_current * (tau / rise_end)
-        falling = self.peak_current * ((self.pulse_duration_s - tau)
-                                       / (self.pulse_duration_s - rise_end))
-        out = np.where(tau < rise_end, rising, falling)
-        return np.where((tau <= 0.0) | (tau >= self.pulse_duration_s), 0.0, out)
+        flat = t.ravel()
+        return self._pulse(flat, np.empty(flat.size),
+                           np.empty((3, flat.size))).reshape(t.shape)
 
-    def phase(self, t: float) -> OscillatorPhase:
-        """Cycle segment at time t.  CLOSED exactly where sample(t) == 0."""
-        silent = self.sample(t) == 0.0
-        tau = math.fmod(t - self.phase_lag_s, self.period_s)
-        if silent:
-            # tau >= pulse_duration_s only after the lag and within a gap
-            position = 0.0
-            if tau >= self.pulse_duration_s:
-                position = ((tau - self.pulse_duration_s)
-                            / (self.period_s - self.pulse_duration_s))
-            return OscillatorPhase(PhaseKind.CLOSED, position)
+    def _pulse(self, t: np.ndarray, out: np.ndarray,
+               scratch: np.ndarray) -> np.ndarray:
+        """The output at each of the finite times t, written into out and
+        returned; scratch holds three more arrays of t's length."""
+        tau = _phase(np.subtract(t, self.phase_lag_s, out=out), self.period_s,
+                     scratch[0], scratch[1:])
         rise_end = self.rise_end_s
-        if tau < rise_end:
-            return OscillatorPhase(PhaseKind.RISING, tau / rise_end)
-        return OscillatorPhase(
-            PhaseKind.FALLING,
-            (tau - rise_end) / (self.pulse_duration_s - rise_end))
+        pulse = self.pulse_duration_s
+        rising = np.divide(tau, rise_end, out=out)
+        rising *= self.peak_current
+        falling = np.subtract(pulse, tau, out=scratch[1])
+        falling /= pulse - rise_end
+        falling *= self.peak_current
+        np.copyto(out, falling, where=tau >= rise_end)
+        np.copyto(out, 0.0, where=(tau <= 0.0) | (tau >= pulse))
+        return out
 
     def open_intervals(self, t0: float, t1: float) -> list[tuple[float, float]]:
         """Time spans within [t0, t1] where the generator output is nonzero.

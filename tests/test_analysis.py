@@ -183,6 +183,28 @@ def test_phases_partition_the_record():
         assert (prev in open_set) != (cur in open_set)
 
 
+def test_phases_match_a_per_span_loop(loud_waveform):
+    # the spans one at a time, in the same IEEE operations
+    def loop(w, mask):
+        rate = float(w.sample_rate_hz)
+        edges = np.flatnonzero(np.diff(mask.astype(np.int8))) + 1
+        edges = [0, *edges.tolist(), len(mask)]
+        opens, closeds = [], []
+        for a, b in zip(edges[:-1], edges[1:]):
+            span = (w.t0 + np.int64(a) / rate, w.t0 + np.int64(b) / rate)
+            (opens if mask[a] else closeds).append(span)
+        return opens, closeds
+
+    rng = np.random.default_rng(5)
+    u = np.where(rng.uniform(size=3000) > 0.5, 1.0, 0.0)
+    for w in (loud_waveform, make_waveform(u),
+              GlottalWaveform(8000, u, np.ones(3000), np.ones(3000), t0=0.1)):
+        opens, closeds = detect_phases(w)
+        want = loop(w, w.u_gl > 1e-6 * w.u_gl.max())
+        assert (opens, closeds) == want
+        assert all(type(x) is float for span in opens + closeds for x in span)
+
+
 def test_default_run_phase_counts(loud_waveform):
     opens, closeds = detect_phases(loud_waveform)
     assert len(opens) == 25

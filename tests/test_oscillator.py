@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
-from glottisim import ModelDomainError, OscillatorConfig, PhaseKind
+from glottisim import GlottalCircuit, ModelDomainError, OscillatorConfig
+from glottisim.network import conductance_traces
+from glottisim.oscillator import _phase
 import oracles
 
 
@@ -56,7 +58,6 @@ def test_silent_before_lag():
     cfg = OscillatorConfig(phase_lag_s=0.001)
     for t in (0.0, 0.0005, 0.000999):
         assert cfg.sample(t) == 0.0
-    assert cfg.phase(0.0005).kind is PhaseKind.CLOSED
 
 
 @given(
@@ -127,34 +128,82 @@ def test_non_finite_time_is_rejected(t):
     with pytest.raises(ModelDomainError, match="time must be finite"):
         cfg.sample(t)
     with pytest.raises(ModelDomainError, match="time must be finite"):
-        cfg.phase(t)
-    with pytest.raises(ModelDomainError, match="time must be finite"):
         cfg.sample_times(np.array([0.0, t]))
 
 
-def test_phase_kinds_on_default_cycle():
-    cfg = OscillatorConfig()
-    assert cfg.phase(0.0).kind is PhaseKind.CLOSED
-    assert cfg.phase(0.0036).kind is PhaseKind.RISING
-    assert cfg.phase(0.0036).position == pytest.approx(0.5, rel=1e-12)
-    assert cfg.phase(0.0076).kind is PhaseKind.FALLING
-    assert cfg.phase(0.008).kind is PhaseKind.CLOSED
+def phase(d: np.ndarray, period: float) -> np.ndarray:
+    return _phase(d, period, np.empty_like(d), np.empty((2, d.size)))
 
 
-def test_phase_closed_gap_position():
-    cfg = OscillatorConfig(pulse_duration_s=0.006)
-    ph = cfg.phase(0.007)  # midway through the 2 ms closed gap
-    assert ph.kind is PhaseKind.CLOSED
-    assert ph.position == pytest.approx(0.5, rel=1e-9)
+def assert_bitwise_fmod(d: np.ndarray, period: float) -> None:
+    fmod = np.fmod(d, period)
+    assert np.array_equal(phase(d, period).view(np.int64), fmod.view(np.int64))
 
 
-def test_phase_closed_exactly_where_output_is_zero():
-    cfg = OscillatorConfig(period_s=0.008, pulse_duration_s=0.006,
-                           rise_fraction=0.75, phase_lag_s=0.0005)
-    for t in np.linspace(0.0, 0.05, 2001):
-        ph = cfg.phase(float(t))
-        assert (ph.kind is PhaseKind.CLOSED) == (cfg.sample(float(t)) == 0.0)
-        assert 0.0 <= ph.position <= 1.0
+@pytest.mark.parametrize("rate", [8000, 22050, 44100, 48000, 96000])
+@pytest.mark.parametrize("lag", [0.0, 0.001])
+def test_phase_is_fmod_on_the_benchmark_grids(rate, lag):
+    # 60 s of the default period, in blocks to keep the arrays small
+    n = 60 * rate
+    for start in range(0, n, 1 << 18):
+        t = np.arange(start, min(start + (1 << 18), n)) / float(rate)
+        assert_bitwise_fmod(t - lag, 0.008)
+
+
+@pytest.mark.parametrize("period", [0.008, 0.0071, 0.01 / 3.0, 1.0 + 2.0 ** -52])
+def test_phase_is_fmod_at_and_beside_multiples_of_the_period(period):
+    kp = np.arange(1 << 20) * period
+    for d in (kp, np.nextafter(kp, np.inf), np.nextafter(kp, -np.inf), -kp):
+        assert_bitwise_fmod(d, period)
+
+
+@given(
+    period=st.one_of(st.floats(min_value=1e-4, max_value=0.1),
+                     st.sampled_from([1e-300, 1e300, 1e308])),
+    # quotients from 2**26 on, and most finite times, go to np.fmod
+    d_over_period=st.one_of(st.integers(-2 ** 40, 2 ** 40),
+                            st.floats(min_value=-2.0 ** 40, max_value=2.0 ** 40)),
+    anywhere=st.one_of(st.none(), st.floats(allow_nan=False,
+                                            allow_infinity=False)),
+    lag=st.floats(min_value=0.0, max_value=1.0),
+)
+@example(period=0.0071, d_over_period=2 ** 35 + 0.5, anywhere=None, lag=0.0)
+@example(period=0.0071, d_over_period=2 ** 26 - 0.5, anywhere=None, lag=0.0)
+@example(period=1e-300, d_over_period=12.25, anywhere=None, lag=0.5)
+@example(period=1e300, d_over_period=-12.25, anywhere=None, lag=0.5)
+@example(period=1e308, d_over_period=0.5, anywhere=None, lag=0.5)
+def test_phase_is_fmod_on_both_sides_of_its_domain(period, d_over_period,
+                                                   anywhere, lag):
+    d = d_over_period * period if anywhere is None else anywhere
+    assume(math.isfinite(d))
+    assert_bitwise_fmod(np.array([d]), period)
+    cfg = OscillatorConfig(period_s=period, pulse_duration_s=0.75 * period,
+                           rise_fraction=0.8, phase_lag_s=lag * period)
+    t = d + cfg.phase_lag_s
+    assume(math.isfinite(t))
+    assert cfg.sample(t) == oracles.pulse_ref(cfg, t)
+
+
+def test_traces_match_an_fmod_evaluation_of_the_pulse():
+    # the documented pulse, evaluated with np.fmod one block at a time
+    def pulse(osc, t):
+        tau = np.fmod(t - osc.phase_lag_s, osc.period_s)
+        rise_end = osc.rise_fraction * osc.pulse_duration_s
+        rising = osc.peak_current * (tau / rise_end)
+        falling = osc.peak_current * ((osc.pulse_duration_s - tau)
+                                      / (osc.pulse_duration_s - rise_end))
+        out = np.where(tau < rise_end, rising, falling)
+        out = np.where((tau <= 0.0) | (tau >= osc.pulse_duration_s), 0.0, out)
+        return out / osc.peak_current
+
+    circuit = GlottalCircuit.normal_voice(10.0)
+    traces = conductance_traces(circuit, 60.0, 44100)
+    n = 60 * 44100
+    for start in range(0, n, 1 << 18):
+        t = np.arange(start, min(start + (1 << 18), n)) / 44100.0
+        for g, fold in zip(traces, (circuit.lower, circuit.upper)):
+            want = pulse(fold.oscillator, t)
+            assert g[start:start + len(t)].tobytes() == want.tobytes()
 
 
 def test_open_intervals_basic():
