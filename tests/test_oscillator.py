@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from glottisim import GlottalCircuit, ModelDomainError, OscillatorConfig
-from glottisim.network import conductance_traces
+from glottisim import (GlottalCircuit, ModelDomainError, OscillatorConfig,
+                       conductance_traces)
 from glottisim.oscillator import _phase
 import oracles
 
