@@ -52,7 +52,8 @@ def derivative(w: GlottalWaveform) -> np.ndarray:
                                f"{MIN_DERIVATIVE_SAMPLES} samples, got {len(u)}")
     rate = float(w.sample_rate_hz)
     d = np.empty_like(u)
-    d[1:-1] = (u[2:] - u[:-2]) * (rate / 2.0)
+    np.subtract(u[2:], u[:-2], out=d[1:-1])
+    d[1:-1] *= rate / 2.0
     d[0] = (u[1] - u[0]) * rate
     d[-1] = (u[-1] - u[-2]) * rate
     return d

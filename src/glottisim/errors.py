@@ -25,9 +25,12 @@ class FeedbackSettleError(GlottisimError, RuntimeError):
 class SolverError(GlottisimError, RuntimeError):
     """The series-network current solve failed to converge.
 
-    This cannot happen for valid inputs (Newton on a convex, increasing
-    residual from an upper bound converges monotonically); treat it as a bug
-    signal.
+    This cannot happen for valid inputs; treat it as a bug signal.  The
+    Halley steps start from an upper bound on the root, and their
+    denominator is proved positive, so every step is finite and moves
+    toward the root; the step count is backed by tests, not proved: at most
+    3 over the corners of the domain and every accepted input drawn, far
+    inside the 200-step cap (see the network module docstring).
     """
 
     def __init__(self, message: str, residual: float | None = None,

@@ -20,13 +20,37 @@ the balance divided by v reads
     g(x) = b4 * x**4 + b2 * x**2 + b1 * x - 1,
     b_p = sum of (sigma / rho_k)**p over the elements of power p,
 
-which is convex and increasing on x >= 0 with g(1) >= 0, so Newton from
-x = 1 converges monotonically from above.  The normalization is required,
-not cosmetic: every sigma / rho_k lies in [0, 1] (up to the rounding of the
-factored set-up below, and exactly 1 for the least rho), so nothing in the
-iteration can overflow, whereas the raw quartic in s, with coefficients
-sum c_k**(-p / 2), overflows on 56 of the 162 extreme-gain cases of the tests
-(gains 1e-300, 1 and 1e300 at 6 and 15 cmH2O).
+which is convex and increasing on x >= 0 with g(1) >= 0.  The normalization
+is required, not cosmetic: every sigma / rho_k lies in [0, 1] (up to the
+rounding of the factored set-up below, and exactly 1 for the least rho), so
+nothing in the iteration can overflow, whereas the raw quartic in s, with
+coefficients sum c_k**(-p / 2), overflows on 56 of the 162 extreme-gain cases
+of the tests (gains 1e-300, 1 and 1e300 at 6 and 15 cmH2O).
+
+The root is found by Halley steps
+
+    x <- x - g * g' / (g'**2 - g * (6 * b4 * x**2 + b2))
+
+from x_q = sqrt(z_q), where z_q = 2 / (B + sqrt(B**2 + 4 * b4)), B = b2 + b1,
+is the positive root of b4 * z**2 + B * z - 1.  Proved:
+- x_q bounds the root r from above, up to rounding.  For x <= 1,
+  b1 * x >= b1 * x**2, so g(x) >= b4 * x**4 + B * x**2 - 1; and
+  b4 + b2 + b1 >= 1, because the element with the least rho contributes
+  exactly 1.  So r and z_q lie in (0, 1], and r**2 <= z_q.
+- The denominator is positive for every x > 0.  Where g < 0 it is at least
+  g'**2.  Where g >= 0, with P, Q, R = b4 * x**4, b2 * x**2, b1 * x, twice
+  x**2 times it is at least 2 * (4P + 2Q + R)**2 - (P + Q + R)(12P + 2Q)
+  = 20P**2 + 6Q**2 + 2R**2 + 18PQ + 4PR + 6QR > 0.
+- Halley is Newton on f = g / sqrt(g'), and f' is that denominator over
+  g'**1.5, so f increases on both sides of the root, its only zero: each
+  step moves x down where g > 0 and up where g < 0, and near the root the
+  convergence is cubic.
+Not proved are a step count and that every iterate stays in x > 0.  Unlike
+Newton from above, a Halley step may overshoot below the root (where b1
+dominates and b2 is near 0), and the next step comes back up.  The tests
+back both: no entry takes more than 2 steps from 6 to 100 cmH2O, nor more
+than 3 at the corners of the coefficient domain, with gains from 1e-300 to
+1e300, or in the property test over every accepted input.
 
 Both elements of a fold share its bias g_f, so c_k = gain_k * g_f and
 rho_k = sqrt(g_f) * kappa_k, where kappa_k = sqrt(gain_k) * v**(q_k / 2) is
@@ -66,7 +90,7 @@ DEFAULT_SAMPLE_RATE_HZ = 44100
 MIN_SAMPLE_RATE_HZ = 8000
 DEFAULT_DURATION_S = 1.0
 
-# Newton termination: residual within 1e-12 * max(v_drive, 1),
+# Solver termination: residual within 1e-12 * max(v_drive, 1),
 # well inside the 1e-10 voltage-balance budget of the simulate contract.
 _RESIDUAL_RTOL = 1e-12
 _MAX_SOLVER_STEPS = 200
@@ -206,44 +230,58 @@ def _quartic(folds):
 
 def _series_root(folds, v):
     """Square root s = sqrt(I) of the series current at drive v > 0, for the
-    folds of _quartic over 1-D bias roots: the normalized quartic Newton
+    folds of _quartic over 1-D bias roots: the normalized quartic Halley
     kernel.
 
     The coefficients of g come from _quartic, in which elements of one law
-    fold into one b_p; g and g' are evaluated by Horner into buffers
-    allocated once per call.  The root lies in [1 / n, 1] for n elements,
-    and a rho_k beyond the float range only adds 0 to its b_p.  Converged
-    entries are frozen in place rather than removed, and the loop uses only
-    correctly rounded operations, so each result depends on that entry's own
-    inputs only, whatever the batch.  s comes out as inf, without a warning,
-    where sigma is beyond the float range.  The stopping test
-    |g| <= 1e-12 * max(v, 1) / v is the voltage residual within
+    fold into one b_p; g, g' and g'' / 2 are evaluated by Horner into
+    buffers allocated once per call.  The root lies in [1 / n, 1] for n
+    elements, and a rho_k beyond the float range only adds 0 to its b_p.
+    The start x_q and the Halley step are set out in the module docstring.
+    Converged entries are frozen in place rather than removed, and the loop
+    uses only correctly rounded operations, so each result depends on that
+    entry's own inputs only, whatever the batch.  s comes out as inf,
+    without a warning, where sigma is beyond the float range.  The stopping
+    test |g| <= 1e-12 * max(v, 1) / v is the voltage residual within
     1e-12 * max(v, 1).  A SolverError gives the batch index of the first
     entry that failed and how many failed.
     """
     sigma, b4, b2, b1 = _quartic(folds)
-    d4, d2 = 4.0 * b4, 2.0 * b2
+    d4, d2, d6 = 4.0 * b4, 2.0 * b2, 6.0 * b4
     tol = _RESIDUAL_RTOL * max(v, 1.0) / v
-    x = np.ones_like(sigma)
-    y, g, step = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    x, y, g, dg, h = (np.empty_like(sigma) for _ in range(5))
     done, todo = np.empty(len(x), bool), np.empty(len(x), bool)
+    # x_q = sqrt(z_q), z_q = 2 / (B + sqrt(B**2 + 4 * b4)), B = b2 + b1
+    np.add(b2, b1, out=h)
+    np.multiply(h, h, out=y)
+    y += np.multiply(4.0, b4, out=g)
+    np.sqrt(y, out=y)
+    y += h
+    np.sqrt(np.divide(2.0, y, out=x), out=x)
     for _ in range(_MAX_SOLVER_STEPS):
         np.multiply(x, x, out=y)
         np.multiply(b4, y, out=g)
         g += b2
         g *= y
-        g += np.multiply(b1, x, out=step)
+        g += np.multiply(b1, x, out=dg)
         g -= 1.0
-        np.less_equal(np.abs(g, out=step), tol, out=done)
+        np.less_equal(np.abs(g, out=dg), tol, out=done)
         if done.all():
             return np.multiply(sigma, x, out=x)
-        np.multiply(d4, y, out=step)
-        step += d2
-        step *= x
-        step += b1
-        np.divide(g, step, out=step)
-        np.subtract(x, step, out=step)
-        np.copyto(x, step, where=np.logical_not(done, out=todo))
+        # g' = (4 b4 y + 2 b2) x + b1 and g * g'' / 2 = g (6 b4 y + b2)
+        np.multiply(d4, y, out=dg)
+        dg += d2
+        dg *= x
+        dg += b1
+        np.multiply(d6, y, out=h)
+        h += b2
+        h *= g
+        # x - g g' / (g'**2 - g g'' / 2), kept only where not done
+        np.subtract(np.multiply(dg, dg, out=y), h, out=y)
+        np.multiply(g, dg, out=dg)
+        dg /= y
+        np.subtract(x, dg, out=dg)
+        np.copyto(x, dg, where=np.logical_not(done, out=todo))
     k = int(np.argmin(done))
     failed = len(done) - int(np.count_nonzero(done))
     residual = float(g[k]) * v
@@ -318,7 +356,8 @@ def conductance_traces(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURA
                        sample_rate_hz: int = DEFAULT_SAMPLE_RATE_HZ
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized bias traces (oscillator sample / peak) of both folds over
-    the record, formed one block of samples at a time."""
+    the record, formed one block of samples at a time by the unit-peak
+    pulse."""
     n, rate = _check_grid(duration_s, sample_rate_hz)
     g_lower, g_upper = np.empty(n), np.empty(n)
     # the block's times and the pulse's three scratch arrays
@@ -328,9 +367,7 @@ def conductance_traces(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURA
         block = buffers[:, :stop - start]
         t = np.divide(np.arange(start, stop), float(rate), out=block[0])
         for g, fold in ((g_lower, circuit.lower), (g_upper, circuit.upper)):
-            osc = fold.oscillator
-            osc._pulse(t, g[start:stop], block[1:])
-            g[start:stop] /= osc.peak_current
+            fold.oscillator._pulse(t, g[start:stop], block[1:])
     return g_lower, g_upper
 
 
@@ -353,7 +390,7 @@ def _check_flow_range(circuit: GlottalCircuit) -> None:
     can carry, exceeds the float range.
 
     The flow (sigma * x)**2 overflows when x exceeds x_c = _SQRT_MAX / sigma,
-    and since g increases, that is when g(x_c) < 0; so no Newton is needed.
+    and since g increases, that is when g(x_c) < 0; so no solve is needed.
     """
     full = np.float64(1.0)
     sigma, b4, b2, b1 = (float(a) for a in _quartic(
@@ -426,18 +463,18 @@ def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
     for start in range(0, len(u), _SOLVE_BLOCK):
         gl = g_lower[start:start + _SOLVE_BLOCK]
         gu = g_upper[start:start + _SOLVE_BLOCK]
-        active = np.flatnonzero((gl > 0.0) & (gu > 0.0))
+        active = (gl > 0.0) & (gu > 0.0)
         roots = (np.sqrt(gl[active]), np.sqrt(gu[active]))
         try:
             s = _series_root(_folds(circuit, roots), drive)
         except SolverError as exc:
             # Map the failing solve entry back to its sample time.
-            k = start + int(active[exc.index])
+            k = start + int(np.flatnonzero(active)[exc.index])
             t_k = k / float(rate)
             raise SolverError(
                 f"{exc} at t = {t_k!r} s", residual=exc.residual, index=k,
                 time_s=t_k, failed=exc.failed) from exc
-        u[start + active] = np.multiply(s, s, out=s)
+        u[start:start + _SOLVE_BLOCK][active] = np.multiply(s, s, out=s)
     return u
 
 

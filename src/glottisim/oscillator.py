@@ -138,22 +138,22 @@ class OscillatorConfig:
             raise ModelDomainError(
                 f"time must be finite, got {float(t[~finite][0])!r}")
         flat = t.ravel()
-        return self._pulse(flat, np.empty(flat.size),
-                           np.empty((3, flat.size))).reshape(t.shape)
+        out = self._pulse(flat, np.empty(flat.size), np.empty((3, flat.size)))
+        out *= self.peak_current
+        return out.reshape(t.shape)
 
     def _pulse(self, t: np.ndarray, out: np.ndarray,
                scratch: np.ndarray) -> np.ndarray:
-        """The output at each of the finite times t, written into out and
-        returned; scratch holds three more arrays of t's length."""
+        """The output over peak_current, a pulse of unit peak, at each of the
+        finite times t, written into out and returned; scratch holds three
+        more arrays of t's length."""
         tau = _phase(np.subtract(t, self.phase_lag_s, out=out), self.period_s,
                      scratch[0], scratch[1:])
         rise_end = self.rise_end_s
         pulse = self.pulse_duration_s
-        rising = np.divide(tau, rise_end, out=out)
-        rising *= self.peak_current
+        np.divide(tau, rise_end, out=out)
         falling = np.subtract(pulse, tau, out=scratch[1])
         falling /= pulse - rise_end
-        falling *= self.peak_current
         np.copyto(out, falling, where=tau >= rise_end)
         np.copyto(out, 0.0, where=(tau <= 0.0) | (tau >= pulse))
         return out

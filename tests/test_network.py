@@ -423,11 +423,97 @@ def test_iteration_cap_names_the_failing_sample(monkeypatch):
     active = np.count_nonzero((gl > 0.0) & (gu > 0.0))
     assert gl[exc.index] > 0.0 and gu[exc.index] > 0.0
     assert exc.time_s == exc.index / 44100.0
-    assert exc.residual > 0.0  # Newton approaches the root from above
+    assert exc.residual > 0.0  # the start x_q bounds the root from above
     assert f"at t = {exc.time_s!r} s" in str(exc)
     # the record is one block, and no active sample converges in one step
     assert exc.failed == active
     assert f"for {active} of {active} entries" in str(exc)
+
+
+# -- the series-root kernel -------------------------------------------------
+
+SERIES_KINDS = ((L, "linear"), (C, "compressive"), (L, "linear"),
+                (E, "expansive"))
+# Element coefficients (gain times bias) from 1e-300 to 1e300: every
+# element in turn holds sigma, and the others sit at every ratio to it.
+CORNER_COEFFS = (1e-300, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e300)
+CORNER_DRIVES = (1e-3, 3.2, 1e3, 1e150)
+
+
+def _element_folds(coeffs, v):
+    """The folds of _quartic for one element per fold, as
+    solve_series_current builds them, over arrays of coefficients."""
+    return [(np.sqrt(c), [(kind, v ** (0.5 * kind.exponent))])
+            for (kind, _), c in zip(SERIES_KINDS, coeffs)]
+
+
+def _corner_coeffs():
+    return np.array(list(itertools.product(CORNER_COEFFS, repeat=4))).T
+
+
+@pytest.mark.parametrize("v", CORNER_DRIVES)
+def test_series_root_converges_within_three_steps_at_the_corners(
+        monkeypatch, v):
+    # a cap of 4 passes after at most 3 steps
+    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 4)
+    coeffs = _corner_coeffs()
+    s = network._series_root(_element_folds(coeffs, v), v)
+    with np.errstate(over="ignore"):
+        current = s * s
+    assert np.isfinite(current).sum() > 0.9 * len(current)
+    for k in np.flatnonzero(np.isfinite(current)):
+        total = sum(oracles.element_voltage_ref(name, float(c[k]),
+                                                float(current[k]))
+                    for (_, name), c in zip(SERIES_KINDS, coeffs))
+        assert abs(total - v) <= 1e-10 * max(v, 1.0)
+
+
+@pytest.mark.parametrize("v", CORNER_DRIVES)
+def test_series_root_starts_above_the_root(monkeypatch, v):
+    # with a cap of 1 the kernel stops at its start x_q, and an entry not
+    # already converged there reports g(x_q) * v, which is positive; at the
+    # corners one element often carries the drive and x_q is the root, so
+    # elements whose rho = sqrt(c) * v**(q / 2) lie within 1e2 of each other
+    # are drawn too
+    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 1)
+    rho = 10.0 ** np.random.default_rng(13).uniform(-1.0, 1.0, (4, 1000))
+    near = [(r / v ** (0.5 * kind.exponent)) ** 2
+            for (kind, _), r in zip(SERIES_KINDS, rho)]
+    above = 0
+    for coeffs in np.hstack([_corner_coeffs(), near]).T:
+        folds = _element_folds([np.full(1, c) for c in coeffs], v)
+        try:
+            network._series_root(folds, v)
+        except SolverError as exc:
+            assert exc.residual > 0.0
+            above += 1
+    assert above >= 1000
+
+
+def test_series_root_comes_back_up_after_an_overshoot(monkeypatch):
+    # linear coefficients of 1e300 leave b2 at 2e-300, the expansive
+    # element holds sigma (b1 = 1) and the compressive one gives b4 = 0.01:
+    # the first step lands below the root and the second comes back up
+    coeffs = [np.full(1, c) for c in (1e300, 10.0, 1e300, 1.0)]
+    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 2)
+    with pytest.raises(SolverError) as info:
+        network._series_root(_element_folds(coeffs, 1.0), 1.0)
+    assert info.value.residual < 0.0
+    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 4)
+    current = float(network._series_root(
+        _element_folds(coeffs, 1.0), 1.0)[0]) ** 2
+    want = oracles.bisect_series_current(
+        [(name, float(c[0])) for (_, name), c in zip(SERIES_KINDS, coeffs)],
+        1.0)
+    assert current == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("pressure", [6.0, 6.5, 10.0, 15.0, 100.0])
+def test_voice_pressures_take_at_most_two_steps(monkeypatch, pressure):
+    # a cap of 3 passes after at most 2 steps
+    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 3)
+    w = simulate(GlottalCircuit.normal_voice(pressure), 0.1, 44100)
+    assert w.u_gl.any()
 
 
 # -- simulate_many ---------------------------------------------------------
