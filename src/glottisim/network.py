@@ -21,11 +21,12 @@ the balance divided by v reads
     b_p = sum of (sigma / rho_k)**p over the elements of power p,
 
 which is convex and increasing on x >= 0 with g(1) >= 0.  The normalization
-is required, not cosmetic: every sigma / rho_k lies in [0, 1] (up to the
-rounding of the factored set-up below, and exactly 1 for the least rho), so
-nothing in the iteration can overflow, whereas the raw quartic in s, with
-coefficients sum c_k**(-p / 2), overflows on 56 of the 162 extreme-gain cases
-of the tests (gains 1e-300, 1 and 1e300 at 6 and 15 cmH2O).
+is required, not cosmetic: every sigma / rho_k = t_f * (kappa_min,f / kappa_k)
+of the factored set-up below lies in [0, 1], each factor as rounded too, and
+is exactly 1 for the least rho, so nothing in the iteration can overflow,
+whereas the raw quartic in s, with coefficients sum c_k**(-p / 2),
+overflows on 56 of the 162 extreme-gain cases of the tests (gains 1e-300, 1
+and 1e300 at 6 and 15 cmH2O).
 
 The root is found by Halley steps
 
@@ -54,12 +55,25 @@ than 3 at the corners of the coefficient domain, with gains from 1e-300 to
 
 Both elements of a fold share its bias g_f, so c_k = gain_k * g_f and
 rho_k = sqrt(g_f) * kappa_k, where kappa_k = sqrt(gain_k) * v**(q_k / 2) is
-one number per drive.  A sample then needs sqrt(g_f) per fold, sigma as the
-lesser fold product, and sigma / rho_k as (sigma / sqrt(g_f)) / kappa_k; the
-fold that holds sigma gives its least element exactly 1, which also covers a
-kappa of 0 or inf.  The scalar solve is the case of one element per fold
-(g_k = c_k, kappa_k = v**(q_k / 2)), and the full-bias range check the case
-g_f = 1, so all three share this one set-up.
+one number per drive.  The fold's least rho is rho_f = sqrt(g_f) *
+kappa_min,f, and
+
+    t_f = fmin(sigma / rho_f, 1),
+    sigma / rho_k = t_f * (kappa_min,f / kappa_k),
+    b_p = sum over folds f of C_f,p * t_f**p,
+
+where C_f,p, the sum of (kappa_min,f / kappa_k)**p over the fold's elements
+of power p, is a scalar per drive, with a ratio of exactly 1 where
+kappa_k = kappa_min,f (which covers a kappa of 0 or inf).  A sample then
+needs sqrt(g_f), one product rho_f and one divide per fold, sigma as the
+least rho_f, and the powers of t_f times scalars.  The fold that holds sigma
+has t_f = 1 exactly, and fmin makes it 1 also where sigma = rho_f = 0 or
+inf, whose quotient is NaN.  The scalar solve makes a fold of each run of
+consecutive elements that share one coefficient c, and starts a new fold
+where a law repeats (g_f = c, kappa_k = v**(q_k / 2)); at unit gains that
+gives the circuit's two folds, also where g_lower == g_upper, so it is
+bitwise the flow solve.  The full-bias range check is the case g_f = 1, so
+all three share this one set-up.
 
 simulate streams the record: the oscillator traces and the solve run one
 block of samples at a time into the preallocated output arrays, so the
@@ -197,35 +211,49 @@ class GlottalWaveform:
         return self.t0 + np.arange(len(self.u_gl)) / float(self.sample_rate_hz)
 
 
+def _fold_coefficients(elements, least) -> dict:
+    """C_p of one fold: the sum of (least / kappa_k)**p over its elements of
+    power p, a scalar per drive, with a ratio of exactly 1 where kappa_k is
+    the least (which covers a kappa of 0 or inf)."""
+    c = {}
+    for kind, kappa in elements:
+        r = 1.0 if kappa == least else least / kappa
+        p = 2.0 / kind.exponent
+        term = r if p == 1.0 else r * r
+        c[p] = c.get(p, 0.0) + (term * term if p == 4.0 else term)
+    return c
+
+
 def _quartic(folds):
     """sigma = min_k rho_k and the coefficients (b4, b2, b1) of the
     normalized voltage balance g(x) (see the module docstring).
 
     Each fold is (root, [(kind, kappa), ...]): its elements share one bias,
     root is its square root, and element k has rho_k = root * kappa_k.  So a
-    fold's least rho is root * min(kappa), and sigma / rho_k is
-    (sigma / root) / kappa_k: one array divide per fold, then a divide by a
-    scalar per element.
+    fold's least rho is rho_f = root * min(kappa), and sigma / rho_k is
+    t_f * (min(kappa) / kappa_k) with t_f = fmin(sigma / rho_f, 1): one
+    array divide per fold, and b_p = sum over folds of C_p * t_f**p with
+    the scalars C_p of _fold_coefficients.  fmin turns the 0 / 0 or
+    inf / inf of a fold that holds sigma = 0 or inf into 1.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         least = [min(kappa for _, kappa in elements) for _, elements in folds]
         rhos = [root * k for (root, _), k in zip(folds, least)]
         sigma = functools.reduce(np.minimum, rhos)
-        b = {1.0: 0.0, 2.0: 0.0, 4.0: 0.0}
-        for (root, elements), rho, k in zip(folds, rhos, least):
-            q = sigma / root
-            above = rho > sigma
-            for kind, kappa in elements:
-                if kappa == k:
-                    # 1 where this fold holds sigma, which covers
-                    # sigma = rho = 0 or inf (a kappa of 0 or inf)
-                    r = np.divide(q, kappa, out=np.ones_like(q), where=above)
-                else:
-                    r = q / kappa
-                p = 2.0 / kind.exponent
-                term = r if p == 1.0 else r * r
-                b[p] = b[p] + (term * term if p == 4.0 else term)
-    return sigma, b[4.0], b[2.0], b[1.0]
+        b = {}
+        for (_, elements), rho, k in zip(folds, rhos, least):
+            coefficients = _fold_coefficients(elements, k)
+            t = np.fmin(sigma / rho, 1.0)
+            powers = {1.0: t}
+            top = max(coefficients)
+            if top > 1.0:
+                powers[2.0] = t * t
+            if top > 2.0:
+                powers[4.0] = powers[2.0] * powers[2.0]
+            for p, c in coefficients.items():
+                term = powers[p] if c == 1.0 else c * powers[p]
+                b[p] = b[p] + term if p in b else term
+    return sigma, b.get(4.0, 0.0), b.get(2.0, 0.0), b.get(1.0, 0.0)
 
 
 def _series_root(folds, v):
@@ -238,9 +266,11 @@ def _series_root(folds, v):
     buffers allocated once per call.  The root lies in [1 / n, 1] for n
     elements, and a rho_k beyond the float range only adds 0 to its b_p.
     The start x_q and the Halley step are set out in the module docstring.
-    Converged entries are frozen in place rather than removed, and the loop
-    uses only correctly rounded operations, so each result depends on that
-    entry's own inputs only, whatever the batch.  s comes out as inf,
+    While no entry has converged, which at voice pressures is every batch's
+    first step, x takes the step in place; after that converged entries are
+    frozen in place rather than removed, which gives the same bits.  The
+    loop uses only correctly rounded operations, so each result depends on
+    that entry's own inputs only, whatever the batch.  s comes out as inf,
     without a warning, where sigma is beyond the float range.  The stopping
     test |g| <= 1e-12 * max(v, 1) / v is the voltage residual within
     1e-12 * max(v, 1).  A SolverError gives the batch index of the first
@@ -280,8 +310,11 @@ def _series_root(folds, v):
         np.subtract(np.multiply(dg, dg, out=y), h, out=y)
         np.multiply(g, dg, out=dg)
         dg /= y
-        np.subtract(x, dg, out=dg)
-        np.copyto(x, dg, where=np.logical_not(done, out=todo))
+        if done.any():
+            np.subtract(x, dg, out=dg)
+            np.copyto(x, dg, where=np.logical_not(done, out=todo))
+        else:
+            x -= dg
     k = int(np.argmin(done))
     failed = len(done) - int(np.count_nonzero(done))
     residual = float(g[k]) * v
@@ -298,6 +331,11 @@ def solve_series_current(elements, v_drive: float) -> float:
     coefficient 0); otherwise the unique I >= 0 balancing the voltage drops,
     with residual below 1e-12 * max(v_drive, 1).  Raises ModelDomainError
     when that current exceeds the float range.
+
+    Each run of consecutive elements with one effective coefficient is a
+    fold of _quartic, and a repeated law starts the next fold; so the four
+    elements of a circuit at unit gains and biases (g_lower, g_upper) give
+    its two folds, and the current is bitwise the flow solve's.
     """
     elements = list(elements)
     if not elements:
@@ -311,9 +349,14 @@ def solve_series_current(elements, v_drive: float) -> float:
     if min(coeffs) == 0.0:
         return 0.0
     v = float(v_drive)
-    # each element is a fold of its own: bias c_k, kappa_k = v**(q_k / 2)
-    folds = [(np.sqrt(np.full(1, c)), [(e.kind, v ** (0.5 * e.kind.exponent))])
-             for e, c in zip(elements, coeffs)]
+    # a run of elements with one coefficient c is a fold of bias c, and
+    # kappa_k = v**(q_k / 2); a repeated law starts the next fold
+    folds, last = [], None
+    for e, c in zip(elements, coeffs):
+        if c != last or any(kind is e.kind for kind, _ in folds[-1][1]):
+            folds.append((np.sqrt(np.full(1, c)), []))
+            last = c
+        folds[-1][1].append((e.kind, v ** (0.5 * e.kind.exponent)))
     s = float(_series_root(folds, v)[0])
     current = s * s
     if not math.isfinite(current):
@@ -437,8 +480,10 @@ def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
     """The flow of circuit over full-record bias traces; a SolverError names
     the earliest sample time that failed.
 
-    Without pairs, the record is solved one block of samples at a time.
-    With pairs = _distinct_pairs(g_lower, g_upper), each distinct pair is
+    Without pairs, the record is solved one block of samples at a time: a
+    block whose samples are all open is solved as it stands, and any other
+    block's open samples are gathered first and scattered back.  With
+    pairs = _distinct_pairs(g_lower, g_upper), each distinct pair is
     solved once, one block of pairs at a time, and np.take spreads the flows
     over the record.  A failure there is solved again block by block, which
     meets the samples in time order.
@@ -464,17 +509,24 @@ def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
         gl = g_lower[start:start + _SOLVE_BLOCK]
         gu = g_upper[start:start + _SOLVE_BLOCK]
         active = (gl > 0.0) & (gu > 0.0)
-        roots = (np.sqrt(gl[active]), np.sqrt(gu[active]))
+        is_open = bool(active.all())
+        if not is_open:
+            gl, gu = gl[active], gu[active]
         try:
-            s = _series_root(_folds(circuit, roots), drive)
+            s = _series_root(_folds(circuit, (np.sqrt(gl), np.sqrt(gu))),
+                             drive)
         except SolverError as exc:
             # Map the failing solve entry back to its sample time.
-            k = start + int(np.flatnonzero(active)[exc.index])
+            k = start + (exc.index if is_open
+                         else int(np.flatnonzero(active)[exc.index]))
             t_k = k / float(rate)
             raise SolverError(
                 f"{exc} at t = {t_k!r} s", residual=exc.residual, index=k,
                 time_s=t_k, failed=exc.failed) from exc
-        u[start:start + _SOLVE_BLOCK][active] = np.multiply(s, s, out=s)
+        if is_open:
+            np.multiply(s, s, out=u[start:start + _SOLVE_BLOCK])
+        else:
+            u[start:start + _SOLVE_BLOCK][active] = np.multiply(s, s, out=s)
     return u
 
 

@@ -227,14 +227,35 @@ def test_simulated_samples_match_scalar_solver(loud_waveform):
         assert float(w.u_gl[k]) == want  # same code path, bitwise equal
 
 
+@pytest.mark.parametrize("pressure", [6.5, 10.0, 15.0])
+def test_scalar_solve_is_the_flow_solve_where_the_biases_coincide(pressure):
+    # where g_lower == g_upper all four coefficients are equal, and only the
+    # law-repeat rule splits them into the circuit's two folds
+    c = GlottalCircuit.normal_voice(pressure)
+    rng = np.random.default_rng(29)
+    gl = rng.uniform(1e-3, 1.0, 400)
+    gu = rng.uniform(1e-3, 1.0, 400)
+    gu[::2] = gl[::2]
+    u = network._solve_flow(c, gl, gu, 44100)
+    for k in range(len(u)):
+        els = [ResistorElement(L, 1.0, gl[k]), ResistorElement(C, 1.0, gl[k]),
+               ResistorElement(L, 1.0, gu[k]), ResistorElement(E, 1.0, gu[k])]
+        assert float(u[k]) == solve_series_current(els, c.drive.value)
+
+
 def test_solve_blocks_do_not_change_the_flow(monkeypatch, loud_waveform):
-    # 1000 and 16384 leave a short last block; 44101 covers the record
+    # 1000 and 16384 leave a short last block; 44101 covers the record.
+    # The normal-voice blocks are all open but the first, and the 2 ms
+    # pulses close part of every block.
+    cases = [(GlottalCircuit.normal_voice(10.0), loud_waveform),
+             (TWO_MS_PULSES, simulate(TWO_MS_PULSES, 1.0, 44100))]
     for block in (1000, 16384, 44101):
         monkeypatch.setattr(network, "_SOLVE_BLOCK", block)
-        w = simulate(GlottalCircuit.normal_voice(10.0), 1.0, 44100)
-        assert np.array_equal(w.u_gl, loud_waveform.u_gl)
-        assert np.array_equal(w.g_lower, loud_waveform.g_lower)
-        assert np.array_equal(w.g_upper, loud_waveform.g_upper)
+        for circuit, want in cases:
+            w = simulate(circuit, 1.0, 44100)
+            assert np.array_equal(w.u_gl, want.u_gl)
+            assert np.array_equal(w.g_lower, want.g_lower)
+            assert np.array_equal(w.g_upper, want.g_upper)
 
 
 def test_simulate_memory_is_one_block_beyond_its_output():
@@ -428,6 +449,27 @@ def test_iteration_cap_names_the_failing_sample(monkeypatch):
     # the record is one block, and no active sample converges in one step
     assert exc.failed == active
     assert f"for {active} of {active} entries" in str(exc)
+
+
+def test_iteration_cap_names_the_failing_sample_of_an_open_block(
+        monkeypatch):
+    # every sample is open; at 1e16 V the lower compressive element carries
+    # nearly all of the drive until sample 47, so those samples converge at
+    # the start x_q, and from 47 on the upper linear element shares it
+    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 1)
+    monkeypatch.setattr(network, "_SOLVE_BLOCK", 20)
+    c = replace(GlottalCircuit.normal_voice(), drive=DcVoltage(1e16))
+    gl = np.ones(100)
+    gu = np.full(100, 1e-30)
+    gu[47:] = 1e-8
+    with pytest.raises(SolverError) as info:
+        network._solve_flow(c, gl, gu, 44100)
+    exc = info.value
+    assert exc.index == 47  # entry 7 of the block that starts at 40
+    assert exc.time_s == 47 / 44100.0
+    assert f"at t = {exc.time_s!r} s" in str(exc)
+    assert exc.failed == 13
+    assert "for 13 of 20 entries" in str(exc)
 
 
 # -- the series-root kernel -------------------------------------------------
