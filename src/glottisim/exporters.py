@@ -9,11 +9,15 @@ temporaries stay at one block whatever the record length.  A cell is
 for that row's pattern of zero cells, and the zeros are left out of the
 values.  WAV output is RIFF/PCM, mono, 16-bit little-endian, with the
 waveform peak scaled to 90% of full scale.  Both writers are deterministic
-byte-for-byte.
+byte-for-byte.  The CSV reader hands ``np.loadtxt`` a regular file's path,
+which numpy parses in chunks in C rather than line by line in Python, but a
+pipe's open handle, since re-opening a pipe by name loses buffered rows.
 """
 from __future__ import annotations
 
 import math
+import os
+import warnings
 import wave
 from pathlib import Path
 
@@ -76,11 +80,19 @@ def read_waveform_csv(path) -> tuple[GlottalWaveform, np.ndarray]:
     (n - 1) / (t[-1] - t[0]).
     """
     with open(path, "r", encoding="ascii", newline="") as fh:
-        header = fh.readline().strip()
+        try:
+            header = fh.readline().strip()
+        except UnicodeDecodeError as exc:
+            raise ModelDomainError(f"waveform CSV {path} is not ASCII: {exc}") from exc
         if tuple(header.split(",")) != CSV_COLUMNS:
             raise ModelDomainError(f"unexpected CSV header in {path}: {header!r}")
+        source, skip = (os.fspath(path), 1) if fh.seekable() else (fh, 0)
         try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # a file without rows warns; the shape check below rejects it
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(source, delimiter=",", ndmin=2,
+                                  skiprows=skip, encoding="ascii")
         except ValueError as exc:
             raise ModelDomainError(f"malformed waveform CSV {path}: {exc}") from exc
     if data.shape[0] < 2 or data.shape[1] != len(CSV_COLUMNS):

@@ -142,6 +142,13 @@ def csv_text_ref(w, d):
     return "\n".join(lines) + "\n"
 
 
+def parse_csv_ref(path):
+    """The cells of a waveform CSV after its header, each parsed with float();
+    one row of floats per line."""
+    lines = Path(path).read_text(encoding="ascii").split("\n")[1:]
+    return [[float(cell) for cell in line.split(",")] for line in lines if line]
+
+
 def parse_riff_wav(path):
     """Minimal RIFF/PCM reader returning header fields and int16 samples."""
     raw = Path(path).read_bytes()

@@ -1,5 +1,6 @@
-"""The pair summary of tools/bench_pair.py."""
+"""The pair summary and the traced runs of tools/bench_pair.py."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -80,3 +81,40 @@ def test_base_spread_beyond_the_bound_is_unresolved():
     tight = [1.0, 1.01] * 5
     out = bench_pair.summarize(_runs(tight, base), {"t": "lower"}, {"t": 0.25})
     assert not out["metrics"]["t"]["unresolved"]
+
+
+def test_trace_option_adds_one_traced_run_per_side(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_extract(commit, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text(
+            '{"end_to_end": [{"name": "t", "better": "lower", "bound": 0.25}]}')
+
+    def fake_run_once(checkout, workload, seed, seconds, trace=0):
+        calls.append((checkout.name, workload, seed, trace))
+        return {"attempted": 1, "failed": 0,
+                "metrics": {"t": {"value": 1.0, "unit": "s"}}}
+
+    monkeypatch.setattr(bench_pair, "git", lambda *args: b"c0ffee\n")
+    monkeypatch.setattr(bench_pair, "extract", fake_extract)
+    monkeypatch.setattr(bench_pair, "machine", dict)
+    monkeypatch.setattr(bench_pair, "run_once", fake_run_once)
+    out = tmp_path / "bench.json"
+    assert bench_pair.main([
+        "cli_sweep", "--base", "b", "--head", "h", "--pairs", "2",
+        "--seconds", "3", "--seed0", "7", "--workdir", str(tmp_path / "w"),
+        "--out", str(out), "--trace", "cli_sweep", "--trace", "long_record"]) == 0
+    # the untraced pairs first, then base and head traced at seed0 + pairs
+    assert calls == [("base", "cli_sweep", 7, 0), ("head", "cli_sweep", 7, 0),
+                     ("head", "cli_sweep", 8, 0), ("base", "cli_sweep", 8, 0),
+                     ("base", "cli_sweep", 9, 1), ("head", "cli_sweep", 9, 1),
+                     ("base", "long_record", 9, 1),
+                     ("head", "long_record", 9, 1)]
+    doc = json.loads(out.read_text())
+    assert set(doc["workloads"]) == {"cli_sweep"}
+    block = doc["trace_long_record"]
+    assert set(block) == {"command", "base", "head"}
+    assert block["command"] == ("python3 perfbench/run.py --workload "
+                                "long_record --seed 9 --seconds 3.0 --trace 1")
+    assert block["base"]["metrics"]["t"]["value"] == 1.0

@@ -232,6 +232,21 @@ def test_analyze_csv_with_a_tiny_time_span_exits_2(tmp_path, capsys):
     assert "sample_rate_hz" in err
 
 
+def test_analyze_non_ascii_csv_exits_2(tmp_path):
+    # a UTF-8 byte-order mark in the header is bad input, not a crash
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbftime_s,u_gl,du_gl_dt,g_lower,g_upper\n"
+                     b"0,0,0,1,1\n1,0,0,1,1\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    child = subprocess.run(
+        [sys.executable, "-m", "glottisim", "analyze", "--csv", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True)
+    assert child.returncode == 2
+    assert child.stderr.startswith("config error:")
+    assert "Traceback" not in child.stderr
+
+
 # -- sweep ---------------------------------------------------------------------
 
 

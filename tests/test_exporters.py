@@ -1,4 +1,5 @@
 """Waveform CSV, WAV, and report serialization."""
+import os
 import tracemalloc
 
 import numpy as np
@@ -198,6 +199,80 @@ def test_read_rejects_malformed_numbers(tmp_path):
                     "0,0,0,1,1\n0,0,0,1,1\n")
     with pytest.raises(ModelDomainError):  # no time span to give a rate
         read_waveform_csv(path)
+
+
+def test_read_rejects_a_header_without_rows_and_warns_nothing(tmp_path):
+    # the suite turns warnings into errors, so a leaked loadtxt warning
+    # would surface here as a UserWarning instead of ModelDomainError
+    path = tmp_path / "empty.csv"
+    for text in ("time_s,u_gl,du_gl_dt,g_lower,g_upper\n",
+                 "time_s,u_gl,du_gl_dt,g_lower,g_upper\n\n\n"):
+        path.write_text(text)
+        with pytest.raises(ModelDomainError, match=">= 2 rows"):
+            read_waveform_csv(path)
+
+
+def test_read_rejects_non_ascii(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbftime_s,u_gl,du_gl_dt,g_lower,g_upper\n"
+                     b"0,0,0,1,1\n1,0,0,1,1\n")
+    with pytest.raises(ModelDomainError, match="not ASCII"):
+        read_waveform_csv(path)
+
+
+def _assert_same_read(a, b):
+    (wa, da), (wb, db) = a, b
+    assert (wa.sample_rate_hz, wa.t0) == (wb.sample_rate_hz, wb.t0)
+    for x, y in ((wa.u_gl, wb.u_gl), (da, db), (wa.g_lower, wb.g_lower),
+                 (wa.g_upper, wb.g_upper)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.fixture
+def short_csv(tmp_path, loud_waveform):
+    """The first 441 samples (10 ms) of the loud run, exported."""
+    w = loud_waveform
+    n = 441
+    short = GlottalWaveform(w.sample_rate_hz, w.u_gl[:n], w.g_lower[:n],
+                            w.g_upper[:n])
+    path = tmp_path / "short.csv"
+    export_csv(short, derivative(short), path)
+    return path
+
+
+def test_read_from_a_pipe_keeps_every_row(short_csv):
+    # a pipe cannot be re-opened by name without losing what the header
+    # read has buffered, so the reader must parse the handle it opened
+    raw = short_csv.read_bytes()
+    assert len(raw) < 65536  # the whole file fits in the pipe's buffer
+    r, wfd = os.pipe()
+    try:
+        with os.fdopen(wfd, "wb") as sink:
+            sink.write(raw)
+        piped = read_waveform_csv(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert len(piped[0]) == 441
+    _assert_same_read(piped, read_waveform_csv(short_csv))
+
+
+def test_read_of_crlf_comments_and_blank_lines(short_csv, tmp_path):
+    lines = short_csv.read_text().splitlines()
+    lines[3:3] = ["# a comment line", ""]
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(("\r\n".join(lines) + "\r\n\r\n").encode("ascii"))
+    _assert_same_read(read_waveform_csv(path), read_waveform_csv(short_csv))
+
+
+def test_read_matches_a_float_per_cell_parse(tmp_path, loud_waveform):
+    path = tmp_path / "loud.csv"
+    export_csv(loud_waveform, derivative(loud_waveform), path)
+    w, d = read_waveform_csv(path)
+    ref = np.array(oracles.parse_csv_ref(path))
+    assert ref.shape == (44100, 5)
+    assert w.t0 == ref[0, 0] and w.sample_rate_hz == 44100
+    for got, col in ((w.u_gl, 1), (d, 2), (w.g_lower, 3), (w.g_upper, 4)):
+        assert got.tobytes() == ref[:, col].tobytes()
 
 
 # -- WAV ---------------------------------------------------------------------

@@ -2,7 +2,8 @@
 """Run perfbench on two commits in alternating pairs and write a BENCH file.
 
     python3 tools/bench_pair.py --base HEAD~1 --head HEAD --pairs 10 \\
-        --seconds 18 --out BENCH_6.json long_record cli_sweep
+        --seconds 18 --out BENCH_6.json --trace long_record \\
+        long_record cli_sweep
 
 Each commit's committed files are extracted with `git archive` into its own
 directory under `--workdir`, so both sides run exactly what git holds and
@@ -21,7 +22,11 @@ interquartile range.  `regressed` is true where the head's median is worse
 than the base's by more than bound x the base median, and `unresolved` where
 the base's interquartile range is wider than that margin and not every head
 run beats every base run, so the runs spread too widely to rule a
-regression out.  Only the Python standard library is used.
+regression out.  Each `--trace WORKLOAD` adds, after all the untraced
+pairs, one `perfbench/run.py --trace 1` run per side, base first, with seed
+seed0 + pairs; its final JSON lines go under `trace_<workload>` with the
+command, for the per-layer metrics.  Only the Python standard library is
+used.
 """
 from __future__ import annotations
 
@@ -53,11 +58,17 @@ def extract(commit: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def perfbench_args(workload: str, seed: int, seconds: float,
+                   trace: int) -> list[str]:
+    return ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", str(trace)]
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
     """One perfbench run of `checkout`; its final JSON line."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        [sys.executable, *perfbench_args(workload, seed, seconds, trace)],
         cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -136,6 +147,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workdir", type=Path, required=True,
                         help="where the two checkouts are extracted")
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--trace", action="append", default=[],
+                        metavar="WORKLOAD",
+                        help="add one traced run per side of WORKLOAD")
     args = parser.parse_args(argv)
 
     commits = {side: git("rev-parse", "--verify", f"{ref}^{{commit}}")
@@ -168,6 +182,16 @@ def main(argv: list[str] | None = None) -> int:
                     for k, v in result["metrics"].items()), flush=True)
         doc["workloads"][workload] = {"runs": runs,
                                       **summarize(runs, better, bounds)}
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    seed = args.seed0 + args.pairs
+    for workload in args.trace:
+        block = {"command": " ".join(["python3", *perfbench_args(
+            workload, seed, args.seconds, 1)])}
+        for side in ("base", "head"):
+            block[side] = run_once(checkouts[side], workload, seed,
+                                   args.seconds, trace=1)
+            print(f"{workload} traced {side}", flush=True)
+        doc[f"trace_{workload}"] = block
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
