@@ -3,9 +3,8 @@
 Each vocal-fold branch is a two-terminal element whose current law is set by
 a translinear function block: linear (I = G*v), compressive
 (I = K*sign(v)*sqrt|v|) or expansive (I = K*sign(v)*v^2).  All laws are odd
-in v, so behavior is symmetric for either polarity, and every element carries
-a bias_scale in [0, 1] that throttles its coefficient multiplicatively --
-zero bias means an open branch.
+in v, so behavior is symmetric for either polarity; a gain of 0 is an open
+branch.
 
 The circuit-level mechanism behind those laws is also emulated here:
 a square-law device acts as the resistor, and a feedback loop charges its
@@ -42,47 +41,35 @@ class ElementKind(Enum):
 
 @dataclass(frozen=True)
 class ResistorElement:
-    """One fold branch: a current law, its gain, and an oscillator bias."""
+    """One fold branch: a current law and its gain."""
 
     kind: ElementKind
     gain: float = 1.0
-    bias_scale: float = 1.0
 
     def __post_init__(self):
         if not math.isfinite(self.gain) or self.gain < 0.0:
             raise ModelDomainError(
                 f"gain must be finite and >= 0, got {self.gain!r}")
-        if not 0.0 <= self.bias_scale <= 1.0:
-            raise ModelDomainError(
-                f"bias_scale must lie in [0, 1], got {self.bias_scale!r}")
-
-    @property
-    def effective_coefficient(self) -> float:
-        return self.gain * self.bias_scale
-
-    def with_bias(self, bias_scale: float) -> "ResistorElement":
-        return replace(self, bias_scale=bias_scale)
 
     def current(self, v: float) -> float:
         """Branch current at terminal voltage v (odd in v)."""
         if not math.isfinite(v):
             raise ModelDomainError(f"terminal voltage must be finite, got {v!r}")
-        coeff = self.effective_coefficient
-        if coeff == 0.0:
+        if self.gain == 0.0:
             return 0.0
-        return math.copysign(coeff * abs(v) ** self.kind.exponent, v)
+        return math.copysign(self.gain * abs(v) ** self.kind.exponent, v)
 
     def voltage(self, i: float) -> float:
         """Terminal voltage sustaining branch current i (inverse of current)."""
         if not math.isfinite(i):
             raise ModelDomainError(f"branch current must be finite, got {i!r}")
-        coeff = self.effective_coefficient
-        if coeff == 0.0:
+        if self.gain == 0.0:
             if i != 0.0:
                 raise ElementOpenError(
-                    f"element open (effective coefficient 0) cannot carry {i!r} A")
+                    f"element open (gain 0) cannot carry {i!r} A")
             return 0.0
-        return math.copysign((abs(i) / coeff) ** (1.0 / self.kind.exponent), i)
+        return math.copysign(
+            (abs(i) / self.gain) ** (1.0 / self.kind.exponent), i)
 
 
 @dataclass(frozen=True)

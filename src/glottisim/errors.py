@@ -10,8 +10,8 @@ class ModelDomainError(GlottisimError, ValueError):
 
 
 class ElementOpenError(ModelDomainError):
-    """Nonzero current was demanded through an element whose effective
-    coefficient is zero (an open branch sustains no current)."""
+    """Nonzero current was demanded through an element of gain 0 (an open
+    branch sustains no current)."""
 
 
 class FeedbackSettleError(GlottisimError, RuntimeError):

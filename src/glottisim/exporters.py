@@ -10,8 +10,9 @@ for that row's pattern of zero cells, and the zeros are left out of the
 values.  WAV output is RIFF/PCM, mono, 16-bit little-endian, with the
 waveform peak scaled to 90% of full scale.  Both writers are deterministic
 byte-for-byte.  The CSV reader hands ``np.loadtxt`` a regular file's path,
-which numpy parses in chunks in C rather than line by line in Python, but a
-pipe's open handle, since re-opening a pipe by name loses buffered rows.
+which numpy parses in chunks in C, not line by line in Python, but its open
+handle for a pipe, which loses buffered rows if re-opened by name, and for a
+name that numpy would decompress.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from .errors import ModelDomainError
 from .network import GlottalWaveform, _check_rate
 
 CSV_COLUMNS = ("time_s", "u_gl", "du_gl_dt", "g_lower", "g_upper")
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # names np.loadtxt decompresses
 _CSV_BLOCK_ROWS = 1024
 _ZERO_CELL = "0.000000000"
 # Row template for each pattern of zero cells: bit j of the index set means
@@ -86,7 +88,8 @@ def read_waveform_csv(path) -> tuple[GlottalWaveform, np.ndarray]:
             raise ModelDomainError(f"waveform CSV {path} is not ASCII: {exc}") from exc
         if tuple(header.split(",")) != CSV_COLUMNS:
             raise ModelDomainError(f"unexpected CSV header in {path}: {header!r}")
-        source, skip = (os.fspath(path), 1) if fh.seekable() else (fh, 0)
+        by_path = fh.seekable() and not str(path).endswith(_COMPRESSED)
+        source, skip = (os.fspath(path), 1) if by_path else (fh, 0)
         try:
             with warnings.catch_warnings():
                 # a file without rows warns; the shape check below rejects it

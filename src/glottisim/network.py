@@ -3,8 +3,8 @@
 The glottis is modeled as two fold stages in series across a DC drive (the
 Thevenin equivalent of the lung-pressure source): the lower fold pairs a
 linear element with a compressive one, the upper fold a linear element with
-an expansive one.  Each stage's oscillator throttles both of its elements
-through the shared bias_scale, so the series admittance is zero outside the
+an expansive one.  Each stage's oscillator trace, its bias, multiplies the
+gains of both of its elements, so the series admittance is zero outside the
 pulses and glottal flow is the common series current.
 
 Dynamics are quasi-static: at every sample time the oscillators set the
@@ -49,9 +49,10 @@ is the positive root of b4 * z**2 + B * z - 1.  Proved:
 Not proved are a step count and that every iterate stays in x > 0.  Unlike
 Newton from above, a Halley step may overshoot below the root (where b1
 dominates and b2 is near 0), and the next step comes back up.  The tests
-back both: no entry takes more than 2 steps from 6 to 100 cmH2O, nor more
-than 3 at the corners of the coefficient domain, with gains from 1e-300 to
-1e300, or in the property test over every accepted input.
+back both: no entry takes more than 3 steps from 6 to 100 cmH2O, and more
+than 2 only from about 6.67 to 7.77 cmH2O, nor more than 3 at the corners of
+the coefficient domain, with gains from 1e-300 to 1e300, or in the property
+test over every accepted input.
 
 Both elements of a fold share its bias g_f, so c_k = gain_k * g_f and
 rho_k = sqrt(g_f) * kappa_k, where kappa_k = sqrt(gain_k) * v**(q_k / 2) is
@@ -69,11 +70,10 @@ needs sqrt(g_f), one product rho_f and one divide per fold, sigma as the
 least rho_f, and the powers of t_f times scalars.  The fold that holds sigma
 has t_f = 1 exactly, and fmin makes it 1 also where sigma = rho_f = 0 or
 inf, whose quotient is NaN.  The scalar solve makes a fold of each run of
-consecutive elements that share one coefficient c, and starts a new fold
-where a law repeats (g_f = c, kappa_k = v**(q_k / 2)); at unit gains that
-gives the circuit's two folds, also where g_lower == g_upper, so it is
-bitwise the flow solve.  The full-bias range check is the case g_f = 1, so
-all three share this one set-up.
+consecutive elements that share one gain c, and starts a new fold where a
+law repeats (g_f = c, kappa_k = v**(q_k / 2)), so that it is bitwise the
+flow solve (see solve_series_current).  The full-bias range check is the
+case g_f = 1, so all three share this one set-up.
 
 simulate streams the record: the oscillator traces and the solve run one
 block of samples at a time into the preallocated output arrays, so the
@@ -327,15 +327,16 @@ def _series_root(folds, v):
 def solve_series_current(elements, v_drive: float) -> float:
     """Common current through a series stack of elements at a given drive.
 
-    Returns 0 when the drive is zero or any element is open (effective
-    coefficient 0); otherwise the unique I >= 0 balancing the voltage drops,
-    with residual below 1e-12 * max(v_drive, 1).  Raises ModelDomainError
-    when that current exceeds the float range.
+    Returns 0 when the drive is zero or any element is open (gain 0);
+    otherwise the unique I >= 0 balancing the voltage drops, with residual
+    below 1e-12 * max(v_drive, 1).  Raises ModelDomainError when that
+    current exceeds the float range.
 
-    Each run of consecutive elements with one effective coefficient is a
-    fold of _quartic, and a repeated law starts the next fold; so the four
-    elements of a circuit at unit gains and biases (g_lower, g_upper) give
-    its two folds, and the current is bitwise the flow solve's.
+    Each run of consecutive elements with one gain is a fold of _quartic,
+    and a repeated law starts the next fold; so the four elements of a
+    circuit at unit gains, each taking its fold's bias (g_lower or g_upper)
+    as its gain, give its two folds, and the current is bitwise the flow
+    solve's.
     """
     elements = list(elements)
     if not elements:
@@ -345,17 +346,16 @@ def solve_series_current(elements, v_drive: float) -> float:
             f"drive voltage must be finite and >= 0, got {v_drive!r}")
     if v_drive == 0.0:
         return 0.0
-    coeffs = [e.effective_coefficient for e in elements]
-    if min(coeffs) == 0.0:
+    if min(e.gain for e in elements) == 0.0:
         return 0.0
     v = float(v_drive)
-    # a run of elements with one coefficient c is a fold of bias c, and
+    # a run of elements with one gain c is a fold of bias c, and
     # kappa_k = v**(q_k / 2); a repeated law starts the next fold
     folds, last = [], None
-    for e, c in zip(elements, coeffs):
-        if c != last or any(kind is e.kind for kind, _ in folds[-1][1]):
-            folds.append((np.sqrt(np.full(1, c)), []))
-            last = c
+    for e in elements:
+        if e.gain != last or any(kind is e.kind for kind, _ in folds[-1][1]):
+            folds.append((np.sqrt(np.full(1, e.gain)), []))
+            last = e.gain
         folds[-1][1].append((e.kind, v ** (0.5 * e.kind.exponent)))
     s = float(_series_root(folds, v)[0])
     current = s * s
@@ -568,9 +568,9 @@ def simulate(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURATION_S,
              sample_rate_hz: int = DEFAULT_SAMPLE_RATE_HZ) -> GlottalWaveform:
     """Quasi-static simulation on a uniform grid t_k = k / sample_rate_hz.
 
-    At each sample both elements of a fold take bias_scale equal to that
-    fold's normalized oscillator value, and the four-element series network
-    is solved for the flow.  The traces and the solve run one block of
+    At each sample the gains of both elements of a fold are multiplied by
+    that fold's normalized oscillator value, and the four-element series
+    network is solved for the flow.  The traces and the solve run one block of
     samples at a time, so the temporaries stay at one block however long the
     record is; the waveform's trace arrays are read-only.  Output is
     deterministic: identical inputs give bit-identical arrays.  Raises

@@ -40,9 +40,6 @@ from .errors import ModelDomainError
 DEFAULT_PERIOD_S = 0.008
 DEFAULT_RISE_FRACTION = 0.9
 DEFAULT_FOLD_LAG_S = 0.001
-# open_intervals lists at most this many pulses: about 11 MB of spans, or
-# 800 s of the default 125 Hz pulses.
-_MAX_SPANS = 100_000
 # Veltkamp's factor for binary64: with c = _SPLIT * p, hi = c - (c - p)
 # keeps the leading 26 significant bits of p and lo = p - hi the rest, in 26
 # bits with its sign.
@@ -158,31 +155,3 @@ class OscillatorConfig:
         np.copyto(out, 0.0, where=(tau <= 0.0) | (tau >= pulse))
         return out
 
-    def open_intervals(self, t0: float, t1: float) -> list[tuple[float, float]]:
-        """Time spans within [t0, t1] where the generator output is nonzero.
-
-        Returns the pulse windows [lag + n*period, lag + n*period + pulse]
-        clipped to the query window; the output is strictly positive on the
-        interior of each returned span (endpoints may touch zero).  The
-        pulse count is bounded before any span is made.
-        """
-        if not -math.inf < t0 < t1 < math.inf:
-            raise ModelDomainError(
-                f"need finite t0 < t1, got [{t0!r}, {t1!r}]")
-        first = max((t0 - self.phase_lag_s) / self.period_s, 0.0)
-        if not (t1 - self.phase_lag_s) / self.period_s - first <= _MAX_SPANS:
-            raise ModelDomainError(
-                f"[{t0!r}, {t1!r}] holds more than {_MAX_SPANS} pulses of "
-                f"period {self.period_s!r} s")
-        spans: list[tuple[float, float]] = []
-        n = max(0, math.floor(first) - 1)
-        while True:
-            start = self.phase_lag_s + n * self.period_s
-            if start >= t1:
-                break
-            end = start + self.pulse_duration_s
-            lo, hi = max(start, t0), min(end, t1)
-            if lo < hi:
-                spans.append((lo, hi))
-            n += 1
-        return spans

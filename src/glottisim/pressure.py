@@ -20,9 +20,6 @@ from .errors import ModelDomainError
 CMH2O_PER_VOLT = 1.27
 ONSET_INTERCEPT_CMH2O = 5.94
 
-NORMAL_VOICE_MIN_CMH2O = 7.0
-NORMAL_VOICE_MAX_CMH2O = 10.0
-
 
 @dataclass(frozen=True)
 class PressureCmH2O:
@@ -34,10 +31,6 @@ class PressureCmH2O:
         if not math.isfinite(self.value) or self.value < 0.0:
             raise ModelDomainError(
                 f"pressure must be finite and >= 0 cmH2O, got {self.value!r}")
-
-    def is_normal_voice(self) -> bool:
-        """True inside the normal speaking range of 7-10 cmH2O."""
-        return NORMAL_VOICE_MIN_CMH2O <= self.value <= NORMAL_VOICE_MAX_CMH2O
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Independent reference implementations used by the tests.
 
 Everything here is deliberately written from scratch: a scalar sawtooth
-pulse, a brute-force bisection solver with its own inverse-law formulas, a
-struct-level RIFF reader that does not touch the wave module, a circular
-correlator and a sample-by-sample peak picker.  The one exception is the row-by-row CSV
-writer, which formats each cell with the package's ``format_number``; the
-tests pin that function's output on its own.
+pulse and its open spans, a brute-force bisection solver with its own
+inverse-law formulas, a struct-level RIFF reader that does not touch the wave
+module, a circular correlator and a sample-by-sample peak picker.  The one
+exception is the row-by-row CSV writer, which formats each cell with the
+package's ``format_number``; the tests pin that function's output on its own.
 The suite trusts these, not the package, when checking numbers.
 """
 from __future__ import annotations
@@ -36,6 +36,23 @@ def pulse_ref(cfg, t: float) -> float:
         return cfg.peak_current * (tau / rise_end)
     return cfg.peak_current * ((cfg.pulse_duration_s - tau)
                                / (cfg.pulse_duration_s - rise_end))
+
+
+def open_intervals_ref(cfg, t0: float, t1: float) -> list:
+    """The spans of [t0, t1] where the sawtooth of an OscillatorConfig is
+    nonzero, as (start, end) pairs: the pulse windows [lag + n * period,
+    lag + n * period + pulse] for n = 0, 1, ..., each clipped to the query
+    window, the empty ones dropped.  The pulse is positive inside each span
+    and may touch zero at its ends."""
+    spans = []
+    n = 0
+    while cfg.phase_lag_s + n * cfg.period_s < t1:
+        start = cfg.phase_lag_s + n * cfg.period_s
+        lo, hi = max(start, t0), min(start + cfg.pulse_duration_s, t1)
+        if lo < hi:
+            spans.append((lo, hi))
+        n += 1
+    return spans
 
 
 def element_voltage_ref(kind: str, coeff: float, i: float) -> float:

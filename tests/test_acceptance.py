@@ -153,10 +153,11 @@ def test_criterion_07_element_laws():
         voltages = np.logspace(-6.0, 3.0, 19)
         for gain in (1e-3, 1.0, 1e3):
             for bias in (1.0, 0.5):
-                lin = ResistorElement(ElementKind.LINEAR, gain, bias)
-                comp = ResistorElement(ElementKind.COMPRESSIVE, gain, bias)
-                exp = ResistorElement(ElementKind.EXPANSIVE, gain, bias)
+                # the coefficient of an element of this gain at this bias
                 c = gain * bias
+                lin = ResistorElement(ElementKind.LINEAR, c)
+                comp = ResistorElement(ElementKind.COMPRESSIVE, c)
+                exp = ResistorElement(ElementKind.EXPANSIVE, c)
                 for v in voltages:
                     v = float(v)
                     assert abs(lin.current(v) - c * v) <= 1e-12 * abs(c * v)

@@ -51,15 +51,8 @@ def test_expansive_quadruples_per_voltage_doubling():
         assert e.current(2.0 * v) == pytest.approx(4.0 * e.current(v), rel=1e-12)
 
 
-def test_bias_scales_the_coefficient():
-    full = ResistorElement(ElementKind.EXPANSIVE, gain=2.0)
-    half = full.with_bias(0.5)
-    assert half.effective_coefficient == 1.0
-    assert half.current(3.0) == pytest.approx(0.5 * full.current(3.0), rel=1e-12)
-
-
 def test_zero_bias_is_an_open_branch():
-    e = ResistorElement(ElementKind.COMPRESSIVE, gain=5.0, bias_scale=0.0)
+    e = ResistorElement(ElementKind.COMPRESSIVE, gain=0.0)
     assert e.current(7.0) == 0.0
     assert e.voltage(0.0) == 0.0
     with pytest.raises(ElementOpenError):
@@ -81,10 +74,6 @@ def test_validation():
     with pytest.raises(ModelDomainError):
         ResistorElement(ElementKind.LINEAR, gain=float("nan"))
     with pytest.raises(ModelDomainError):
-        ResistorElement(ElementKind.LINEAR, bias_scale=1.5)
-    with pytest.raises(ModelDomainError):
-        ResistorElement(ElementKind.LINEAR, bias_scale=-0.1)
-    with pytest.raises(ModelDomainError):
         ResistorElement(ElementKind.LINEAR).current(float("inf"))
     with pytest.raises(ModelDomainError):
         ResistorElement(ElementKind.LINEAR).voltage(float("nan"))
@@ -98,13 +87,12 @@ def test_odd_symmetry_is_exact(kind, gain, v):
     assert e.voltage(-i) == -e.voltage(i)
 
 
-@given(kind=st.sampled_from(KINDS), gain=gain_st,
-       bias=st.floats(min_value=1e-3, max_value=1.0), v=voltage_st,
+@given(kind=st.sampled_from(KINDS), gain=gain_st, v=voltage_st,
        flip=st.booleans())
-def test_voltage_inverts_current(kind, gain, bias, v, flip):
+def test_voltage_inverts_current(kind, gain, v, flip):
     if flip:
         v = -v
-    e = ResistorElement(kind, gain=gain, bias_scale=bias)
+    e = ResistorElement(kind, gain=gain)
     assert e.voltage(e.current(v)) == pytest.approx(v, rel=1e-12)
 
 

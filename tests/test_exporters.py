@@ -256,6 +256,17 @@ def test_read_from_a_pipe_keeps_every_row(short_csv):
     _assert_same_read(piped, read_waveform_csv(short_csv))
 
 
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_read_of_a_plain_csv_named_like_a_compressed_file(short_csv, tmp_path,
+                                                          suffix):
+    # np.loadtxt would decompress a path of these suffixes; the text within
+    # must read exactly like the same file named w.csv
+    plain, named = tmp_path / "w.csv", tmp_path / f"w.csv{suffix}"
+    plain.write_bytes(short_csv.read_bytes())
+    named.write_bytes(short_csv.read_bytes())
+    _assert_same_read(read_waveform_csv(named), read_waveform_csv(plain))
+
+
 def test_read_of_crlf_comments_and_blank_lines(short_csv, tmp_path):
     lines = short_csv.read_text().splitlines()
     lines[3:3] = ["# a comment line", ""]

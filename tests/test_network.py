@@ -57,8 +57,7 @@ def test_zero_drive_gives_zero_current():
 
 
 def test_open_element_blocks_the_stack():
-    els = [ResistorElement(L, 1.0),
-           ResistorElement(C, 1.0, bias_scale=0.0)]
+    els = [ResistorElement(L, 1.0), ResistorElement(C, 0.0)]
     assert solve_series_current(els, 5.0) == 0.0
 
 
@@ -105,7 +104,8 @@ def test_current_increases_with_drive():
 def test_current_decreases_when_any_bias_drops():
     els = [ResistorElement(L, 1.0), ResistorElement(C, 2.0)]
     full = solve_series_current(els, 3.0)
-    half = solve_series_current([e.with_bias(0.5) for e in els], 3.0)
+    half = solve_series_current(
+        [replace(e, gain=0.5 * e.gain) for e in els], 3.0)
     assert 0.0 < half < full
 
 
@@ -221,8 +221,8 @@ def test_simulated_samples_match_scalar_solver(loud_waveform):
         gl, gu = float(w.g_lower[k]), float(w.g_upper[k])
         if gl == 0.0 or gu == 0.0:
             continue
-        els = [ResistorElement(L, 1.0, gl), ResistorElement(C, 1.0, gl),
-               ResistorElement(L, 1.0, gu), ResistorElement(E, 1.0, gu)]
+        els = [ResistorElement(L, gl), ResistorElement(C, gl),
+               ResistorElement(L, gu), ResistorElement(E, gu)]
         want = solve_series_current(els, (10.0 - 5.94) / 1.27)
         assert float(w.u_gl[k]) == want  # same code path, bitwise equal
 
@@ -238,8 +238,8 @@ def test_scalar_solve_is_the_flow_solve_where_the_biases_coincide(pressure):
     gu[::2] = gl[::2]
     u = network._solve_flow(c, gl, gu, 44100)
     for k in range(len(u)):
-        els = [ResistorElement(L, 1.0, gl[k]), ResistorElement(C, 1.0, gl[k]),
-               ResistorElement(L, 1.0, gu[k]), ResistorElement(E, 1.0, gu[k])]
+        els = [ResistorElement(L, gl[k]), ResistorElement(C, gl[k]),
+               ResistorElement(L, gu[k]), ResistorElement(E, gu[k])]
         assert float(u[k]) == solve_series_current(els, c.drive.value)
 
 
@@ -317,8 +317,9 @@ def test_flow_confined_to_pulse_overlap_windows():
         start, end = 0.001 + 0.008 * m, 0.006 + 0.008 * m
         assert abs(t[run[0]] - start) <= dt
         assert abs(t[run[-1]] - end) <= dt
-        lo = c.lower.oscillator.open_intervals(start - 0.002, end + 0.002)
-        up = c.upper.oscillator.open_intervals(start - 0.002, end + 0.002)
+        lo, up = (oracles.open_intervals_ref(fold.oscillator, start - 0.002,
+                                             end + 0.002)
+                  for fold in (c.lower, c.upper))
         # the flow run sits inside both folds' pulse windows
         eps = 1e-12
         assert any(a - eps <= t[run[0]] and t[run[-1]] <= b + eps for a, b in lo)
@@ -556,6 +557,29 @@ def test_voice_pressures_take_at_most_two_steps(monkeypatch, pressure):
     monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 3)
     w = simulate(GlottalCircuit.normal_voice(pressure), 0.1, 44100)
     assert w.u_gl.any()
+
+
+def test_three_steps_from_6_67_to_7_77_cmh2o_only(monkeypatch):
+    # a dense grid of 0.1 s records: from 6 to 16 cmH2O by 0.01, a cap of 3
+    # (at most 2 steps) fails at exactly 6.67 to 7.77 cmH2O and a cap of 4
+    # (at most 3 steps) nowhere; from 16 to 100 cmH2O a cap of 3 passes
+    circuit = GlottalCircuit.normal_voice()
+    hundredths = range(600, 1601)
+    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 4)
+    waveforms = simulate_many(circuit, _drives([k / 100 for k in hundredths]),
+                              0.1, 44100)
+    assert sum(bool(w.u_gl.any()) for w in waveforms) == 1001
+    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 3)
+    failed = []
+    for k in hundredths:
+        try:
+            simulate(GlottalCircuit.normal_voice(k / 100), 0.1, 44100)
+        except SolverError:
+            failed.append(k)
+    assert failed == list(range(667, 778))
+    high = _drives(np.linspace(16.0, 100.0, 400))
+    assert sum(bool(w.u_gl.any())
+               for w in simulate_many(circuit, high, 0.1, 44100)) == 400
 
 
 # -- simulate_many ---------------------------------------------------------

@@ -52,14 +52,6 @@ def test_nonfinite_and_negative_quantities_rejected():
         DcVoltage(float("nan"))
 
 
-def test_normal_voice_band():
-    assert PressureCmH2O(7.0).is_normal_voice()
-    assert PressureCmH2O(8.5).is_normal_voice()
-    assert PressureCmH2O(10.0).is_normal_voice()
-    assert not PressureCmH2O(6.99).is_normal_voice()
-    assert not PressureCmH2O(10.01).is_normal_voice()
-
-
 def test_constants():
     assert CMH2O_PER_VOLT == 1.27
     assert ONSET_INTERCEPT_CMH2O == 5.94
