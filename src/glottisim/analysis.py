@@ -2,8 +2,9 @@
 
 The flow derivative is the acoustic excitation proxy (its sharpest negative
 swing marks glottal closure).  F0 comes from picking flow peaks and taking
-the median inter-peak interval, and open/closed phases are runs of samples
-above/below a small fraction of the peak flow.
+the median inter-peak interval.  Open/closed phases are runs of samples
+above/below a small fraction of the peak flow: ``detect_phases`` lists
+their intervals, and ``analyze`` counts the open ones from the same mask.
 
 A pulse peak is a strict local maximum of the flow: a sample higher than
 both of its neighbours, or a flat top higher than the samples on either
@@ -39,7 +40,7 @@ class AnalysisReport:
     f0_hz: float | None
     max_negative_derivative: float
     max_negative_derivative_time_s: float
-    open_phases: list[tuple[float, float]]
+    open_phase_count: int
     closed_phase_flatness: float
     pulse_count: int
 
@@ -111,11 +112,6 @@ def _f0_of_peaks(idx: np.ndarray, sample_rate_hz: int) -> float:
     return 1.0 / float(np.median(intervals))
 
 
-def _open_mask(w: GlottalWaveform) -> np.ndarray:
-    peak = float(w.u_gl.max(initial=0.0))
-    return w.u_gl > CLOSURE_EPSILON * peak
-
-
 def detect_phases(w: GlottalWaveform) -> tuple[list[tuple[float, float]],
                                                list[tuple[float, float]]]:
     """(open, closed) half-open time intervals that partition the record.
@@ -123,15 +119,10 @@ def detect_phases(w: GlottalWaveform) -> tuple[list[tuple[float, float]],
     Each sample owns [t_k, t_k + 1/rate); consecutive same-state samples
     merge, so the two lists together tile [t0, t0 + n/rate) exactly.
     """
-    return _phases(w, _open_mask(w))
-
-
-def _phases(w: GlottalWaveform, mask: np.ndarray):
-    n = len(mask)
-    rate = float(w.sample_rate_hz)
+    mask = w.u_gl > CLOSURE_EPSILON * float(w.u_gl.max())
     boundaries = np.flatnonzero(mask[1:] != mask[:-1]) + 1
-    edges = np.concatenate(([0], boundaries, [n]))
-    times = w.t0 + edges / rate
+    edges = np.concatenate(([0], boundaries, [len(mask)]))
+    times = w.t0 + edges / float(w.sample_rate_hz)
     starts, ends, is_open = times[:-1], times[1:], mask[edges[:-1]]
     return (list(zip(starts[is_open].tolist(), ends[is_open].tolist())),
             list(zip(starts[~is_open].tolist(), ends[~is_open].tolist())))
@@ -146,22 +137,20 @@ def analyze(w: GlottalWaveform, d: np.ndarray | None = None) -> AnalysisReport:
         d = derivative(w)
     i_min = int(np.argmin(d))
     peaks = pulse_peaks(w)
-    try:
-        f0 = _f0_of_peaks(peaks, w.sample_rate_hz)
-    except InsufficientPulsesError:
-        f0 = None
-    mask = _open_mask(w)
-    open_phases, _ = _phases(w, mask)
-    closed = ~mask
-    peak = float(w.u_gl.max(initial=0.0))
-    if peak > 0.0 and closed.any():
-        flatness = float(np.abs(w.u_gl[closed]).max()) / peak
-    else:
-        flatness = 0.0
+    u = w.u_gl
+    peak = float(u.max())
+    is_open = u > CLOSURE_EPSILON * peak
+    closed = u[~is_open]
+    # u >= 0, so the largest closed flow is the largest |u| up to the sign
+    # of zero, which abs sets
+    flatness = (abs(float(closed.max())) / peak
+                if peak > 0.0 and closed.size else 0.0)
     return AnalysisReport(
-        f0_hz=f0,
+        f0_hz=_f0_of_peaks(peaks, w.sample_rate_hz) if len(peaks) > 1 else None,
         max_negative_derivative=float(d[i_min]),
         max_negative_derivative_time_s=w.t0 + i_min / float(w.sample_rate_hz),
-        open_phases=open_phases,
+        # an open phase starts at each rising edge, and at sample 0 if open
+        open_phase_count=int(np.count_nonzero(is_open[1:] > is_open[:-1])
+                             + is_open[0]),
         closed_phase_flatness=flatness,
         pulse_count=int(len(peaks)))

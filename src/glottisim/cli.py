@@ -170,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ModelDomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:
@@ -181,9 +181,6 @@ def main(argv: list[str] | None = None) -> int:
         where = f" ({name})" if name else ""
         print(f"i/o error: {exc}{where}", file=sys.stderr)
         return EXIT_IO
-    except ModelDomainError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 def entry() -> None:

@@ -11,8 +11,8 @@ values.  WAV output is RIFF/PCM, mono, 16-bit little-endian, with the
 waveform peak scaled to 90% of full scale.  Both writers are deterministic
 byte-for-byte.  The CSV reader hands ``np.loadtxt`` a regular file's path,
 which numpy parses in chunks in C, not line by line in Python, but its open
-handle for a pipe, which loses buffered rows if re-opened by name, and for a
-name that numpy would decompress.
+handle for a pipe, which loses buffered rows if re-opened by name, for a
+name that numpy would decompress, and for a descriptor or a bytes name.
 """
 from __future__ import annotations
 
@@ -88,8 +88,11 @@ def read_waveform_csv(path) -> tuple[GlottalWaveform, np.ndarray]:
             raise ModelDomainError(f"waveform CSV {path} is not ASCII: {exc}") from exc
         if tuple(header.split(",")) != CSV_COLUMNS:
             raise ModelDomainError(f"unexpected CSV header in {path}: {header!r}")
-        by_path = fh.seekable() and not str(path).endswith(_COMPRESSED)
-        source, skip = (os.fspath(path), 1) if by_path else (fh, 0)
+        # numpy reads a source that is not a str as an iterable of lines
+        name = os.fspath(path) if isinstance(path, os.PathLike) else path
+        by_path = (isinstance(name, str) and fh.seekable()
+                   and not name.endswith(_COMPRESSED))
+        source, skip = (name, 1) if by_path else (fh, 0)
         try:
             with warnings.catch_warnings():
                 # a file without rows warns; the shape check below rejects it
@@ -148,7 +151,7 @@ def format_report(rep: AnalysisReport) -> str:
         f"f0_hz: {f0}",
         (f"max_negative_derivative: {rep.max_negative_derivative:.6g}"
          f" at t = {rep.max_negative_derivative_time_s:.6g} s"),
-        f"open_phase_count: {len(rep.open_phases)}",
+        f"open_phase_count: {rep.open_phase_count}",
         f"closed_phase_flatness: {rep.closed_phase_flatness:.3g}",
     ]
     return "\n".join(lines) + "\n"

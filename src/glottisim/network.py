@@ -327,10 +327,10 @@ def _series_root(folds, v):
 def solve_series_current(elements, v_drive: float) -> float:
     """Common current through a series stack of elements at a given drive.
 
-    Returns 0 when the drive is zero or any element is open (gain 0);
-    otherwise the unique I >= 0 balancing the voltage drops, with residual
-    below 1e-12 * max(v_drive, 1).  Raises ModelDomainError when that
-    current exceeds the float range.
+    Returns 0 when the drive is zero or any element is open (gain 0, so
+    the kernel's sigma is 0); otherwise the unique I >= 0 balancing the
+    voltage drops, with residual below 1e-12 * max(v_drive, 1).  Raises
+    ModelDomainError when that current exceeds the float range.
 
     Each run of consecutive elements with one gain is a fold of _quartic,
     and a repeated law starts the next fold; so the four elements of a
@@ -345,8 +345,6 @@ def solve_series_current(elements, v_drive: float) -> float:
         raise ModelDomainError(
             f"drive voltage must be finite and >= 0, got {v_drive!r}")
     if v_drive == 0.0:
-        return 0.0
-    if min(e.gain for e in elements) == 0.0:
         return 0.0
     v = float(v_drive)
     # a run of elements with one gain c is a fold of bias c, and

@@ -3,10 +3,11 @@
 Everything here is deliberately written from scratch: a scalar sawtooth
 pulse and its open spans, a brute-force bisection solver with its own
 inverse-law formulas, a struct-level RIFF reader that does not touch the wave
-module, a circular correlator and a sample-by-sample peak picker.  The one
-exception is the row-by-row CSV writer, which formats each cell with the
-package's ``format_number``; the tests pin that function's output on its own.
-The suite trusts these, not the package, when checking numbers.
+module, a circular correlator, a sample-by-sample peak picker and phase
+counter.  The one exception is the row-by-row CSV writer, which formats each
+cell with the package's ``format_number``; the tests pin that function's
+output on its own.  The suite trusts these, not the package, when checking
+numbers.
 """
 from __future__ import annotations
 
@@ -147,6 +148,25 @@ def find_peaks_ref(x, height, distance):
                 if k != j and abs(p - peaks[j]) < distance:
                     keep[k] = False
     return np.array([p for p, kept in zip(peaks, keep) if kept], dtype=int)
+
+
+def phases_ref(u, epsilon=1e-6):
+    """(open-phase count, closed-phase flatness) of a flow, one sample at a
+    time.  A sample is open when it exceeds epsilon times the peak flow, and
+    an open phase is a maximal run of open samples.  The flatness is the
+    largest |u| of a closed sample over the peak: 0 without a closed sample
+    or without a positive peak."""
+    u = [float(x) for x in u]
+    peak = max(u)
+    count, largest, was_open = 0, 0.0, False
+    for x in u:
+        is_open = x > epsilon * peak
+        if is_open and not was_open:
+            count += 1
+        if not is_open:
+            largest = max(largest, abs(x))
+        was_open = is_open
+    return count, (largest / peak if peak > 0.0 else 0.0)
 
 
 def csv_text_ref(w, d):

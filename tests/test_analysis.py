@@ -17,6 +17,9 @@ from glottisim import (
     simulate,
 )
 from glottisim.analysis import _find_peaks
+from glottisim.config import RunConfig
+from glottisim.exporters import export_csv, read_waveform_csv
+from glottisim.oscillator import OscillatorConfig
 import oracles
 
 
@@ -210,7 +213,49 @@ def test_default_run_phase_counts(loud_waveform):
     assert len(opens) == 25
     rep = analyze(loud_waveform)
     assert rep.pulse_count == 125
-    assert len(rep.open_phases) == 25
+    assert rep.open_phase_count == 25
+
+
+TWO_MS_PULSES = RunConfig(
+    lower_oscillator=OscillatorConfig(pulse_duration_s=0.002),
+    upper_oscillator=OscillatorConfig(pulse_duration_s=0.002,
+                                      phase_lag_s=0.001)).build_circuit()
+
+
+def _csv_round_trip(tmp_path):
+    w = simulate(GlottalCircuit.normal_voice(10.0), 10.0, 44100)
+    export_csv(w, derivative(w), tmp_path / "w.csv")
+    return read_waveform_csv(tmp_path / "w.csv")[0]
+
+
+# name: (open phases, waveform from the loud run and a scratch directory)
+PHASE_CASES = {
+    "loud": (25, lambda loud, _: loud),
+    "silence": (0, lambda *_: simulate(GlottalCircuit.normal_voice(5.94),
+                                       0.02, 44100)),
+    "all-open": (1, lambda *_: make_waveform(np.linspace(0.5, 1.0, 50))),
+    "starts-open": (2, lambda *_: make_waveform(
+        [2.0, 1.0, 0.0, 0.0, 3.0, 0.0, 1e-7])),
+    "ends-open": (2, lambda *_: make_waveform(
+        [0.0, 5e-7, 1.0, 0.0, 0.0, 2.0, 2.0])),
+    "negative-zeros": (2, lambda *_: make_waveform(
+        [-0.0, 1.0, -0.0, 0.0, 1.0, -0.0])),
+    "2ms-pulses": (125, lambda *_: simulate(TWO_MS_PULSES, 1.0, 44100)),
+    "csv-10s": (250, lambda _, tmp_path: _csv_round_trip(tmp_path)),
+}
+
+
+@pytest.mark.parametrize("name", list(PHASE_CASES))
+def test_open_phase_count_and_flatness_match_a_sample_loop(name, loud_waveform,
+                                                           tmp_path):
+    want, build = PHASE_CASES[name]
+    w = build(loud_waveform, tmp_path)
+    count, flatness = oracles.phases_ref(w.u_gl)
+    rep = analyze(w)
+    assert rep.open_phase_count == count == len(detect_phases(w)[0]) == want
+    assert type(rep.open_phase_count) is int
+    # repr: bitwise, the sign of zero included
+    assert repr(rep.closed_phase_flatness) == repr(flatness)
 
 
 def test_fully_open_oscillators_leave_thin_closures(loud_waveform):
@@ -279,4 +324,4 @@ def test_analyze_handles_silence():
     assert rep.pulse_count == 0
     assert rep.max_negative_derivative == 0.0
     assert rep.closed_phase_flatness == 0.0
-    assert rep.open_phases == []
+    assert rep.open_phase_count == 0

@@ -267,6 +267,26 @@ def test_read_of_a_plain_csv_named_like_a_compressed_file(short_csv, tmp_path,
     _assert_same_read(read_waveform_csv(named), read_waveform_csv(plain))
 
 
+class _BytesPath:
+    def __init__(self, path):
+        self.path = os.fsencode(path)
+
+    def __fspath__(self):
+        return self.path
+
+
+@pytest.mark.parametrize("kind", ["descriptor", "bytes", "bytes-pathlike",
+                                  "path", "str"])
+def test_read_of_every_kind_of_name(short_csv, kind):
+    # open() takes each of these; numpy reads any source but a str as an
+    # iterable of lines, so only a str name may take the path route
+    name = {"descriptor": lambda p: os.open(p, os.O_RDONLY),
+            "bytes": os.fsencode, "bytes-pathlike": _BytesPath,
+            "path": lambda p: p, "str": str}[kind](short_csv)
+    _assert_same_read(read_waveform_csv(name),
+                      read_waveform_csv(str(short_csv)))
+
+
 def test_read_of_crlf_comments_and_blank_lines(short_csv, tmp_path):
     lines = short_csv.read_text().splitlines()
     lines[3:3] = ["# a comment line", ""]
