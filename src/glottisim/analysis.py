@@ -1,10 +1,20 @@
 """Waveform analysis: flow derivative, fundamental frequency, phase timing.
 
 The flow derivative is the acoustic excitation proxy (its sharpest negative
-swing marks glottal closure).  F0 comes from picking flow peaks and taking
-the median inter-peak interval.  Open/closed phases are runs of samples
-above/below a small fraction of the peak flow: ``detect_phases`` lists
-their intervals, and ``analyze`` counts the open ones from the same mask.
+swing marks glottal closure).  The closure instant is the first sample whose
+derivative lies within a relative CLOSURE_INSTANT_RTOL of the least one.  A
+periodic record repeats its sharpest swing, in every cycle on the same
+sample phase, to within 1e-10 of it, so which of them is least is set by
+rounding: the 9 significant digits of a CSV export move each derivative by
+up to 1e-7 of the least, and re-analysis picked another cycle.  The
+tolerance of 1e-6 lies above that and below the gap between swings on
+different sample phases, at least 1e-2 of the least one for the default
+oscillators from 6 to 15 cmH2O at 44.1 kHz.
+
+F0 comes from picking flow peaks and taking the median inter-peak interval.
+Open/closed phases are runs of samples above/below a small fraction of the
+peak flow: ``detect_phases`` lists their intervals, and ``analyze`` counts
+the open ones from the same mask.
 
 A pulse peak is a strict local maximum of the flow: a sample higher than
 both of its neighbours, or a flat top higher than the samples on either
@@ -16,6 +26,7 @@ its neighbours closer than 1 ms.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +36,9 @@ from .network import GlottalWaveform
 
 # Flow below this fraction of the peak counts as glottal closure.
 CLOSURE_EPSILON = 1e-6
+# The closure instant is the first derivative within this fraction of the
+# least one (see the module docstring).
+CLOSURE_INSTANT_RTOL = 1e-6
 # A pulse peak must reach half the global peak and clear its neighbors by 1 ms.
 PEAK_HEIGHT_FRACTION = 0.5
 MIN_PEAK_SPACING_S = 0.001
@@ -135,7 +149,10 @@ def analyze(w: GlottalWaveform, d: np.ndarray | None = None) -> AnalysisReport:
     """
     if d is None:
         d = derivative(w)
-    i_min = int(np.argmin(d))
+    least = float(d.min())
+    # a bound CLOSURE_INSTANT_RTOL of |least| above least, -inf for -inf
+    bound = least * (1.0 + math.copysign(CLOSURE_INSTANT_RTOL, least))
+    i_min = int(np.argmax(d <= bound))
     peaks = pulse_peaks(w)
     u = w.u_gl
     peak = float(u.max())
@@ -147,7 +164,7 @@ def analyze(w: GlottalWaveform, d: np.ndarray | None = None) -> AnalysisReport:
                 if peak > 0.0 and closed.size else 0.0)
     return AnalysisReport(
         f0_hz=_f0_of_peaks(peaks, w.sample_rate_hz) if len(peaks) > 1 else None,
-        max_negative_derivative=float(d[i_min]),
+        max_negative_derivative=least,
         max_negative_derivative_time_s=w.t0 + i_min / float(w.sample_rate_hz),
         # an open phase starts at each rising edge, and at sample 0 if open
         open_phase_count=int(np.count_nonzero(is_open[1:] > is_open[:-1])

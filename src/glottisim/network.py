@@ -78,12 +78,17 @@ case g_f = 1, so all three share this one set-up.
 simulate streams the record: the oscillator traces and the solve run one
 block of samples at a time into the preallocated output arrays, so the
 temporaries stay at one block however long the record is.  The traces do not
-depend on the drive, so simulate_many forms them once for one circuit at many
-drives and shares them, read-only, among its waveforms.  Each result of the
-kernel depends on its own entry's inputs only, so simulate_many also finds
-the distinct active (g_lower, g_upper) pairs once and, at each drive, solves
-only those and spreads their flows over the record; the flows are bitwise
-those of simulate.
+depend on the drive, only on the two oscillators and the sample grid, so
+conductance_traces keeps the last pair it formed and returns the same
+read-only arrays to a later call with equal oscillators and grid: simulate
+at a new pressure skips the trace pass, and simulate_many takes the traces
+once for one circuit at many drives.  The memo holds one entry, dropped
+before a new pair is formed, and no pair longer than _TRACE_MEMO_SAMPLES
+(2**22) samples per trace.  Each result of the kernel depends on its own
+entry's inputs only, so simulate_many also finds the distinct active
+(g_lower, g_upper) pairs once and, at each drive, solves only those and
+spreads their flows over the record; the flows are bitwise those of
+simulate.
 """
 from __future__ import annotations
 
@@ -117,6 +122,14 @@ _SOLVE_BLOCK = 16384
 _SQRT_MAX = math.sqrt(sys.float_info.max)
 # The most float64 samples whose byte count numpy can index.
 _MAX_SAMPLES = np.iinfo(np.intp).max // 8
+# conductance_traces keeps a pair of at most this many samples per trace: 64
+# MiB for the pair, about 95 s at 44.1 kHz.  It bounds what the process holds
+# beyond the arrays its callers keep.
+_TRACE_MEMO_SAMPLES = 2 ** 22
+# The last pair conductance_traces kept, as ((lower oscillator, upper
+# oscillator, n, rate), (g_lower, g_upper)), or None.  It is read once into
+# a local and replaced by one assignment, so threads need no lock.
+_trace_memo = None
 
 
 @dataclass(frozen=True)
@@ -284,7 +297,7 @@ def _series_root(folds, v):
     # x_q = sqrt(z_q), z_q = 2 / (B + sqrt(B**2 + 4 * b4)), B = b2 + b1
     np.add(b2, b1, out=h)
     np.multiply(h, h, out=y)
-    y += np.multiply(4.0, b4, out=g)
+    y += d4
     np.sqrt(y, out=y)
     y += h
     np.sqrt(np.divide(2.0, y, out=x), out=x)
@@ -398,8 +411,24 @@ def conductance_traces(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURA
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized bias traces (oscillator sample / peak) of both folds over
     the record, formed one block of samples at a time by the unit-peak
-    pulse."""
+    pulse, as read-only arrays whose writeable flag cannot be set again.
+
+    The traces depend only on the two oscillators and the grid, and their
+    formation is deterministic, so the last pair formed is kept and a call
+    with equal oscillators, sample count and rate returns the same array
+    objects, bitwise what a fresh formation gives (a phase lag of -0.0
+    equals 0.0 and gives equal traces).  One pair is kept at a time: a call
+    with another key drops it before forming its own, and a pair longer
+    than _TRACE_MEMO_SAMPLES samples per trace is not kept.
+    """
+    global _trace_memo
     n, rate = _check_grid(duration_s, sample_rate_hz)
+    key = (circuit.lower.oscillator, circuit.upper.oscillator, n, rate)
+    memo = _trace_memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    # drop the old pair first, so that a miss never holds two
+    _trace_memo = memo = None
     g_lower, g_upper = np.empty(n), np.empty(n)
     # the block's times and the pulse's three scratch arrays
     buffers = np.empty((4, min(n, _SOLVE_BLOCK)))
@@ -409,7 +438,12 @@ def conductance_traces(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURA
         t = np.divide(np.arange(start, stop), float(rate), out=block[0])
         for g, fold in ((g_lower, circuit.lower), (g_upper, circuit.upper)):
             fold.oscillator._pulse(t, g[start:stop], block[1:])
-    return g_lower, g_upper
+    g_lower.flags.writeable = g_upper.flags.writeable = False
+    # views of read-only arrays cannot be made writeable by a caller
+    traces = g_lower.view(), g_upper.view()
+    if n <= _TRACE_MEMO_SAMPLES:
+        _trace_memo = key, traces
+    return traces
 
 
 def _series_elements(circuit: GlottalCircuit) -> tuple[ResistorElement, ...]:
@@ -536,15 +570,16 @@ def simulate_many(circuit: GlottalCircuit, drives: Iterable[DcVoltage],
     order; each is bitwise equal to
     simulate(replace(circuit, drive=d), duration_s, sample_rate_hz).
 
-    The oscillator traces are formed once, one block of samples at a time,
-    and every waveform shares them as read-only arrays.  With two or more
-    drives, the distinct active bias pairs are found once and each flow
-    solves only those; a single drive is solved block by block.  Only the
-    waveform being yielded is built, so memory does not grow with the number
-    of drives.  On the first next(),
-    before any trace is formed, the grid and every drive are checked:
-    ModelDomainError is raised for a negative drive, or when a flow at full
-    bias exceeds the float range.
+    The oscillator traces come from one call of conductance_traces, which
+    forms them one block of samples at a time or returns the pair it kept
+    from an earlier call with equal oscillators and grid, and every waveform
+    shares them as read-only arrays.  With two or more drives, the distinct
+    active bias pairs are found once and each flow solves only those; a
+    single drive is solved block by block.  Only the waveform being yielded
+    is built, so memory does not grow with the number of drives.  On the
+    first next(), before any trace is formed, the grid and every drive are
+    checked: ModelDomainError is raised for a negative drive, or when a flow
+    at full bias exceeds the float range.
     """
     _, rate = _check_grid(duration_s, sample_rate_hz)
     circuits = [replace(circuit, drive=d) for d in drives]
@@ -553,8 +588,6 @@ def simulate_many(circuit: GlottalCircuit, drives: Iterable[DcVoltage],
     if not circuits:
         return
     g_lower, g_upper = conductance_traces(circuit, duration_s, rate)
-    g_lower.flags.writeable = False
-    g_upper.flags.writeable = False
     pairs = _distinct_pairs(g_lower, g_upper) if len(circuits) > 1 else None
     for c in circuits:
         yield GlottalWaveform(
@@ -570,10 +603,11 @@ def simulate(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURATION_S,
     that fold's normalized oscillator value, and the four-element series
     network is solved for the flow.  The traces and the solve run one block of
     samples at a time, so the temporaries stay at one block however long the
-    record is; the waveform's trace arrays are read-only.  Output is
-    deterministic: identical inputs give bit-identical arrays.  Raises
-    ModelDomainError up front when the flow at full bias exceeds the float
-    range.
+    record is.  The waveform's trace arrays are read-only, and a later call
+    with equal oscillators and grid shares them (see conductance_traces).
+    Output is deterministic: identical inputs give bit-identical arrays.
+    Raises ModelDomainError up front when the flow at full bias exceeds the
+    float range.
     """
     return next(simulate_many(circuit, (circuit.drive,), duration_s,
                               sample_rate_hz))

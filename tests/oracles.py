@@ -3,8 +3,8 @@
 Everything here is deliberately written from scratch: a scalar sawtooth
 pulse and its open spans, a brute-force bisection solver with its own
 inverse-law formulas, a struct-level RIFF reader that does not touch the wave
-module, a circular correlator, a sample-by-sample peak picker and phase
-counter.  The one exception is the row-by-row CSV writer, which formats each
+module, a circular correlator, a sample-by-sample peak picker, phase
+counter and closure-instant search.  The one exception is the row-by-row CSV writer, which formats each
 cell with the package's ``format_number``; the tests pin that function's
 output on its own.  The suite trusts these, not the package, when checking
 numbers.
@@ -167,6 +167,19 @@ def phases_ref(u, epsilon=1e-6):
             largest = max(largest, abs(x))
         was_open = is_open
     return count, (largest / peak if peak > 0.0 else 0.0)
+
+
+def closure_instant_ref(d, rtol=1e-6):
+    """(least value, index of the closure instant) of a flow derivative, one
+    sample at a time: the index is the first sample whose value exceeds the
+    least by at most rtol times the least's magnitude, or that equals an
+    infinite least."""
+    d = [float(x) for x in d]
+    least = min(d)
+    for k, x in enumerate(d):
+        if x == least or (math.isfinite(least)
+                          and x - least <= rtol * abs(least)):
+            return least, k
 
 
 def csv_text_ref(w, d):

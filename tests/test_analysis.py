@@ -18,7 +18,8 @@ from glottisim import (
 )
 from glottisim.analysis import _find_peaks
 from glottisim.config import RunConfig
-from glottisim.exporters import export_csv, read_waveform_csv
+from glottisim.exporters import (export_csv, format_report,
+                                 read_waveform_csv)
 from glottisim.oscillator import OscillatorConfig
 import oracles
 
@@ -258,6 +259,44 @@ def test_open_phase_count_and_flatness_match_a_sample_loop(name, loud_waveform,
     assert repr(rep.closed_phase_flatness) == repr(flatness)
 
 
+@pytest.mark.parametrize("name", list(PHASE_CASES))
+def test_closure_instant_matches_a_sample_loop(name, loud_waveform, tmp_path):
+    w = PHASE_CASES[name][1](loud_waveform, tmp_path)
+    d = derivative(w)
+    least, k = oracles.closure_instant_ref(d)
+    rep = analyze(w, d)
+    assert repr(rep.max_negative_derivative) == repr(least)
+    assert rep.max_negative_derivative_time_s == w.t0 + k / w.sample_rate_hz
+
+
+@pytest.mark.parametrize("d, want", [
+    # the least sits 1.1e-6 below the first swing and 6e-7 below the second
+    ([0.0, -1.0, 0.0, -1.0000005, 0.0, -1.0000011, 0.0], 3),
+    ([0.0, -1.0000002, 0.0, -1.0000009, 0.0, -1.0000011, 0.0], 1),
+    ([2.0, 3.0, 2.000001, 2.0000021], 0),
+    ([1.0, 0.0, -0.0, 0.0], 1),
+    ([3.0, -np.inf, -1e308, -np.inf], 1),
+])
+def test_closure_instant_is_the_first_swing_near_the_least(d, want):
+    w = make_waveform(np.ones(len(d)))
+    least, k = oracles.closure_instant_ref(d)
+    rep = analyze(w, np.array(d))
+    assert k == want
+    assert rep.max_negative_derivative == least == min(d)
+    assert rep.max_negative_derivative_time_s == k / w.sample_rate_hz
+
+
+@pytest.mark.parametrize("duration", [1.0, 10.0])
+@pytest.mark.parametrize("pressure", [6.5, 7.21, 10.3, 15.0])
+def test_csv_round_trip_gives_the_run_report(pressure, duration, tmp_path):
+    w = simulate(GlottalCircuit.normal_voice(pressure), duration, 44100)
+    d = derivative(w)
+    export_csv(w, d, tmp_path / "w.csv")
+    back, _ = read_waveform_csv(tmp_path / "w.csv")
+    want = format_report(analyze(w, d)).splitlines()
+    assert format_report(analyze(back)).splitlines() == want
+
+
 def test_fully_open_oscillators_leave_thin_closures(loud_waveform):
     # default pulses span the whole period, so closure is only the fall/rise
     # seam; open time dominates
@@ -285,7 +324,7 @@ def test_analyze_of_default_run(loud_waveform):
     assert rep.max_negative_derivative == pytest.approx(-1576.1414273443647,
                                                         rel=1e-9)
     assert rep.max_negative_derivative_time_s == pytest.approx(
-        0.31997732426303854, abs=1e-12)
+        0.03997732426303855, abs=1e-12)
     assert rep.closed_phase_flatness <= 1e-6
     assert rep.pulse_count == 125
 

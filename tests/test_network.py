@@ -1,6 +1,7 @@
 """Series network solve and the quasi-static simulation."""
 import itertools
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -729,3 +730,88 @@ def test_simulate_many_memory_does_not_grow_with_the_circuit_count():
     # the next call, peaked here at 3 700 540 bytes before simulate_many
     # existed: one waveform (1.06 MB) plus one block of solve temporaries
     assert peak <= 3_700_540
+
+
+# -- the trace memo ----------------------------------------------------------
+
+
+def _fresh(circuit, duration, rate, monkeypatch):
+    """simulate of circuit with a trace memo that keeps nothing."""
+    with monkeypatch.context() as m:
+        m.setattr(network, "_trace_memo", None)
+        m.setattr(network, "_TRACE_MEMO_SAMPLES", 0)
+        return simulate(circuit, duration, rate)
+
+
+def test_simulate_shares_the_traces_across_pressures(monkeypatch):
+    monkeypatch.setattr(network, "_trace_memo", None)
+    soft = simulate(GlottalCircuit.normal_voice(7.0), 0.5, 44100)
+    loud = simulate(GlottalCircuit.normal_voice(10.0), 0.5, 44100)
+    assert loud.g_lower is soft.g_lower and loud.g_upper is soft.g_upper
+    for arr in (loud.g_lower, loud.g_upper):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True
+    for p, w in ((7.0, soft), (10.0, loud)):
+        want = _fresh(GlottalCircuit.normal_voice(p), 0.5, 44100, monkeypatch)
+        assert w.g_lower is not want.g_lower
+        for name in ("u_gl", "g_lower", "g_upper"):
+            assert getattr(w, name).tobytes() == getattr(want, name).tobytes()
+
+
+@pytest.mark.parametrize("change, hit", [
+    pytest.param({}, True, id="equal"),
+    pytest.param({"duration_s": 0.02 + 1e-9}, True, id="same-count"),
+    pytest.param({"lower_oscillator": OscillatorConfig(phase_lag_s=-0.0)},
+                 True, id="negative-zero-lag"),
+    pytest.param({"lower_oscillator": OscillatorConfig(pulse_duration_s=0.007)},
+                 False, id="lower-oscillator"),
+    pytest.param({"upper_oscillator": OscillatorConfig(phase_lag_s=0.002)},
+                 False, id="upper-oscillator"),
+    pytest.param({"duration_s": 0.03}, False, id="count"),
+    # 882 samples, as at the base's 0.02 s at 44.1 kHz
+    pytest.param({"duration_s": 882 / 48000, "sample_rate_hz": 48000}, False,
+                 id="rate")])
+def test_trace_memo_hits_only_on_equal_oscillators_and_grid(
+        change, hit, monkeypatch):
+    monkeypatch.setattr(network, "_trace_memo", None)
+    base = RunConfig(duration_s=0.02)
+    first = simulate(base.build_circuit(), base.duration_s, base.sample_rate_hz)
+    cfg = replace(base, **change)
+    w = simulate(cfg.build_circuit(), cfg.duration_s, cfg.sample_rate_hz)
+    assert (w.g_lower is first.g_lower) is hit
+    assert (w.g_upper is first.g_upper) is hit
+    want = _fresh(cfg.build_circuit(), cfg.duration_s, cfg.sample_rate_hz,
+                  monkeypatch)
+    assert w.g_lower.tobytes() == want.g_lower.tobytes()
+    assert w.g_upper.tobytes() == want.g_upper.tobytes()
+
+
+def test_trace_memo_frees_the_pair_it_drops(monkeypatch):
+    monkeypatch.setattr(network, "_trace_memo", None)
+    c = GlottalCircuit.normal_voice()
+    w = simulate(c, 0.02, 44100)
+    refs = [weakref.ref(w.g_lower), weakref.ref(w.g_upper)]
+    simulate(c, 0.03, 44100)  # a miss drops the memo's hold on the pair
+    assert all(ref() is not None for ref in refs)
+    del w
+    assert all(ref() is None for ref in refs)
+
+
+def test_trace_memo_keeps_no_pair_beyond_its_cap(monkeypatch):
+    monkeypatch.setattr(network, "_trace_memo", None)
+    monkeypatch.setattr(network, "_TRACE_MEMO_SAMPLES", 441)
+    c = GlottalCircuit.normal_voice()
+    kept = conductance_traces(c, 0.01, 44100)
+    assert conductance_traces(c, 0.01, 44100) is kept
+    refs = [weakref.ref(g) for g in kept]
+    del kept
+    large = conductance_traces(c, 0.02, 44100)
+    # the kept pair was dropped, and the larger one is not kept
+    assert network._trace_memo is None
+    assert all(ref() is None for ref in refs)
+    again = conductance_traces(c, 0.02, 44100)
+    assert again[0] is not large[0] and again[1] is not large[1]
+    assert again[0].tobytes() == large[0].tobytes()
+    assert again[1].tobytes() == large[1].tobytes()
