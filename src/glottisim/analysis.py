@@ -60,17 +60,29 @@ class AnalysisReport:
 
 
 def derivative(w: GlottalWaveform) -> np.ndarray:
-    """Sampled du_gl/dt: central differences inside, one-sided at the ends."""
+    """Sampled du_gl/dt: central differences inside, one-sided at the ends.
+
+    Raises ModelDomainError where a difference times the rate exceeds the
+    float range, which takes a peak flow above float max / rate; simulate
+    rejects such circuits up front, but a waveform read from a file can
+    hold one.
+    """
     u = w.u_gl
     if len(u) < MIN_DERIVATIVE_SAMPLES:
         raise ModelDomainError(f"derivative needs at least "
                                f"{MIN_DERIVATIVE_SAMPLES} samples, got {len(u)}")
     rate = float(w.sample_rate_hz)
     d = np.empty_like(u)
-    np.subtract(u[2:], u[:-2], out=d[1:-1])
-    d[1:-1] *= rate / 2.0
-    d[0] = (u[1] - u[0]) * rate
-    d[-1] = (u[-1] - u[-2]) * rate
+    try:
+        with np.errstate(over="raise"):
+            np.subtract(u[2:], u[:-2], out=d[1:-1])
+            d[1:-1] *= rate / 2.0
+            d[0] = (u[1] - u[0]) * rate
+            d[-1] = (u[-1] - u[-2]) * rate
+    except FloatingPointError:
+        raise ModelDomainError(
+            f"the flow derivative exceeds the float range: a peak flow of "
+            f"{float(u.max())!r} at {w.sample_rate_hz} Hz") from None
     return d
 
 

@@ -99,7 +99,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     first = replace(cfg, pressure_cmh2o=pressures[0])
     validate_config(first)
     circuit = first.build_circuit()
-    drives = [check_drive(circuit, p) for p in pressures]
+    drives = [check_drive(circuit, p, cfg.sample_rate_hz) for p in pressures]
 
     # Each waveform is dropped once its summary line is formatted.
     lines = [",".join(SWEEP_COLUMNS)]

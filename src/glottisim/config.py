@@ -161,18 +161,20 @@ def validate_config(cfg: RunConfig) -> None:
     for key, kind in _GAIN_KEYS.items():
         with _named(f"elements.{key}"):
             ResistorElement(kind, getattr(cfg, key))
-    check_drive(cfg.build_circuit(), cfg.pressure_cmh2o)
+    check_drive(cfg.build_circuit(), cfg.pressure_cmh2o, rate)
 
 
-def check_drive(circuit: GlottalCircuit, pressure_cmh2o: float) -> DcVoltage:
+def check_drive(circuit: GlottalCircuit, pressure_cmh2o: float,
+                sample_rate_hz: int) -> DcVoltage:
     """The drive of pressure_cmh2o, after the two checks of validate_config
     that depend on the pressure: the pressure itself, and the flow of
-    circuit at full bias at that drive.  A sweep runs validate_config once
-    and this at every point."""
+    circuit at full bias at that drive, against the float range over
+    sample_rate_hz.  A sweep runs validate_config once and this at every
+    point."""
     with _named("pressure.cmh2o"):
         drive = pressure_to_voltage(PressureCmH2O(pressure_cmh2o))
     with _named(f"elements: at pressure.cmh2o = {pressure_cmh2o!r}"):
-        _check_flow_range(replace(circuit, drive=drive))
+        _check_flow_range(replace(circuit, drive=drive), sample_rate_hz)
     return drive
 
 

@@ -118,8 +118,12 @@ _MAX_SOLVER_STEPS = 200
 # entries are independent, so the result does not depend on it, and the
 # temporaries stay at a few MB however long the record is.
 _SOLVE_BLOCK = 16384
-# A current I = s * s is finite while s <= _SQRT_MAX.
-_SQRT_MAX = math.sqrt(sys.float_info.max)
+# A record longer than this many samples starts each flow solve from a root
+# table built once per drive (see _root_table); a shorter one from x_q,
+# where the table would cost more than it saves.
+_ROOT_TABLE_SAMPLES = 4 * _SOLVE_BLOCK
+# The root table has this many intervals per unit of its z in [0, 2].
+_ROOT_TABLE_STEPS = 1024
 # The most float64 samples whose byte count numpy can index.
 _MAX_SAMPLES = np.iinfo(np.intp).max // 8
 # conductance_traces keeps a pair of at most this many samples per trace: 64
@@ -212,8 +216,9 @@ class GlottalWaveform:
             raise ModelDomainError(f"t0 must be finite, got {self.t0!r}")
         if np.any(self.u_gl < 0.0):
             raise ModelDomainError("glottal flow is unipolar; u_gl must be >= 0")
-        closed = (self.g_lower == 0.0) | (self.g_upper == 0.0)
-        if np.any(self.u_gl[closed] != 0.0):
+        closed = self.g_lower == 0.0
+        closed |= self.g_upper == 0.0
+        if self.u_gl[closed].any():
             raise ModelDomainError("flow must vanish wherever a fold bias is zero")
 
     def __len__(self) -> int:
@@ -238,8 +243,9 @@ def _fold_coefficients(elements, least) -> dict:
 
 
 def _quartic(folds):
-    """sigma = min_k rho_k and the coefficients (b4, b2, b1) of the
-    normalized voltage balance g(x) (see the module docstring).
+    """sigma = min_k rho_k, the coefficients (b4, b2, b1) of the
+    normalized voltage balance g(x) (see the module docstring) and the t_f
+    of each fold.
 
     Each fold is (root, [(kind, kappa), ...]): its elements share one bias,
     root is its square root, and element k has rho_k = root * kappa_k.  So a
@@ -253,54 +259,120 @@ def _quartic(folds):
         least = [min(kappa for _, kappa in elements) for _, elements in folds]
         rhos = [root * k for (root, _), k in zip(folds, least)]
         sigma = functools.reduce(np.minimum, rhos)
-        b = {}
-        for (_, elements), rho, k in zip(folds, rhos, least):
-            coefficients = _fold_coefficients(elements, k)
-            t = np.fmin(sigma / rho, 1.0)
-            powers = {1.0: t}
-            top = max(coefficients)
-            if top > 1.0:
-                powers[2.0] = t * t
-            if top > 2.0:
-                powers[4.0] = powers[2.0] * powers[2.0]
-            for p, c in coefficients.items():
-                term = powers[p] if c == 1.0 else c * powers[p]
-                b[p] = b[p] + term if p in b else term
-    return sigma, b.get(4.0, 0.0), b.get(2.0, 0.0), b.get(1.0, 0.0)
+        t = [np.fmin(sigma / rho, 1.0) for rho in rhos]
+    coefficients = [_fold_coefficients(elements, k)
+                    for (_, elements), k in zip(folds, least)]
+    return (sigma, *_powers(coefficients, t), t)
 
 
-def _series_root(folds, v):
-    """Square root s = sqrt(I) of the series current at drive v > 0, for the
-    folds of _quartic over 1-D bias roots: the normalized quartic Halley
-    kernel.
+def _powers(coefficients, t):
+    """(b4, b2, b1): b_p = sum over folds of C_p * t_f**p, for the C_p of
+    _fold_coefficients of each fold and its t_f."""
+    b = {}
+    for c_f, t_f in zip(coefficients, t):
+        powers = {1.0: t_f}
+        top = max(c_f)
+        if top > 1.0:
+            powers[2.0] = t_f * t_f
+        if top > 2.0:
+            powers[4.0] = powers[2.0] * powers[2.0]
+        for p, c in c_f.items():
+            term = powers[p] if c == 1.0 else c * powers[p]
+            b[p] = b[p] + term if p in b else term
+    return b.get(4.0, 0.0), b.get(2.0, 0.0), b.get(1.0, 0.0)
 
-    The coefficients of g come from _quartic, in which elements of one law
-    fold into one b_p; g, g' and g'' / 2 are evaluated by Horner into
-    buffers allocated once per call.  The root lies in [1 / n, 1] for n
-    elements, and a rho_k beyond the float range only adds 0 to its b_p.
-    The start x_q and the Halley step are set out in the module docstring.
-    While no entry has converged, which at voice pressures is every batch's
-    first step, x takes the step in place; after that converged entries are
-    frozen in place rather than removed, which gives the same bits.  The
-    loop uses only correctly rounded operations, so each result depends on
-    that entry's own inputs only, whatever the batch.  s comes out as inf,
-    without a warning, where sigma is beyond the float range.  The stopping
-    test |g| <= 1e-12 * max(v, 1) / v is the voltage residual within
-    1e-12 * max(v, 1).  A SolverError gives the batch index of the first
-    entry that failed and how many failed.
+
+def _table_start(table, t):
+    """The start x read from a root table of _root_table at
+    z = t_lower - t_upper + 1 (see there), clipped to [1 / 4, 1], where
+    the root lies."""
+    u = np.subtract(t[0], t[1])
+    u += 1.0
+    u *= _ROOT_TABLE_STEPS
+    i = np.floor(u)
+    u -= i
+    # each entry's interval: its four coefficients in one gather
+    c = table.take(i.astype(np.intp), axis=0, mode="clip")
+    x = np.multiply(c[:, 3], u, out=i)
+    for k in (2, 1):
+        x += c[:, k]
+        x *= u
+    x += c[:, 0]
+    return np.clip(x, 0.25, 1.0, out=x)
+
+
+def _root_table(circuit: GlottalCircuit) -> np.ndarray:
+    """The start table of the flow solve at circuit's drive v > 0: a row
+    per interval of 1 / _ROOT_TABLE_STEPS of [0, 2] that holds the cubic
+    coefficients, in increasing power, of the root x over z.
+
+    In the two folds, the fold that holds sigma has t = 1, so the root is
+    a function of z = t_lower - t_upper + 1 alone: t_lower = z on [0, 1]
+    and t_upper = 2 - z on [1, 2], with a kink at the node z = 1.  The
+    nodes are solved by the kernel from x_q and then taken one Newton step
+    past its tolerance, and each interval is the cubic Hermite interpolant
+    of its end nodes and their one-sided slopes dx/dz = -(dg/dz) / g'.  A
+    last interval of width 0 holds the node z = 2.  With g written as
+    sum_f phi_f(t_f * x) - 1, phi_f(w) = sum_p C_f,p * w**p, the partials
+    are dg/dt_f = x * phi_f'(t_f * x) and g' = sum_f t_f * phi_f'(t_f * x).
     """
-    sigma, b4, b2, b1 = _quartic(folds)
+    v = circuit.drive.value
+    n = _ROOT_TABLE_STEPS
+    z = np.arange(2 * n + 1) / n
+    t = [np.minimum(z, 1.0), np.minimum(2.0 - z, 1.0)]
+    coefficients = [_fold_coefficients(elements, min(k for _, k in elements))
+                    for elements in _fold_elements(circuit)]
+    b4, b2, b1 = _powers(coefficients, t)
+    x = _halley(b4, b2, b1, v, z)
+    g, dg, dt = -1.0, 0.0, []
+    for c_f, t_f in zip(coefficients, t):
+        w = t_f * x
+        g = g + sum(c * w ** p for p, c in c_f.items())
+        d = sum(p * c * w ** (p - 1.0) for p, c in c_f.items())
+        dg = dg + t_f * d
+        dt.append(x * d)
+    x -= g / dg
+    # the slopes in units of one interval: z rises with t_lower on the left
+    # half and falls with t_upper on the right one
+    left, right = -dt[0] / (dg * n), dt[1] / (dg * n)
+    m0 = np.concatenate((left[:n], right[n:-1]))
+    m1 = np.concatenate((left[1:n + 1], right[n + 1:]))
+    step = np.diff(x)
+    table = np.zeros((2 * n + 1, 4))
+    table[:, 0] = x
+    table[:-1, 1] = m0
+    table[:-1, 2] = 3.0 * step - 2.0 * m0 - m1
+    table[:-1, 3] = m0 + m1 - 2.0 * step
+    return table
+
+
+def _halley(b4, b2, b1, v, like, x=None):
+    """The normalized root x of g for coefficients (b4, b2, b1) at drive
+    v > 0, shaped like like, by Halley steps in place from the start x, or
+    from x_q where x is None (see the module docstring).
+
+    g, g' and g'' / 2 are evaluated by Horner into buffers allocated once
+    per call.  While no entry has converged, x takes the step in place;
+    after that converged entries are frozen in place rather than removed,
+    which gives the same bits.  The loop uses only correctly rounded
+    operations, so each result depends on that entry's own inputs only,
+    whatever the batch.  The stopping test |g| <= 1e-12 * max(v, 1) / v is
+    the voltage residual within 1e-12 * max(v, 1).  A SolverError gives the
+    batch index of the first entry that failed and how many failed.
+    """
     d4, d2, d6 = 4.0 * b4, 2.0 * b2, 6.0 * b4
     tol = _RESIDUAL_RTOL * max(v, 1.0) / v
-    x, y, g, dg, h = (np.empty_like(sigma) for _ in range(5))
-    done, todo = np.empty(len(x), bool), np.empty(len(x), bool)
-    # x_q = sqrt(z_q), z_q = 2 / (B + sqrt(B**2 + 4 * b4)), B = b2 + b1
-    np.add(b2, b1, out=h)
-    np.multiply(h, h, out=y)
-    y += d4
-    np.sqrt(y, out=y)
-    y += h
-    np.sqrt(np.divide(2.0, y, out=x), out=x)
+    y, g, dg, h = (np.empty_like(like) for _ in range(4))
+    done, todo = np.empty(len(y), bool), np.empty(len(y), bool)
+    if x is None:
+        # x_q = sqrt(z_q), z_q = 2 / (B + sqrt(B**2 + 4 * b4)), B = b2 + b1
+        x = np.empty_like(like)
+        np.add(b2, b1, out=h)
+        np.multiply(h, h, out=y)
+        y += d4
+        np.sqrt(y, out=y)
+        y += h
+        np.sqrt(np.divide(2.0, y, out=x), out=x)
     for _ in range(_MAX_SOLVER_STEPS):
         np.multiply(x, x, out=y)
         np.multiply(b4, y, out=g)
@@ -310,7 +382,7 @@ def _series_root(folds, v):
         g -= 1.0
         np.less_equal(np.abs(g, out=dg), tol, out=done)
         if done.all():
-            return np.multiply(sigma, x, out=x)
+            return x
         # g' = (4 b4 y + 2 b2) x + b1 and g * g'' / 2 = g (6 b4 y + b2)
         np.multiply(d4, y, out=dg)
         dg += d2
@@ -335,6 +407,24 @@ def _series_root(folds, v):
         f"series current solve did not converge in {_MAX_SOLVER_STEPS} steps "
         f"for {failed} of {len(done)} entries (residual {residual!r} V)",
         residual=residual, index=k, failed=failed)
+
+
+def _series_root(folds, v, table=None):
+    """Square root s = sqrt(I) of the series current at drive v > 0, for the
+    folds of _quartic over 1-D bias roots: the normalized quartic Halley
+    kernel.
+
+    The coefficients of g come from _quartic, in which elements of one law
+    fold into one b_p.  The root lies in [1 / n, 1] for n elements, and a
+    rho_k beyond the float range only adds 0 to its b_p.  The steps start
+    from x_q, or, given the root table of a two-fold circuit at drive v,
+    from the table (see _root_table).  s comes out as inf, without a
+    warning, where sigma is beyond the float range.
+    """
+    sigma, b4, b2, b1, t = _quartic(folds)
+    x = _halley(b4, b2, b1, v, sigma,
+                None if table is None else _table_start(table, t))
+    return np.multiply(sigma, x, out=x)
 
 
 def solve_series_current(elements, v_drive: float) -> float:
@@ -451,31 +541,40 @@ def _series_elements(circuit: GlottalCircuit) -> tuple[ResistorElement, ...]:
             circuit.upper.linear, circuit.upper.nonlinear)
 
 
-def _folds(circuit: GlottalCircuit, roots) -> list:
-    """The folds of _quartic for circuit, with bias roots (lower, upper) and
+def _fold_elements(circuit: GlottalCircuit) -> list:
+    """[(kind, kappa), ...] of the lower and the upper fold of circuit, with
     kappa_k = sqrt(gain_k) * v**(q_k / 2) at its drive v."""
     v = circuit.drive.value
-    return [(root, [(e.kind, math.sqrt(e.gain) * v ** (0.5 * e.kind.exponent))
-                    for e in (fold.linear, fold.nonlinear)])
-            for root, fold in zip(roots, (circuit.lower, circuit.upper))]
+    return [[(e.kind, math.sqrt(e.gain) * v ** (0.5 * e.kind.exponent))
+             for e in (fold.linear, fold.nonlinear)]
+            for fold in (circuit.lower, circuit.upper)]
 
 
-def _check_flow_range(circuit: GlottalCircuit) -> None:
+def _folds(circuit: GlottalCircuit, roots) -> list:
+    """The folds of _quartic for circuit, with bias roots (lower, upper)."""
+    return list(zip(roots, _fold_elements(circuit)))
+
+
+def _check_flow_range(circuit: GlottalCircuit, rate: int) -> None:
     """Raise ModelDomainError if the flow at full bias, the most the circuit
-    can carry, exceeds the float range.
+    can carry, exceeds float max / rate, beyond which the flow derivative
+    (a difference of flows times the rate) can overflow.
 
-    The flow (sigma * x)**2 overflows when x exceeds x_c = _SQRT_MAX / sigma,
-    and since g increases, that is when g(x_c) < 0; so no solve is needed.
+    That flow (sigma * x)**2 exceeds the bound when x exceeds
+    x_c = sqrt(float max / rate) / sigma, and since g increases, that is
+    when g(x_c) < 0; so no solve is needed.
     """
     full = np.float64(1.0)
     sigma, b4, b2, b1 = (float(a) for a in _quartic(
-        _folds(circuit, (full, full))))
-    if sigma > _SQRT_MAX:
-        x = _SQRT_MAX / sigma
+        _folds(circuit, (full, full)))[:4])
+    top = math.sqrt(sys.float_info.max / rate)
+    if sigma > top:
+        x = top / sigma
         if (b4 * x * x + b2) * x * x + b1 * x < 1.0:
             raise ModelDomainError(
-                f"the flow at full bias exceeds the float range (drive "
-                f"{circuit.drive.value!r} V, gains "
+                f"the flow at full bias exceeds the float range over the "
+                f"sample rate of {rate} Hz, where its derivative overflows "
+                f"(drive {circuit.drive.value!r} V, gains "
                 f"{tuple(e.gain for e in _series_elements(circuit))!r})")
 
 
@@ -524,18 +623,26 @@ def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
     if not (drive > 0.0
             and min(e.gain for e in _series_elements(circuit)) > 0.0):
         return np.zeros(len(g_lower))
+    table = (_root_table(circuit) if len(g_lower) > _ROOT_TABLE_SAMPLES
+             else None)
+
+    def solve(roots):
+        folds = _folds(circuit, roots)
+        if table is None:
+            return _series_root(folds, drive)
+        return _series_root(folds, drive, table)
+
     if pairs is not None:
         root_lower, root_upper, slot = pairs
-        table = np.zeros(len(root_lower) + 1)
+        flows = np.zeros(len(root_lower) + 1)
         try:
             for start in range(0, len(root_lower), _SOLVE_BLOCK):
-                roots = (root_lower[start:start + _SOLVE_BLOCK],
-                         root_upper[start:start + _SOLVE_BLOCK])
-                s = _series_root(_folds(circuit, roots), drive)
-                np.multiply(s, s, out=table[1 + start:1 + start + len(s)])
+                s = solve((root_lower[start:start + _SOLVE_BLOCK],
+                           root_upper[start:start + _SOLVE_BLOCK]))
+                np.multiply(s, s, out=flows[1 + start:1 + start + len(s)])
         except SolverError:
             return _solve_flow(circuit, g_lower, g_upper, rate)
-        return np.take(table, slot)
+        return np.take(flows, slot)
     u = np.zeros(len(g_lower))
     for start in range(0, len(u), _SOLVE_BLOCK):
         gl = g_lower[start:start + _SOLVE_BLOCK]
@@ -545,8 +652,7 @@ def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
         if not is_open:
             gl, gu = gl[active], gu[active]
         try:
-            s = _series_root(_folds(circuit, (np.sqrt(gl), np.sqrt(gu))),
-                             drive)
+            s = solve((np.sqrt(gl), np.sqrt(gu)))
         except SolverError as exc:
             # Map the failing solve entry back to its sample time.
             k = start + (exc.index if is_open
@@ -584,7 +690,7 @@ def simulate_many(circuit: GlottalCircuit, drives: Iterable[DcVoltage],
     _, rate = _check_grid(duration_s, sample_rate_hz)
     circuits = [replace(circuit, drive=d) for d in drives]
     for c in circuits:
-        _check_flow_range(c)
+        _check_flow_range(c, rate)
     if not circuits:
         return
     g_lower, g_upper = conductance_traces(circuit, duration_s, rate)

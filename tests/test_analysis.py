@@ -61,6 +61,22 @@ def test_derivative_needs_three_samples():
         derivative(make_waveform([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("u", [
+    pytest.param([0.0, 1e308, 0.0, 0.0], id="inside"),
+    pytest.param([1e308, 0.0, 0.0, 0.0], id="first"),
+    pytest.param([0.0, 0.0, 0.0, 1e308], id="last")])
+def test_derivative_beyond_the_float_range_is_a_domain_error(u, tmp_path):
+    # a flow read back from a file, whose swing times 44.1 kHz overflows
+    path = tmp_path / "w.csv"
+    path.write_text("time_s,u_gl,du_gl_dt,g_lower,g_upper\n" + "".join(
+        f"{k / 44100!r},{x!r},0,1,1\n" for k, x in enumerate(u)))
+    w, _ = read_waveform_csv(path)
+    with pytest.raises(ModelDomainError, match="float range"):
+        derivative(w)
+    # the same flow at its peak throughout has a derivative of 0
+    assert not derivative(make_waveform(np.full(4, 1e308))).any()
+
+
 def test_derivative_is_linear():
     rng = np.random.default_rng(7)
     a = rng.uniform(0.0, 1.0, 200)

@@ -232,6 +232,16 @@ def test_analyze_csv_with_a_tiny_time_span_exits_2(tmp_path, capsys):
     assert "sample_rate_hz" in err
 
 
+def test_analyze_csv_whose_derivative_overflows_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("time_s,u_gl,du_gl_dt,g_lower,g_upper\n"
+                    "0,0,0,1,1\n2.2675736961451248e-05,1e308,0,1,1\n"
+                    "4.5351473922902495e-05,0,0,1,1\n")
+    rc, _, err = run(capsys, "analyze", "--csv", str(path))
+    assert rc == 2
+    assert "float range" in err
+
+
 def test_analyze_non_ascii_csv_exits_2(tmp_path):
     # a UTF-8 byte-order mark in the header is bad input, not a crash
     path = tmp_path / "bom.csv"

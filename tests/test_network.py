@@ -3,6 +3,7 @@ import itertools
 import tracemalloc
 import weakref
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from glottisim import (
     RunConfig,
     SolverError,
     conductance_traces,
+    derivative,
     pressure_to_voltage,
     simulate,
     simulate_many,
@@ -395,6 +397,28 @@ def test_flows_beyond_the_float_range_are_rejected_up_front(
         simulate(cfg.build_circuit(), 0.01, 44100)
 
 
+def test_flows_whose_derivative_overflows_are_rejected_up_front(monkeypatch):
+    # all gains at 1e300 and 4.1e16 cmH2O give a peak flow of 1.79e308,
+    # inside the float range, but that flow times 44 100 Hz is not
+    cfg = RunConfig(pressure_cmh2o=4.1e16, duration_s=0.01,
+                    **dict.fromkeys(GAIN_NAMES, 1e300))
+    with pytest.raises(ConfigError, match="elements: .*sample rate"):
+        validate_config(cfg)
+
+    def no_solve(*args):
+        raise AssertionError("solved a circuit that should be rejected")
+    with monkeypatch.context() as m:
+        m.setattr(network, "_series_root", no_solve)
+        with pytest.raises(ModelDomainError, match="sample rate"):
+            simulate(cfg.build_circuit(), 0.01, 44100)
+    # 1e-10 of that pressure gives 1e-5 of that flow, which passes, and
+    # its derivative is finite
+    cfg = replace(cfg, pressure_cmh2o=4.1e6)
+    validate_config(cfg)
+    w = simulate(cfg.build_circuit(), 0.01, 44100)
+    assert 1e303 < w.u_gl.max() and np.isfinite(derivative(w)).all()
+
+
 _GAINS = st.one_of(st.just(0.0),
                    st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e))
 _PRESSURES = st.one_of(st.floats(0.0, 20.0),
@@ -406,6 +430,19 @@ _PRESSURES = st.one_of(st.floats(0.0, 20.0),
 @example(gains=(1.0, 1e300, 1.0, 1.0), pressure=1e300)
 @example(gains=(1e300, 1e300, 1e300, 1.0), pressure=1e200)
 def test_accepted_domain_gives_a_balanced_flow(gains, pressure):
+    _assert_accepted_or_rejected(gains, pressure)
+
+
+@given(gains=st.tuples(_GAINS, _GAINS, _GAINS, _GAINS), pressure=_PRESSURES)
+@example(gains=(1.0, 1e300, 1.0, 1.0), pressure=1e300)
+@example(gains=(1e300, 1e300, 1e300, 1.0), pressure=1e200)
+def test_accepted_domain_gives_a_balanced_flow_from_the_root_table(
+        gains, pressure):
+    with mock.patch.object(network, "_ROOT_TABLE_SAMPLES", 0):
+        _assert_accepted_or_rejected(gains, pressure)
+
+
+def _assert_accepted_or_rejected(gains, pressure):
     # every input either yields a finite, balanced flow or is rejected up
     # front by both the config and simulate; SolverError and warnings fail
     cfg = RunConfig(pressure_cmh2o=pressure, duration_s=0.01,
@@ -730,6 +767,85 @@ def test_simulate_many_memory_does_not_grow_with_the_circuit_count():
     # the next call, peaked here at 3 700 540 bytes before simulate_many
     # existed: one waveform (1.06 MB) plus one block of solve temporaries
     assert peak <= 3_700_540
+
+
+# -- the root table ----------------------------------------------------------
+
+
+def _table_builds(monkeypatch, limit=0):
+    """Have records longer than limit samples take the root table, build
+    each table at the step cap it was given whatever cap the entries get
+    later, and return the list of the drives a table was built for."""
+    monkeypatch.setattr(network, "_ROOT_TABLE_SAMPLES", limit)
+    build, cap, drives = network._root_table, network._MAX_SOLVER_STEPS, []
+
+    def at_full_cap(circuit):
+        drives.append(circuit.drive.value)
+        with monkeypatch.context() as m:
+            m.setattr(network, "_MAX_SOLVER_STEPS", cap)
+            return build(circuit)
+    monkeypatch.setattr(network, "_root_table", at_full_cap)
+    return drives
+
+
+def test_root_table_starts_need_no_step_from_6_to_100_cmh2o(monkeypatch):
+    # a cap of 1 passes only where every entry meets the tolerance at its
+    # start, with 0 steps: on 0.1 s records at every 0.01 cmH2O from 6 to
+    # 16 and at 400 drives from 16 to 100 cmH2O
+    drives = _table_builds(monkeypatch)
+    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 1)
+    pressures = [k / 100 for k in range(600, 1601)]
+    pressures += np.linspace(16.0, 100.0, 400).tolist()
+    waveforms = simulate_many(GlottalCircuit.normal_voice(),
+                              _drives(pressures), 0.1, 44100)
+    assert sum(bool(w.u_gl.any()) for w in waveforms) == 1401
+    assert len(drives) == 1401
+
+
+@pytest.mark.parametrize("circuit", [
+    pytest.param(GlottalCircuit.normal_voice(), id="normal"),
+    pytest.param(RunConfig(upper_linear_gain=0.0).build_circuit(),
+                 id="zero-gain"),
+    pytest.param(TWO_MS_PULSES, id="2ms-pulses")])
+def test_simulate_many_is_bitwise_simulate_from_the_root_table(
+        monkeypatch, circuit):
+    tables = _table_builds(monkeypatch)
+    drives = _drives((0.0, 6.0, 10.0, 15.0))
+    waveforms = list(simulate_many(circuit, drives, 16385 / 44100, 44100))
+    for d, w in zip(drives, waveforms):
+        want = simulate(replace(circuit, drive=d), 16385 / 44100, 44100)
+        assert w.u_gl.tobytes() == want.u_gl.tobytes()
+    # one table per flowing drive on each side; 0 V and an open element
+    # carry no flow and need none
+    assert len(tables) == (6 if circuit.upper.linear.gain > 0.0 else 0)
+
+
+def test_solve_blocks_do_not_change_the_flow_from_the_root_table(
+        monkeypatch):
+    _table_builds(monkeypatch)
+    cases = [(c, simulate(c, 1.0, 44100))
+             for c in (GlottalCircuit.normal_voice(10.0), TWO_MS_PULSES)]
+    for block in (1000, 16384, 44101):
+        monkeypatch.setattr(network, "_SOLVE_BLOCK", block)
+        for circuit, want in cases:
+            assert np.array_equal(simulate(circuit, 1.0, 44100).u_gl,
+                                  want.u_gl)
+
+
+def test_only_records_beyond_the_limit_start_from_the_root_table(
+        monkeypatch, loud_waveform):
+    # at the limit a record keeps the x_q start and its bits; one sample
+    # more builds a table, and its flows stay within 1e-11 of x_q's
+    c = GlottalCircuit.normal_voice(10.0)
+    tables = _table_builds(monkeypatch, 44100)
+    assert simulate(c, 1.0, 44100).u_gl.tobytes() == \
+        loud_waveform.u_gl.tobytes()
+    assert tables == []
+    w = simulate(c, 44101 / 44100, 44100)
+    assert tables == [c.drive.value]
+    assert w.u_gl[:44100].tobytes() != loud_waveform.u_gl.tobytes()
+    np.testing.assert_allclose(w.u_gl[:44100], loud_waveform.u_gl,
+                               rtol=1e-11, atol=0.0)
 
 
 # -- the trace memo ----------------------------------------------------------
