@@ -49,10 +49,26 @@ is the positive root of b4 * z**2 + B * z - 1.  Proved:
 Not proved are a step count and that every iterate stays in x > 0.  Unlike
 Newton from above, a Halley step may overshoot below the root (where b1
 dominates and b2 is near 0), and the next step comes back up.  The tests
-back both: no entry takes more than 3 steps from 6 to 100 cmH2O, and more
-than 2 only from about 6.67 to 7.77 cmH2O, nor more than 3 at the corners of
-the coefficient domain, with gains from 1e-300 to 1e300, or in the property
-test over every accepted input.
+back both: from x_q no entry takes more than 3 steps from 6 to 100 cmH2O,
+and more than 2 only from about 6.67 to 7.77 cmH2O, nor more than 3 at the
+corners of the coefficient domain, with gains from 1e-300 to 1e300, or in
+the property test over every accepted input.
+
+A record longer than _ROOT_TABLE_SAMPLES (65 536) samples starts its entries
+instead from a root table built once per drive (see _root_table).  In the
+two folds of the circuit, the fold that holds sigma has t_f = 1, so the root
+is a function of z = t_lower - t_upper + 1 in [0, 2] alone, and a cubic
+Hermite table of 2 * 1024 intervals with a node at the kink z = 1 starts
+every entry within 0.09 of the tolerance at unit gains from 6 to 100 cmH2O:
+the residual check passes there at once, with 0 steps, which a dense-grid
+test pins, and so it does at the gain corners (1e-300, 1 and 1e300 at 6, 15,
+1e3 and 1e100 cmH2O).  The start is clipped to [1 / 4, 1], where the root
+lies, and the check, the step loop and its cap are those of x_q, so an entry
+the table does not start close enough still takes Halley steps.  The table
+moves flows in their last digits, by at most 2e-12 relative from 6 to 100
+cmH2O.  Shorter records keep x_q and their bits, because the table's set-up
+of about 0.35 ms costs more than it saves below about two solve blocks, and
+so do solve_series_current and the table's own nodes.
 
 Both elements of a fold share its bias g_f, so c_k = gain_k * g_f and
 rho_k = sqrt(g_f) * kappa_k, where kappa_k = sqrt(gain_k) * v**(q_k / 2) is
@@ -611,9 +627,11 @@ def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
     """The flow of circuit over full-record bias traces; a SolverError names
     the earliest sample time that failed.
 
-    Without pairs, the record is solved one block of samples at a time: a
-    block whose samples are all open is solved as it stands, and any other
-    block's open samples are gathered first and scattered back.  With
+    A record longer than _ROOT_TABLE_SAMPLES starts every solve from one
+    root table built here.  Without pairs, the record is solved one block
+    of samples at a time: a block whose samples are all open is solved as
+    it stands, and any other block's open samples are gathered first and
+    scattered back.  With
     pairs = _distinct_pairs(g_lower, g_upper), each distinct pair is
     solved once, one block of pairs at a time, and np.take spreads the flows
     over the record.  A failure there is solved again block by block, which
@@ -685,7 +703,7 @@ def simulate_many(circuit: GlottalCircuit, drives: Iterable[DcVoltage],
     is built, so memory does not grow with the number of drives.  On the
     first next(), before any trace is formed, the grid and every drive are
     checked: ModelDomainError is raised for a negative drive, or when a flow
-    at full bias exceeds the float range.
+    at full bias exceeds float max / rate.
     """
     _, rate = _check_grid(duration_s, sample_rate_hz)
     circuits = [replace(circuit, drive=d) for d in drives]
@@ -711,9 +729,11 @@ def simulate(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURATION_S,
     samples at a time, so the temporaries stay at one block however long the
     record is.  The waveform's trace arrays are read-only, and a later call
     with equal oscillators and grid shares them (see conductance_traces).
-    Output is deterministic: identical inputs give bit-identical arrays.
-    Raises ModelDomainError up front when the flow at full bias exceeds the
-    float range.
+    A record longer than 65 536 samples starts the solve from a root table
+    built once per drive (see the module docstring).  Output is
+    deterministic: identical inputs give bit-identical arrays.  Raises
+    ModelDomainError up front when the flow at full bias exceeds float max
+    / rate, beyond which its derivative overflows.
     """
     return next(simulate_many(circuit, (circuit.drive,), duration_s,
                               sample_rate_hz))

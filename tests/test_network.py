@@ -429,6 +429,8 @@ _PRESSURES = st.one_of(st.floats(0.0, 20.0),
 # an overflowing start bound and a solve that did not converge, seen before
 @example(gains=(1.0, 1e300, 1.0, 1.0), pressure=1e300)
 @example(gains=(1e300, 1e300, 1e300, 1.0), pressure=1e200)
+# a flow inside the float range whose derivative overflows, seen before
+@example(gains=(1e300, 1e300, 1e300, 1e300), pressure=4.1e16)
 def test_accepted_domain_gives_a_balanced_flow(gains, pressure):
     _assert_accepted_or_rejected(gains, pressure)
 
@@ -436,6 +438,8 @@ def test_accepted_domain_gives_a_balanced_flow(gains, pressure):
 @given(gains=st.tuples(_GAINS, _GAINS, _GAINS, _GAINS), pressure=_PRESSURES)
 @example(gains=(1.0, 1e300, 1.0, 1.0), pressure=1e300)
 @example(gains=(1e300, 1e300, 1e300, 1.0), pressure=1e200)
+# a flow inside the float range whose derivative overflows, seen before
+@example(gains=(1e300, 1e300, 1e300, 1e300), pressure=4.1e16)
 def test_accepted_domain_gives_a_balanced_flow_from_the_root_table(
         gains, pressure):
     with mock.patch.object(network, "_ROOT_TABLE_SAMPLES", 0):
@@ -443,8 +447,9 @@ def test_accepted_domain_gives_a_balanced_flow_from_the_root_table(
 
 
 def _assert_accepted_or_rejected(gains, pressure):
-    # every input either yields a finite, balanced flow or is rejected up
-    # front by both the config and simulate; SolverError and warnings fail
+    # every input either yields a finite, balanced flow with a finite
+    # derivative or is rejected up front by both the config and simulate;
+    # SolverError and warnings fail
     cfg = RunConfig(pressure_cmh2o=pressure, duration_s=0.01,
                     **dict(zip(GAIN_NAMES, gains)))
     try:
@@ -459,6 +464,7 @@ def _assert_accepted_or_rejected(gains, pressure):
         assert not w.u_gl.any()
     else:
         _assert_voltage_balance(c, w, gains)
+    assert np.isfinite(derivative(w)).all()
 
 
 def _assert_voltage_balance(c, w, gains):
@@ -800,6 +806,22 @@ def test_root_table_starts_need_no_step_from_6_to_100_cmh2o(monkeypatch):
                               _drives(pressures), 0.1, 44100)
     assert sum(bool(w.u_gl.any()) for w in waveforms) == 1401
     assert len(drives) == 1401
+
+
+@pytest.mark.parametrize("pressure", [6.0, 15.0, 1e3, 1e100])
+def test_root_table_starts_need_no_step_at_the_gain_corners(monkeypatch,
+                                                           pressure):
+    _table_builds(monkeypatch)
+    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 1)
+    for gains in itertools.product((1e-300, 1.0, 1e300), repeat=4):
+        cfg = RunConfig(pressure_cmh2o=pressure, duration_s=0.01,
+                        **dict(zip(GAIN_NAMES, gains)))
+        try:
+            validate_config(cfg)
+        except ConfigError:
+            continue
+        c = cfg.build_circuit()
+        _assert_voltage_balance(c, simulate(c, 0.01, 44100), gains)
 
 
 @pytest.mark.parametrize("circuit", [
