@@ -88,12 +88,18 @@ def derivative(w: GlottalWaveform) -> np.ndarray:
 
 def pulse_peaks(w: GlottalWaveform) -> np.ndarray:
     """Sample indices of flow pulse peaks (may be empty)."""
-    u = w.u_gl
-    peak = float(u.max(initial=0.0))
+    return _pulse_peaks(w, float(w.u_gl.max()))
+
+
+def _pulse_peaks(w: GlottalWaveform, peak: float) -> np.ndarray:
+    """pulse_peaks of w, whose flow peaks at peak."""
     if peak <= 0.0:
         return np.empty(0, dtype=int)
-    spacing = max(1, round(MIN_PEAK_SPACING_S * w.sample_rate_hz))
-    return _find_peaks(u, PEAK_HEIGHT_FRACTION * peak, spacing)
+    # peaks lie inside the record, so a spacing of its length already
+    # merges them all, and a longer one could overflow the index type
+    spacing = min(max(1, round(MIN_PEAK_SPACING_S * w.sample_rate_hz)),
+                  len(w.u_gl))
+    return _find_peaks(w.u_gl, PEAK_HEIGHT_FRACTION * peak, spacing)
 
 
 def _find_peaks(x: np.ndarray, height: float, distance: int) -> np.ndarray:
@@ -165,15 +171,14 @@ def analyze(w: GlottalWaveform, d: np.ndarray | None = None) -> AnalysisReport:
     # a bound CLOSURE_INSTANT_RTOL of |least| above least, -inf for -inf
     bound = least * (1.0 + math.copysign(CLOSURE_INSTANT_RTOL, least))
     i_min = int(np.argmax(d <= bound))
-    peaks = pulse_peaks(w)
     u = w.u_gl
     peak = float(u.max())
+    peaks = _pulse_peaks(w, peak)
     is_open = u > CLOSURE_EPSILON * peak
-    closed = u[~is_open]
-    # u >= 0, so the largest closed flow is the largest |u| up to the sign
-    # of zero, which abs sets
-    flatness = (abs(float(closed.max())) / peak
-                if peak > 0.0 and closed.size else 0.0)
+    # u >= 0, so the largest closed flow (0 if none is closed) is the
+    # largest |u| up to the sign of zero, which abs sets
+    flatness = (abs(float(np.max(u, where=~is_open, initial=0.0))) / peak
+                if peak > 0.0 else 0.0)
     return AnalysisReport(
         f0_hz=_f0_of_peaks(peaks, w.sample_rate_hz) if len(peaks) > 1 else None,
         max_negative_derivative=least,

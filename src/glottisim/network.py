@@ -100,7 +100,12 @@ read-only arrays to a later call with equal oscillators and grid: simulate
 at a new pressure skips the trace pass, and simulate_many takes the traces
 once for one circuit at many drives.  The memo holds one entry, dropped
 before a new pair is formed, and no pair longer than _TRACE_MEMO_SAMPLES
-(2**22) samples per trace.  Each result of the kernel depends on its own
+(2**22) samples per trace.  With a pair it keeps what GlottalWaveform checks
+of the traces alone: that both are finite, and the indices of the closed
+samples, where a trace is 0, as int32 (4 bytes per closed sample, at worst
+16 MiB at the cap beside the pair's 64 MiB; 56 indices over 60 s at the
+defaults).  A waveform whose trace arrays are the memo's, the same objects,
+then checks only its flow.  Each result of the kernel depends on its own
 entry's inputs only, so simulate_many also finds the distinct active
 (g_lower, g_upper) pairs once and, at each drive, solves only those and
 spreads their flows over the record; the flows are bitwise those of
@@ -147,8 +152,10 @@ _MAX_SAMPLES = np.iinfo(np.intp).max // 8
 # beyond the arrays its callers keep.
 _TRACE_MEMO_SAMPLES = 2 ** 22
 # The last pair conductance_traces kept, as ((lower oscillator, upper
-# oscillator, n, rate), (g_lower, g_upper)), or None.  It is read once into
-# a local and replaced by one assignment, so threads need no lock.
+# oscillator, n, rate), (g_lower, g_upper), closed), or None, where closed
+# holds the int32 indices of the samples at which a trace is 0 if both
+# traces are finite, else None.  It is read once into a local and replaced
+# by one assignment, so threads need no lock.
 _trace_memo = None
 
 
@@ -206,7 +213,14 @@ class GlottalCircuit:
 
 @dataclass(frozen=True, eq=False)
 class GlottalWaveform:
-    """Sampled simulation output: flow plus the two fold conductance traces."""
+    """Sampled simulation output: flow plus the two fold conductance traces.
+
+    Each array must be one-dimensional and finite, of one nonempty length,
+    with u_gl >= 0 and u_gl == 0 wherever a trace is 0.  Trace arrays that
+    are the pair conductance_traces keeps, the same objects, are not checked
+    again: the memo holds their finiteness and closed samples, so only the
+    flow is checked, with the same errors in the same order.
+    """
 
     sample_rate_hz: int
     u_gl: np.ndarray
@@ -215,7 +229,12 @@ class GlottalWaveform:
     t0: float = 0.0
 
     def __post_init__(self):
-        for name in ("u_gl", "g_lower", "g_upper"):
+        # the memo's own traces come with their checks (see _trace_memo)
+        memo = _trace_memo
+        closed = (memo[2] if memo is not None and self.g_lower is memo[1][0]
+                  and self.g_upper is memo[1][1] else None)
+        names = ("u_gl", "g_lower", "g_upper") if closed is None else ("u_gl",)
+        for name in names:
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
             if arr.ndim != 1:
@@ -232,8 +251,8 @@ class GlottalWaveform:
             raise ModelDomainError(f"t0 must be finite, got {self.t0!r}")
         if np.any(self.u_gl < 0.0):
             raise ModelDomainError("glottal flow is unipolar; u_gl must be >= 0")
-        closed = self.g_lower == 0.0
-        closed |= self.g_upper == 0.0
+        if closed is None:
+            closed = _closed(self.g_lower, self.g_upper)
         if self.u_gl[closed].any():
             raise ModelDomainError("flow must vanish wherever a fold bias is zero")
 
@@ -243,6 +262,13 @@ class GlottalWaveform:
     @property
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(len(self.u_gl)) / float(self.sample_rate_hz)
+
+
+def _closed(g_lower: np.ndarray, g_upper: np.ndarray) -> np.ndarray:
+    """The mask of the samples where a fold is closed: its trace is 0."""
+    closed = g_lower == 0.0
+    closed |= g_upper == 0.0
+    return closed
 
 
 def _fold_coefficients(elements, least) -> dict:
@@ -525,7 +551,8 @@ def conductance_traces(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURA
     objects, bitwise what a fresh formation gives (a phase lag of -0.0
     equals 0.0 and gives equal traces).  One pair is kept at a time: a call
     with another key drops it before forming its own, and a pair longer
-    than _TRACE_MEMO_SAMPLES samples per trace is not kept.
+    than _TRACE_MEMO_SAMPLES samples per trace is not kept.  A kept pair
+    also keeps GlottalWaveform's checks of it (see _trace_memo).
     """
     global _trace_memo
     n, rate = _check_grid(duration_s, sample_rate_hz)
@@ -548,7 +575,10 @@ def conductance_traces(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURA
     # views of read-only arrays cannot be made writeable by a caller
     traces = g_lower.view(), g_upper.view()
     if n <= _TRACE_MEMO_SAMPLES:
-        _trace_memo = key, traces
+        closed = None
+        if np.isfinite(g_lower).all() and np.isfinite(g_upper).all():
+            closed = np.flatnonzero(_closed(g_lower, g_upper)).astype(np.int32)
+        _trace_memo = key, traces, closed
     return traces
 
 

@@ -148,9 +148,18 @@ class OscillatorConfig:
                      scratch[0], scratch[1:])
         rise_end = self.rise_end_s
         pulse = self.pulse_duration_s
-        np.divide(tau, rise_end, out=out)
-        falling = np.subtract(pulse, tau, out=scratch[1])
-        falling /= pulse - rise_end
+        # A subnormal rise_end, or a subnormal or zero fall span
+        # pulse - rise_end, makes quotients overflow or divide by zero, or
+        # 0 / 0 at tau = pulse, but only outside the window
+        # that selects them: a selected rise value has 0 < tau < rise_end,
+        # and a selected fall value rise_end <= tau < pulse, where both
+        # differences are exact (Sterbenz, as rise_end >= pulse / 2, or
+        # both subnormal) and pulse - tau <= pulse - rise_end, so each
+        # ratio is at most 1.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            np.divide(tau, rise_end, out=out)
+            falling = np.subtract(pulse, tau, out=scratch[1])
+            falling /= pulse - rise_end
         np.copyto(out, falling, where=tau >= rise_end)
         np.copyto(out, 0.0, where=(tau <= 0.0) | (tau >= pulse))
         return out

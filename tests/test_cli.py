@@ -158,6 +158,30 @@ def test_sample_rate_beyond_the_float_range_exits_2(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("config", [
+    pytest.param("[oscillator.upper]\npulse_duration_s = 1e-298\n"
+                 "rise_fraction = 0.9999999999999999\n[output]\n"
+                 "duration_s = 0.01\n", id="subnormal-fall-span"),
+    pytest.param("[oscillator.upper]\npulse_duration_s = 2e-312\n"
+                 "rise_fraction = 0.9999999999999999\n[output]\n"
+                 "duration_s = 0.01\n", id="subnormal-rise-end"),
+    # a 1 ms peak spacing beyond the index range at 1e22 Hz
+    pytest.param("[oscillator.lower]\nperiod_s = 1e-20\n"
+                 "pulse_duration_s = 1e-20\n[oscillator.upper]\n"
+                 "period_s = 1e-20\npulse_duration_s = 1e-20\n"
+                 "phase_lag_s = 2e-21\n[output]\nduration_s = 1e-19\n"
+                 "sample_rate_hz = 10000000000000000000000\n",
+                 id="spacing-beyond-int64")])
+def test_simulate_at_extreme_oscillators_exits_0(config, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "x"
+    rc, stdout, err = run(capsys, "simulate", "--config", str(cfg),
+                          "--out", str(out))
+    assert rc == 0, err
+    assert (out / "report.txt").read_text() == stdout
+
+
 def test_bad_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[pressure]\npsi = 2\n")

@@ -953,3 +953,77 @@ def test_trace_memo_keeps_no_pair_beyond_its_cap(monkeypatch):
     assert again[0] is not large[0] and again[1] is not large[1]
     assert again[0].tobytes() == large[0].tobytes()
     assert again[1].tobytes() == large[1].tobytes()
+
+
+def test_trace_memo_keeps_the_closed_samples_as_int32(monkeypatch):
+    monkeypatch.setattr(network, "_trace_memo", None)
+    g_lower, g_upper = conductance_traces(GlottalCircuit.normal_voice(),
+                                          0.05, 44100)
+    closed = network._trace_memo[2]
+    assert closed.dtype == np.int32
+    want = np.flatnonzero((g_lower == 0.0) | (g_upper == 0.0))
+    assert closed.tolist() == want.tolist()
+    # the upper fold is silent before its 1 ms lag, and both pulses touch
+    # zero at their starts
+    assert len(closed) > 44
+
+
+def _flow_with(defect, u, closed):
+    """u with one defect: flow on a closed sample, a negative or a NaN flow
+    on an open one, or one sample too few."""
+    u = u.copy()
+    if defect == "closed":
+        u[closed[-1]] = 0.5
+    elif defect == "negative":
+        u[np.argmax(u)] = -1.0
+    elif defect == "nan":
+        u[np.argmax(u)] = np.nan
+    else:
+        u = u[:-1]
+    return u
+
+
+@pytest.mark.parametrize("defect", ["closed", "negative", "nan", "length"])
+def test_waveform_on_memo_traces_checks_its_flow(defect, monkeypatch):
+    monkeypatch.setattr(network, "_trace_memo", None)
+    w = simulate(GlottalCircuit.normal_voice(), 0.05, 44100)
+    assert network._trace_memo[1] == (w.g_lower, w.g_upper)
+    u = _flow_with(defect, w.u_gl, network._trace_memo[2])
+    with pytest.raises(ModelDomainError) as copies:
+        GlottalWaveform(44100, u, w.g_lower.copy(), w.g_upper.copy())
+    with pytest.raises(ModelDomainError) as shared:
+        GlottalWaveform(44100, u, w.g_lower, w.g_upper)
+    assert str(shared.value) == str(copies.value)
+
+
+def test_waveform_on_memo_traces_takes_the_kept_checks(monkeypatch):
+    # a waveform on the memo's own arrays reads the closed samples from the
+    # memo and does not test the traces again
+    monkeypatch.setattr(network, "_trace_memo", None)
+    w = simulate(GlottalCircuit.normal_voice(), 0.05, 44100)
+    key, traces, _ = network._trace_memo
+    j = int(np.argmax(w.u_gl))
+    monkeypatch.setattr(network, "_trace_memo",
+                        (key, traces, np.array([j], np.int32)))
+    with pytest.raises(ModelDomainError, match="flow must vanish"):
+        GlottalWaveform(44100, w.u_gl, w.g_lower, w.g_upper)
+    GlottalWaveform(44100, w.u_gl, w.g_lower.copy(), w.g_upper.copy())
+
+
+@pytest.mark.parametrize("cap", [0, network._TRACE_MEMO_SAMPLES],
+                         ids=["kept-nothing", "kept"])
+def test_non_finite_traces_are_rejected(cap, monkeypatch):
+    monkeypatch.setattr(network, "_trace_memo", None)
+    monkeypatch.setattr(network, "_TRACE_MEMO_SAMPLES", cap)
+    pulse = OscillatorConfig._pulse
+
+    def nan_pulse(self, t, out, scratch):
+        pulse(self, t, out, scratch)
+        out[-1] = np.nan
+        return out
+
+    monkeypatch.setattr(OscillatorConfig, "_pulse", nan_pulse)
+    with pytest.raises(ModelDomainError, match="g_lower must be finite"):
+        simulate(GlottalCircuit.normal_voice(), 0.05, 44100)
+    memo = network._trace_memo
+    assert memo is None if cap == 0 else memo[2] is None

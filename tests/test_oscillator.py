@@ -220,3 +220,15 @@ def test_open_intervals_cover_positive_output():
         near_edge |= (np.abs(probe - a) < 1e-9) | (np.abs(probe - b) < 1e-9)
     positive = cfg.sample_times(probe) > 0.0
     assert np.array_equal(positive[~near_edge], inside[~near_edge])
+
+
+@pytest.mark.parametrize("pulse", [1e-298, 2e-312])
+def test_subnormal_rise_end_or_fall_span_leaks_no_warning(pulse):
+    # rise_end or the fall span pulse - rise_end is subnormal or 0, so the
+    # unselected quotients overflow or divide by zero
+    cfg = OscillatorConfig(pulse_duration_s=pulse,
+                           rise_fraction=0.9999999999999999,
+                           phase_lag_s=0.001)
+    t = np.arange(441) / 44100.0
+    ref = np.array([oracles.pulse_ref(cfg, float(x)) for x in t])
+    assert np.array_equal(cfg.sample_times(t), ref)
