@@ -86,6 +86,15 @@ def derivative(w: GlottalWaveform) -> np.ndarray:
     return d
 
 
+def _check_derivative(w: GlottalWaveform, d) -> np.ndarray:
+    """d as a float array; ModelDomainError unless it has w's shape."""
+    d = np.asarray(d, dtype=float)
+    if d.shape != w.u_gl.shape:
+        raise ModelDomainError(
+            f"derivative length {d.shape} must match waveform {w.u_gl.shape}")
+    return d
+
+
 def pulse_peaks(w: GlottalWaveform) -> np.ndarray:
     """Sample indices of flow pulse peaks (may be empty)."""
     return _pulse_peaks(w, float(w.u_gl.max()))
@@ -163,10 +172,10 @@ def detect_phases(w: GlottalWaveform) -> tuple[list[tuple[float, float]],
 def analyze(w: GlottalWaveform, d: np.ndarray | None = None) -> AnalysisReport:
     """Full report; F0 is None (not an error) when too few pulses exist.
 
-    d is the flow derivative of w; when None it is taken here.
+    d is the flow derivative of w, taken here when None; ModelDomainError
+    unless it has w's shape.
     """
-    if d is None:
-        d = derivative(w)
+    d = derivative(w) if d is None else _check_derivative(w, d)
     least = float(d.min())
     # a bound CLOSURE_INSTANT_RTOL of |least| above least, -inf for -inf
     bound = least * (1.0 + math.copysign(CLOSURE_INSTANT_RTOL, least))

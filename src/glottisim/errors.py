@@ -25,14 +25,14 @@ class FeedbackSettleError(GlottisimError, RuntimeError):
 class SolverError(GlottisimError, RuntimeError):
     """The series-network current solve failed to converge.
 
-    This cannot happen for valid inputs; treat it as a bug signal.  The
-    Halley steps start from an upper bound on the root, or on a long record
-    from a per-drive root table, and their denominator is proved positive,
-    so every step is finite and moves toward the root; the step count is
-    backed by tests, not proved: from the upper bound at most 3 over the
-    corners of the domain and every accepted input drawn, and from the
-    table 0 at voice pressures and at the gain corners, far inside the
-    200-step cap (see the network module docstring).
+    This cannot happen for valid inputs; treat it as a bug signal.  A flow
+    solve starts its Halley steps from a per-drive root table,
+    solve_series_current from an upper bound on the root, and the step's
+    denominator is proved positive, so every step is finite and moves toward
+    the root.  The step count is backed by tests, not proved: from the table
+    0 from 6 to 100 cmH2O and at the gain corners, from the upper bound at
+    most 3 over the domain's corners and every accepted input drawn, far
+    inside the 200-step cap (see the network module docstring).
     """
 
     def __init__(self, message: str, residual: float | None = None,

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import AnalysisReport
+from .analysis import AnalysisReport, _check_derivative
 from .errors import ModelDomainError
 from .network import GlottalWaveform, _check_rate
 
@@ -55,10 +55,7 @@ def format_number(x: float) -> str:
 
 def export_csv(w: GlottalWaveform, d: np.ndarray, path) -> None:
     """Write one row per sample: time, flow, flow derivative, both biases."""
-    d = np.asarray(d, dtype=float)
-    if d.shape != w.u_gl.shape:
-        raise ModelDomainError(
-            f"derivative length {d.shape} must match waveform {w.u_gl.shape}")
+    d = _check_derivative(w, d)
     n = len(w)
     rate = float(w.sample_rate_hz)
     with open(path, "w", encoding="ascii", newline="") as fh:

@@ -32,8 +32,10 @@ The root is found by Halley steps
 
     x <- x - g * g' / (g'**2 - g * (6 * b4 * x**2 + b2))
 
-from x_q = sqrt(z_q), where z_q = 2 / (B + sqrt(B**2 + 4 * b4)), B = b2 + b1,
-is the positive root of b4 * z**2 + B * z - 1.  Proved:
+from a start: the root table below in a flow solve, and x_q = sqrt(z_q) in
+solve_series_current and the table's own nodes, where
+z_q = 2 / (B + sqrt(B**2 + 4 * b4)), B = b2 + b1, is the positive root of
+b4 * z**2 + B * z - 1.  Proved:
 - x_q bounds the root r from above, up to rounding.  For x <= 1,
   b1 * x >= b1 * x**2, so g(x) >= b4 * x**4 + B * x**2 - 1; and
   b4 + b2 + b1 >= 1, because the element with the least rho contributes
@@ -49,26 +51,25 @@ is the positive root of b4 * z**2 + B * z - 1.  Proved:
 Not proved are a step count and that every iterate stays in x > 0.  Unlike
 Newton from above, a Halley step may overshoot below the root (where b1
 dominates and b2 is near 0), and the next step comes back up.  The tests
-back both: from x_q no entry takes more than 3 steps from 6 to 100 cmH2O,
-and more than 2 only from about 6.67 to 7.77 cmH2O, nor more than 3 at the
-corners of the coefficient domain, with gains from 1e-300 to 1e300, or in
-the property test over every accepted input.
+back both: from x_q no entry of the circuit's folds takes more than 3 steps
+from 6 to 100 cmH2O, and more than 2 only from about 6.67 to 7.77 cmH2O, nor
+more than 3 at the corners of the coefficient domain, with gains from
+1e-300 to 1e300, or in the property test over every accepted input.
 
-A record longer than _ROOT_TABLE_SAMPLES (65 536) samples starts its entries
-instead from a root table built once per drive (see _root_table).  In the
-two folds of the circuit, the fold that holds sigma has t_f = 1, so the root
-is a function of z = t_lower - t_upper + 1 in [0, 2] alone, and a cubic
-Hermite table of 2 * 1024 intervals with a node at the kink z = 1 starts
-every entry within 0.09 of the tolerance at unit gains from 6 to 100 cmH2O:
-the residual check passes there at once, with 0 steps, which a dense-grid
-test pins, and so it does at the gain corners (1e-300, 1 and 1e300 at 6, 15,
-1e3 and 1e100 cmH2O).  The start is clipped to [1 / 4, 1], where the root
-lies, and the check, the step loop and its cap are those of x_q, so an entry
-the table does not start close enough still takes Halley steps.  The table
-moves flows in their last digits, by at most 2e-12 relative from 6 to 100
-cmH2O.  Shorter records keep x_q and their bits, because the table's set-up
-of about 0.35 ms costs more than it saves below about two solve blocks, and
-so do solve_series_current and the table's own nodes.
+Every flow solve starts its entries from a root table built once per flowing
+drive (see _root_table).  In the two folds of the circuit, the fold that
+holds sigma has t_f = 1, so the root is a function of
+z = t_lower - t_upper + 1 in [0, 2] alone, and a cubic Hermite table of
+2 * 1024 intervals with a node at the kink z = 1 starts every entry within
+0.09 of the tolerance at unit gains from 6 to 100 cmH2O: there, and at the
+gain corners of the tests, the residual check passes at once, with 0 steps,
+which a dense-grid test pins on records of 10 ms, 0.1 s and 1 s.  The start
+is clipped to [1 / 4, 1], where the root lies, and an entry it does not
+start close enough still takes Halley steps, up to the same cap.  The flows
+differ from x_q's in their last digits, by at most 2e-12 relative from 6 to
+100 cmH2O.  The build costs about 0.2-0.35 ms per drive, which a record
+shorter than about one solve block does not win back: at 4 410 samples the
+solve takes about 0.39 ms against 0.20 ms from x_q.
 
 Both elements of a fold share its bias g_f, so c_k = gain_k * g_f and
 rho_k = sqrt(g_f) * kappa_k, where kappa_k = sqrt(gain_k) * v**(q_k / 2) is
@@ -88,8 +89,8 @@ has t_f = 1 exactly, and fmin makes it 1 also where sigma = rho_f = 0 or
 inf, whose quotient is NaN.  The scalar solve makes a fold of each run of
 consecutive elements that share one gain c, and starts a new fold where a
 law repeats (g_f = c, kappa_k = v**(q_k / 2)), so that it is bitwise the
-flow solve (see solve_series_current).  The full-bias range check is the
-case g_f = 1, so all three share this one set-up.
+kernel from x_q on the circuit's two folds (see solve_series_current).  The
+full-bias range check is the case g_f = 1, so all three share this set-up.
 
 simulate streams the record: the oscillator traces and the solve run one
 block of samples at a time into the preallocated output arrays, so the
@@ -139,10 +140,6 @@ _MAX_SOLVER_STEPS = 200
 # entries are independent, so the result does not depend on it, and the
 # temporaries stay at a few MB however long the record is.
 _SOLVE_BLOCK = 16384
-# A record longer than this many samples starts each flow solve from a root
-# table built once per drive (see _root_table); a shorter one from x_q,
-# where the table would cost more than it saves.
-_ROOT_TABLE_SAMPLES = 4 * _SOLVE_BLOCK
 # The root table has this many intervals per unit of its z in [0, 2].
 _ROOT_TABLE_STEPS = 1024
 # The most float64 samples whose byte count numpy can index.
@@ -480,8 +477,9 @@ def solve_series_current(elements, v_drive: float) -> float:
     Each run of consecutive elements with one gain is a fold of _quartic,
     and a repeated law starts the next fold; so the four elements of a
     circuit at unit gains, each taking its fold's bias (g_lower or g_upper)
-    as its gain, give its two folds, and the current is bitwise the flow
-    solve's.
+    as its gain, give its two folds.  The current is then bitwise the
+    kernel's from x_q on those folds, and within 2e-12 relative of the
+    flow, whose solve starts from the root table instead.
     """
     elements = list(elements)
     if not elements:
@@ -657,11 +655,10 @@ def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
     """The flow of circuit over full-record bias traces; a SolverError names
     the earliest sample time that failed.
 
-    A record longer than _ROOT_TABLE_SAMPLES starts every solve from one
-    root table built here.  Without pairs, the record is solved one block
-    of samples at a time: a block whose samples are all open is solved as
-    it stands, and any other block's open samples are gathered first and
-    scattered back.  With
+    Every solve starts from the one root table built here for the drive.
+    Without pairs, the record is solved one block of samples at a time: a
+    block whose samples are all open is solved as it stands, and any other
+    block's open samples are gathered first and scattered back.  With
     pairs = _distinct_pairs(g_lower, g_upper), each distinct pair is
     solved once, one block of pairs at a time, and np.take spreads the flows
     over the record.  A failure there is solved again block by block, which
@@ -671,14 +668,10 @@ def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
     if not (drive > 0.0
             and min(e.gain for e in _series_elements(circuit)) > 0.0):
         return np.zeros(len(g_lower))
-    table = (_root_table(circuit) if len(g_lower) > _ROOT_TABLE_SAMPLES
-             else None)
+    table = _root_table(circuit)
 
     def solve(roots):
-        folds = _folds(circuit, roots)
-        if table is None:
-            return _series_root(folds, drive)
-        return _series_root(folds, drive, table)
+        return _series_root(_folds(circuit, roots), drive, table)
 
     if pairs is not None:
         root_lower, root_upper, slot = pairs
@@ -688,9 +681,9 @@ def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
                 s = solve((root_lower[start:start + _SOLVE_BLOCK],
                            root_upper[start:start + _SOLVE_BLOCK]))
                 np.multiply(s, s, out=flows[1 + start:1 + start + len(s)])
+            return np.take(flows, slot)
         except SolverError:
-            return _solve_flow(circuit, g_lower, g_upper, rate)
-        return np.take(flows, slot)
+            pass  # solved again below, block by block
     u = np.zeros(len(g_lower))
     for start in range(0, len(u), _SOLVE_BLOCK):
         gl = g_lower[start:start + _SOLVE_BLOCK]
@@ -759,9 +752,9 @@ def simulate(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURATION_S,
     samples at a time, so the temporaries stay at one block however long the
     record is.  The waveform's trace arrays are read-only, and a later call
     with equal oscillators and grid shares them (see conductance_traces).
-    A record longer than 65 536 samples starts the solve from a root table
-    built once per drive (see the module docstring).  Output is
-    deterministic: identical inputs give bit-identical arrays.  Raises
+    The solve starts from a root table built once per drive (see the module
+    docstring).  Output is deterministic: identical inputs give
+    bit-identical arrays.  Raises
     ModelDomainError up front when the flow at full bias exceeds float max
     / rate, beyond which its derivative overflows.
     """

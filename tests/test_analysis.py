@@ -353,6 +353,16 @@ def test_analyze_uses_a_given_derivative(loud_waveform):
     assert doubled.max_negative_derivative == 2.0 * float(d.min())
 
 
+@pytest.mark.parametrize("length", [442, 5, 0],
+                         ids=["one-too-long", "5-samples", "empty"])
+def test_analyze_rejects_a_derivative_of_another_length(length):
+    # 10 ms is 441 samples; a longer d once reported a swing past the record
+    w = simulate(GlottalCircuit.normal_voice(), 0.01, 44100)
+    d = np.full(length, -1e9)
+    with pytest.raises(ModelDomainError, match="derivative length"):
+        analyze(w, d)
+
+
 def test_closure_instant_sits_in_the_fall_segment(loud_waveform):
     # sharpest negative flow swing happens while the lower-fold pulse falls
     rep = analyze(loud_waveform)

@@ -3,7 +3,6 @@ import itertools
 import tracemalloc
 import weakref
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -218,8 +217,18 @@ def test_voltage_balance_across_the_record(loud_waveform):
         assert abs(total - drive) <= 1e-10 * drive
 
 
+def _flow_from_x_q(circuit, g_lower, g_upper):
+    """The flow solve of circuit over bias arrays without a root table: the
+    kernel from x_q on the circuit's two folds."""
+    roots = np.sqrt(g_lower), np.sqrt(g_upper)
+    s = network._series_root(network._folds(circuit, roots),
+                             circuit.drive.value)
+    return s * s
+
+
 def test_simulated_samples_match_scalar_solver(loud_waveform):
     w = loud_waveform
+    c = GlottalCircuit.normal_voice(10.0)
     for k in (45, 100, 317, 1000, 7321, 44099):
         gl, gu = float(w.g_lower[k]), float(w.g_upper[k])
         if gl == 0.0 or gu == 0.0:
@@ -227,7 +236,14 @@ def test_simulated_samples_match_scalar_solver(loud_waveform):
         els = [ResistorElement(L, gl), ResistorElement(C, gl),
                ResistorElement(L, gu), ResistorElement(E, gu)]
         want = solve_series_current(els, (10.0 - 5.94) / 1.27)
-        assert float(w.u_gl[k]) == want  # same code path, bitwise equal
+        # same code path, bitwise equal
+        assert float(_flow_from_x_q(c, np.full(1, gl), np.full(1, gu))[0]) \
+            == want
+    # the flows start from the root table instead and stay within 1e-11
+    active = (w.g_lower > 0.0) & (w.g_upper > 0.0)
+    want = _flow_from_x_q(c, w.g_lower[active], w.g_upper[active])
+    assert w.u_gl[active].tobytes() != want.tobytes()
+    np.testing.assert_allclose(w.u_gl[active], want, rtol=1e-11, atol=0.0)
 
 
 @pytest.mark.parametrize("pressure", [6.5, 10.0, 15.0])
@@ -239,7 +255,7 @@ def test_scalar_solve_is_the_flow_solve_where_the_biases_coincide(pressure):
     gl = rng.uniform(1e-3, 1.0, 400)
     gu = rng.uniform(1e-3, 1.0, 400)
     gu[::2] = gl[::2]
-    u = network._solve_flow(c, gl, gu, 44100)
+    u = _flow_from_x_q(c, gl, gu)
     for k in range(len(u)):
         els = [ResistorElement(L, gl[k]), ResistorElement(C, gl[k]),
                ResistorElement(L, gu[k]), ResistorElement(E, gu[k])]
@@ -435,17 +451,6 @@ def test_accepted_domain_gives_a_balanced_flow(gains, pressure):
     _assert_accepted_or_rejected(gains, pressure)
 
 
-@given(gains=st.tuples(_GAINS, _GAINS, _GAINS, _GAINS), pressure=_PRESSURES)
-@example(gains=(1.0, 1e300, 1.0, 1.0), pressure=1e300)
-@example(gains=(1e300, 1e300, 1e300, 1.0), pressure=1e200)
-# a flow inside the float range whose derivative overflows, seen before
-@example(gains=(1e300, 1e300, 1e300, 1e300), pressure=4.1e16)
-def test_accepted_domain_gives_a_balanced_flow_from_the_root_table(
-        gains, pressure):
-    with mock.patch.object(network, "_ROOT_TABLE_SAMPLES", 0):
-        _assert_accepted_or_rejected(gains, pressure)
-
-
 def _assert_accepted_or_rejected(gains, pressure):
     # every input either yields a finite, balanced flow with a finite
     # derivative or is rejected up front by both the config and simulate;
@@ -479,8 +484,17 @@ def _assert_voltage_balance(c, w, gains):
         assert abs(total - drive) <= 1e-10 * max(drive, 1.0)
 
 
+def _coarse_tables(monkeypatch):
+    """Have every flow solve start from a root table of 16 intervals per
+    unit of z, whose nodes are solved at full cap, so that the step cap
+    set afterwards fails the entries it starts too far from their root."""
+    _table_builds(monkeypatch)
+    monkeypatch.setattr(network, "_ROOT_TABLE_STEPS", 16)
+
+
 def test_iteration_cap_names_the_failing_sample(monkeypatch):
     c = GlottalCircuit.normal_voice()
+    _coarse_tables(monkeypatch)
     monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 1)
     with pytest.raises(SolverError) as info:
         simulate(c, 0.01, 44100)
@@ -489,24 +503,25 @@ def test_iteration_cap_names_the_failing_sample(monkeypatch):
     active = np.count_nonzero((gl > 0.0) & (gu > 0.0))
     assert gl[exc.index] > 0.0 and gu[exc.index] > 0.0
     assert exc.time_s == exc.index / 44100.0
-    assert exc.residual > 0.0  # the start x_q bounds the root from above
     assert f"at t = {exc.time_s!r} s" in str(exc)
-    # the record is one block, and no active sample converges in one step
+    # the record is one block, and no active sample converges at its start
     assert exc.failed == active
     assert f"for {active} of {active} entries" in str(exc)
 
 
 def test_iteration_cap_names_the_failing_sample_of_an_open_block(
         monkeypatch):
-    # every sample is open; at 1e16 V the lower compressive element carries
-    # nearly all of the drive until sample 47, so those samples converge at
-    # the start x_q, and from 47 on the upper linear element shares it
+    # every sample is open; at 1e16 V the upper fold holds sigma, and until
+    # sample 47 z lies within 1e-11 of the node z = 0, so those samples
+    # converge at their start, and from 47 on z = 0.1 lies inside an
+    # interval of the coarse table
+    _coarse_tables(monkeypatch)
     monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 1)
     monkeypatch.setattr(network, "_SOLVE_BLOCK", 20)
     c = replace(GlottalCircuit.normal_voice(), drive=DcVoltage(1e16))
     gl = np.ones(100)
     gu = np.full(100, 1e-30)
-    gu[47:] = 1e-8
+    gu[47:] = 1e-10
     with pytest.raises(SolverError) as info:
         network._solve_flow(c, gl, gu, 44100)
     exc = info.value
@@ -595,35 +610,41 @@ def test_series_root_comes_back_up_after_an_overshoot(monkeypatch):
     assert current == pytest.approx(want, rel=1e-12)
 
 
+def _x_q_failures(pressures):
+    """The pressures at which the kernel from x_q, without a root table,
+    raises SolverError on the normal-voice circuit's folds over the
+    distinct active bias pairs of a 0.1 s record."""
+    circuit = GlottalCircuit.normal_voice()
+    gl, gu = conductance_traces(circuit, 0.1, 44100)
+    root_lower, root_upper, _ = network._distinct_pairs(gl, gu)
+    failed = []
+    for p, d in zip(pressures, _drives(pressures)):
+        folds = network._folds(replace(circuit, drive=d),
+                               (root_lower, root_upper))
+        try:
+            network._series_root(folds, d.value)
+        except SolverError:
+            failed.append(p)
+    return failed
+
+
 @pytest.mark.parametrize("pressure", [6.0, 6.5, 10.0, 15.0, 100.0])
 def test_voice_pressures_take_at_most_two_steps(monkeypatch, pressure):
     # a cap of 3 passes after at most 2 steps
     monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 3)
-    w = simulate(GlottalCircuit.normal_voice(pressure), 0.1, 44100)
-    assert w.u_gl.any()
+    assert _x_q_failures([pressure]) == []
 
 
 def test_three_steps_from_6_67_to_7_77_cmh2o_only(monkeypatch):
     # a dense grid of 0.1 s records: from 6 to 16 cmH2O by 0.01, a cap of 3
     # (at most 2 steps) fails at exactly 6.67 to 7.77 cmH2O and a cap of 4
     # (at most 3 steps) nowhere; from 16 to 100 cmH2O a cap of 3 passes
-    circuit = GlottalCircuit.normal_voice()
-    hundredths = range(600, 1601)
+    pressures = [k / 100 for k in range(600, 1601)]
     monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 4)
-    waveforms = simulate_many(circuit, _drives([k / 100 for k in hundredths]),
-                              0.1, 44100)
-    assert sum(bool(w.u_gl.any()) for w in waveforms) == 1001
+    assert _x_q_failures(pressures) == []
     monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 3)
-    failed = []
-    for k in hundredths:
-        try:
-            simulate(GlottalCircuit.normal_voice(k / 100), 0.1, 44100)
-        except SolverError:
-            failed.append(k)
-    assert failed == list(range(667, 778))
-    high = _drives(np.linspace(16.0, 100.0, 400))
-    assert sum(bool(w.u_gl.any())
-               for w in simulate_many(circuit, high, 0.1, 44100)) == 400
+    assert _x_q_failures(pressures) == [k / 100 for k in range(667, 778)]
+    assert _x_q_failures(np.linspace(16.0, 100.0, 400).tolist()) == []
 
 
 # -- simulate_many ---------------------------------------------------------
@@ -699,6 +720,7 @@ def test_simulate_many_names_the_failing_sample_time(monkeypatch):
     # the failing sample lies in the third block of the second drive; the
     # solve of its distinct pairs fails first and is solved again block by
     # block
+    _coarse_tables(monkeypatch)
     monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 1)
     monkeypatch.setattr(network, "_SOLVE_BLOCK", 20)
     c = GlottalCircuit.normal_voice()
@@ -744,9 +766,9 @@ def test_simulate_many_solves_each_distinct_pair_once(monkeypatch):
     entries = []
     series_root = network._series_root
 
-    def counted(folds, v):
+    def counted(folds, v, table=None):
         entries.append(len(folds[0][0]))
-        return series_root(folds, v)
+        return series_root(folds, v, table)
 
     monkeypatch.setattr(network, "_series_root", counted)
     c = GlottalCircuit.normal_voice()
@@ -778,11 +800,10 @@ def test_simulate_many_memory_does_not_grow_with_the_circuit_count():
 # -- the root table ----------------------------------------------------------
 
 
-def _table_builds(monkeypatch, limit=0):
-    """Have records longer than limit samples take the root table, build
-    each table at the step cap it was given whatever cap the entries get
-    later, and return the list of the drives a table was built for."""
-    monkeypatch.setattr(network, "_ROOT_TABLE_SAMPLES", limit)
+def _table_builds(monkeypatch):
+    """Build each root table at the step cap it was given whatever cap the
+    entries get later, and return the list of the drives a table was built
+    for."""
     build, cap, drives = network._root_table, network._MAX_SOLVER_STEPS, []
 
     def at_full_cap(circuit):
@@ -796,16 +817,17 @@ def _table_builds(monkeypatch, limit=0):
 
 def test_root_table_starts_need_no_step_from_6_to_100_cmh2o(monkeypatch):
     # a cap of 1 passes only where every entry meets the tolerance at its
-    # start, with 0 steps: on 0.1 s records at every 0.01 cmH2O from 6 to
-    # 16 and at 400 drives from 16 to 100 cmH2O
+    # start, with 0 steps: on 10 ms, 0.1 s and 1 s records, at every
+    # 0.01 cmH2O from 6 to 16 and at 400 drives from 16 to 100 cmH2O
     drives = _table_builds(monkeypatch)
     monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 1)
     pressures = [k / 100 for k in range(600, 1601)]
     pressures += np.linspace(16.0, 100.0, 400).tolist()
-    waveforms = simulate_many(GlottalCircuit.normal_voice(),
-                              _drives(pressures), 0.1, 44100)
-    assert sum(bool(w.u_gl.any()) for w in waveforms) == 1401
-    assert len(drives) == 1401
+    for duration in (0.01, 0.1, 1.0):
+        waveforms = simulate_many(GlottalCircuit.normal_voice(),
+                                  _drives(pressures), duration, 44100)
+        assert sum(bool(w.u_gl.any()) for w in waveforms) == 1401
+    assert len(drives) == 3 * 1401
 
 
 @pytest.mark.parametrize("pressure", [6.0, 15.0, 1e3, 1e100])
@@ -840,34 +862,6 @@ def test_simulate_many_is_bitwise_simulate_from_the_root_table(
     # one table per flowing drive on each side; 0 V and an open element
     # carry no flow and need none
     assert len(tables) == (6 if circuit.upper.linear.gain > 0.0 else 0)
-
-
-def test_solve_blocks_do_not_change_the_flow_from_the_root_table(
-        monkeypatch):
-    _table_builds(monkeypatch)
-    cases = [(c, simulate(c, 1.0, 44100))
-             for c in (GlottalCircuit.normal_voice(10.0), TWO_MS_PULSES)]
-    for block in (1000, 16384, 44101):
-        monkeypatch.setattr(network, "_SOLVE_BLOCK", block)
-        for circuit, want in cases:
-            assert np.array_equal(simulate(circuit, 1.0, 44100).u_gl,
-                                  want.u_gl)
-
-
-def test_only_records_beyond_the_limit_start_from_the_root_table(
-        monkeypatch, loud_waveform):
-    # at the limit a record keeps the x_q start and its bits; one sample
-    # more builds a table, and its flows stay within 1e-11 of x_q's
-    c = GlottalCircuit.normal_voice(10.0)
-    tables = _table_builds(monkeypatch, 44100)
-    assert simulate(c, 1.0, 44100).u_gl.tobytes() == \
-        loud_waveform.u_gl.tobytes()
-    assert tables == []
-    w = simulate(c, 44101 / 44100, 44100)
-    assert tables == [c.drive.value]
-    assert w.u_gl[:44100].tobytes() != loud_waveform.u_gl.tobytes()
-    np.testing.assert_allclose(w.u_gl[:44100], loud_waveform.u_gl,
-                               rtol=1e-11, atol=0.0)
 
 
 # -- the trace memo ----------------------------------------------------------
