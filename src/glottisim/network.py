@@ -391,8 +391,7 @@ def _halley(b4, b2, b1, v, like, x=None):
     from x_q where x is None (see the module docstring).
 
     g, g' and g'' / 2 are evaluated by Horner into buffers allocated once
-    per call.  While no entry has converged, x takes the step in place;
-    after that converged entries are frozen in place rather than removed,
+    per call.  Converged entries are frozen in place rather than removed,
     which gives the same bits.  The loop uses only correctly rounded
     operations, so each result depends on that entry's own inputs only,
     whatever the batch.  The stopping test |g| <= 1e-12 * max(v, 1) / v is
@@ -434,11 +433,8 @@ def _halley(b4, b2, b1, v, like, x=None):
         np.subtract(np.multiply(dg, dg, out=y), h, out=y)
         np.multiply(g, dg, out=dg)
         dg /= y
-        if done.any():
-            np.subtract(x, dg, out=dg)
-            np.copyto(x, dg, where=np.logical_not(done, out=todo))
-        else:
-            x -= dg
+        np.subtract(x, dg, out=dg)
+        np.copyto(x, dg, where=np.logical_not(done, out=todo))
     k = int(np.argmin(done))
     failed = len(done) - int(np.count_nonzero(done))
     residual = float(g[k]) * v
@@ -561,8 +557,8 @@ def conductance_traces(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURA
     # drop the old pair first, so that a miss never holds two
     _trace_memo = memo = None
     g_lower, g_upper = np.empty(n), np.empty(n)
-    # the block's times and the pulse's three scratch arrays
-    buffers = np.empty((4, min(n, _SOLVE_BLOCK)))
+    # the block's times and the pulse's two scratch arrays
+    buffers = np.empty((3, min(n, _SOLVE_BLOCK)))
     for start in range(0, n, _SOLVE_BLOCK):
         stop = min(start + _SOLVE_BLOCK, n)
         block = buffers[:, :stop - start]
