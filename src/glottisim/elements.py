@@ -25,6 +25,18 @@ SETTLE_REL_TOL = 1e-3
 SETTLE_ABS_TOL = 1e-18
 
 
+def _in_float_range(law, what: str) -> float:
+    """law(), or ModelDomainError where its result exceeds the float range,
+    which ** reports as OverflowError and * and / as inf."""
+    try:
+        result = law()
+    except OverflowError:
+        result = math.inf
+    if math.isinf(result):
+        raise ModelDomainError(f"{what} exceeds the float range")
+    return result
+
+
 class ElementKind(Enum):
     """Branch law I = c * sign(v) * |v|**q, keyed by name with exponent q."""
 
@@ -57,7 +69,9 @@ class ResistorElement:
             raise ModelDomainError(f"terminal voltage must be finite, got {v!r}")
         if self.gain == 0.0:
             return 0.0
-        return math.copysign(self.gain * abs(v) ** self.kind.exponent, v)
+        return math.copysign(_in_float_range(
+            lambda: self.gain * abs(v) ** self.kind.exponent,
+            f"branch current at {v!r} V"), v)
 
     def voltage(self, i: float) -> float:
         """Terminal voltage sustaining branch current i (inverse of current)."""
@@ -68,8 +82,9 @@ class ResistorElement:
                 raise ElementOpenError(
                     f"element open (gain 0) cannot carry {i!r} A")
             return 0.0
-        return math.copysign(
-            (abs(i) / self.gain) ** (1.0 / self.kind.exponent), i)
+        return math.copysign(_in_float_range(
+            lambda: (abs(i) / self.gain) ** (1.0 / self.kind.exponent),
+            f"terminal voltage for {i!r} A"), i)
 
 
 @dataclass(frozen=True)
@@ -99,7 +114,8 @@ class TranslinearSpec:
                 f"block input current must be finite and >= 0, got {i_in!r}")
         # i_ref ** 0 is 1 for any i_ref, so LINEAR stays an exact identity.
         q = self.kind.exponent
-        return i_in ** q * self.i_ref ** (1.0 - q)
+        return _in_float_range(lambda: i_in ** q * self.i_ref ** (1.0 - q),
+                               f"block output for {i_in!r} A")
 
 
 def rectify(v_xy: float, transconductance: float) -> float:

@@ -86,11 +86,11 @@ kappa_k = kappa_min,f (which covers a kappa of 0 or inf).  A sample then
 needs sqrt(g_f), one product rho_f and one divide per fold, sigma as the
 least rho_f, and the powers of t_f times scalars.  The fold that holds sigma
 has t_f = 1 exactly, and fmin makes it 1 also where sigma = rho_f = 0 or
-inf, whose quotient is NaN.  The scalar solve makes a fold of each run of
-consecutive elements that share one gain c, and starts a new fold where a
-law repeats (g_f = c, kappa_k = v**(q_k / 2)), so that it is bitwise the
-kernel from x_q on the circuit's two folds (see solve_series_current).  The
-full-bias range check is the case g_f = 1, so all three share this set-up.
+inf, whose quotient is NaN.  kappa_min,f and the C_f,p are the fold's
+set-up (_fold_setup), formed once per drive: a flow solve hands the two
+folds' set-up to its root table and to every block, the full-bias range
+check takes it at g_f = 1, and solve_series_current solves its whole stack
+as one fold at g_f = 1, each element with its own gain_k.
 
 simulate streams the record: the oscillator traces and the solve run one
 block of samples at a time into the preallocated output arrays, so the
@@ -212,11 +212,11 @@ class GlottalCircuit:
 class GlottalWaveform:
     """Sampled simulation output: flow plus the two fold conductance traces.
 
-    Each array must be one-dimensional and finite, of one nonempty length,
-    with u_gl >= 0 and u_gl == 0 wherever a trace is 0.  Trace arrays that
-    are the pair conductance_traces keeps, the same objects, are not checked
-    again: the memo holds their finiteness and closed samples, so only the
-    flow is checked, with the same errors in the same order.
+    Each array must be real, one-dimensional and finite, of one nonempty
+    length, with u_gl >= 0 and u_gl == 0 wherever a trace is 0.  Trace
+    arrays that are the pair conductance_traces keeps, the same objects, are
+    not checked again: the memo holds their finiteness and closed samples,
+    so only the flow is checked, with the same errors in the same order.
     """
 
     sample_rate_hz: int
@@ -232,7 +232,11 @@ class GlottalWaveform:
                   and self.g_upper is memo[1][1] else None)
         names = ("u_gl", "g_lower", "g_upper") if closed is None else ("u_gl",)
         for name in names:
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.asarray(getattr(self, name))
+            if arr.dtype.kind not in "biuf":
+                raise ModelDomainError(
+                    f"{name} must hold real numbers, got dtype {arr.dtype}")
+            arr = np.asarray(arr, dtype=float)
             object.__setattr__(self, name, arr)
             if arr.ndim != 1:
                 raise ModelDomainError(f"{name} must be one-dimensional")
@@ -268,45 +272,50 @@ def _closed(g_lower: np.ndarray, g_upper: np.ndarray) -> np.ndarray:
     return closed
 
 
-def _fold_coefficients(elements, least) -> dict:
-    """C_p of one fold: the sum of (least / kappa_k)**p over its elements of
-    power p, a scalar per drive, with a ratio of exactly 1 where kappa_k is
-    the least (which covers a kappa of 0 or inf)."""
+def _fold_setup(elements, v) -> tuple:
+    """(least, C) of a fold of elements sharing one bias, at drive v: the
+    least kappa_k = sqrt(gain_k) * v**(q_k / 2), and C_p, the sum of
+    (least / kappa_k)**p over the elements of power p, with a ratio of
+    exactly 1 where kappa_k is the least (which covers a kappa of 0 or inf)."""
+    kappas = [(e.kind, math.sqrt(e.gain) * v ** (0.5 * e.kind.exponent))
+              for e in elements]
+    least = min(kappa for _, kappa in kappas)
     c = {}
-    for kind, kappa in elements:
+    for kind, kappa in kappas:
         r = 1.0 if kappa == least else least / kappa
         p = 2.0 / kind.exponent
         term = r if p == 1.0 else r * r
         c[p] = c.get(p, 0.0) + (term * term if p == 4.0 else term)
-    return c
+    return least, c
 
 
-def _quartic(folds):
+def _circuit_setup(circuit: GlottalCircuit) -> list:
+    """The _fold_setup of the lower and the upper fold of circuit at its
+    drive."""
+    return [_fold_setup((fold.linear, fold.nonlinear), circuit.drive.value)
+            for fold in (circuit.lower, circuit.upper)]
+
+
+def _quartic(roots, setup):
     """sigma = min_k rho_k, the coefficients (b4, b2, b1) of the
     normalized voltage balance g(x) (see the module docstring) and the t_f
-    of each fold.
+    of each fold, for the folds' bias roots and their _fold_setup.
 
-    Each fold is (root, [(kind, kappa), ...]): its elements share one bias,
-    root is its square root, and element k has rho_k = root * kappa_k.  So a
-    fold's least rho is rho_f = root * min(kappa), and sigma / rho_k is
-    t_f * (min(kappa) / kappa_k) with t_f = fmin(sigma / rho_f, 1): one
-    array divide per fold, and b_p = sum over folds of C_p * t_f**p with
-    the scalars C_p of _fold_coefficients.  fmin turns the 0 / 0 or
-    inf / inf of a fold that holds sigma = 0 or inf into 1.
+    Element k of fold f has rho_k = root_f * kappa_k, so rho_f =
+    root_f * least_f and sigma / rho_k = t_f * (least_f / kappa_k) with
+    t_f = fmin(sigma / rho_f, 1): one array divide per fold.  fmin turns
+    the 0 / 0 or inf / inf of a fold that holds sigma = 0 or inf into 1.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        least = [min(kappa for _, kappa in elements) for _, elements in folds]
-        rhos = [root * k for (root, _), k in zip(folds, least)]
+        rhos = [root * least for root, (least, _) in zip(roots, setup)]
         sigma = functools.reduce(np.minimum, rhos)
         t = [np.fmin(sigma / rho, 1.0) for rho in rhos]
-    coefficients = [_fold_coefficients(elements, k)
-                    for (_, elements), k in zip(folds, least)]
-    return (sigma, *_powers(coefficients, t), t)
+    return (sigma, *_powers([c for _, c in setup], t), t)
 
 
 def _powers(coefficients, t):
-    """(b4, b2, b1): b_p = sum over folds of C_p * t_f**p, for the C_p of
-    _fold_coefficients of each fold and its t_f."""
+    """(b4, b2, b1): b_p = sum over folds of C_p * t_f**p, for the C of
+    _fold_setup of each fold and its t_f."""
     b = {}
     for c_f, t_f in zip(coefficients, t):
         powers = {1.0: t_f}
@@ -340,10 +349,10 @@ def _table_start(table, t):
     return np.clip(x, 0.25, 1.0, out=x)
 
 
-def _root_table(circuit: GlottalCircuit) -> np.ndarray:
-    """The start table of the flow solve at circuit's drive v > 0: a row
-    per interval of 1 / _ROOT_TABLE_STEPS of [0, 2] that holds the cubic
-    coefficients, in increasing power, of the root x over z.
+def _root_table(setup, v: float) -> np.ndarray:
+    """The start table of the flow solve of the two folds of setup at drive
+    v > 0: a row per interval of 1 / _ROOT_TABLE_STEPS of [0, 2] that holds
+    the cubic coefficients, in increasing power, of the root x over z.
 
     In the two folds, the fold that holds sigma has t = 1, so the root is
     a function of z = t_lower - t_upper + 1 alone: t_lower = z on [0, 1]
@@ -355,12 +364,10 @@ def _root_table(circuit: GlottalCircuit) -> np.ndarray:
     sum_f phi_f(t_f * x) - 1, phi_f(w) = sum_p C_f,p * w**p, the partials
     are dg/dt_f = x * phi_f'(t_f * x) and g' = sum_f t_f * phi_f'(t_f * x).
     """
-    v = circuit.drive.value
     n = _ROOT_TABLE_STEPS
     z = np.arange(2 * n + 1) / n
     t = [np.minimum(z, 1.0), np.minimum(2.0 - z, 1.0)]
-    coefficients = [_fold_coefficients(elements, min(k for _, k in elements))
-                    for elements in _fold_elements(circuit)]
+    coefficients = [c for _, c in setup]
     b4, b2, b1 = _powers(coefficients, t)
     x = _halley(b4, b2, b1, v, z)
     g, dg, dt = -1.0, 0.0, []
@@ -444,9 +451,9 @@ def _halley(b4, b2, b1, v, like, x=None):
         residual=residual, index=k, failed=failed)
 
 
-def _series_root(folds, v, table=None):
-    """Square root s = sqrt(I) of the series current at drive v > 0, for the
-    folds of _quartic over 1-D bias roots: the normalized quartic Halley
+def _series_root(roots, setup, v, table=None):
+    """Square root s = sqrt(I) of the series current at drive v > 0, for
+    1-D bias roots of the folds of setup: the normalized quartic Halley
     kernel.
 
     The coefficients of g come from _quartic, in which elements of one law
@@ -456,7 +463,7 @@ def _series_root(folds, v, table=None):
     from the table (see _root_table).  s comes out as inf, without a
     warning, where sigma is beyond the float range.
     """
-    sigma, b4, b2, b1, t = _quartic(folds)
+    sigma, b4, b2, b1, t = _quartic(roots, setup)
     x = _halley(b4, b2, b1, v, sigma,
                 None if table is None else _table_start(table, t))
     return np.multiply(sigma, x, out=x)
@@ -470,12 +477,11 @@ def solve_series_current(elements, v_drive: float) -> float:
     voltage drops, with residual below 1e-12 * max(v_drive, 1).  Raises
     ModelDomainError when that current exceeds the float range.
 
-    Each run of consecutive elements with one gain is a fold of _quartic,
-    and a repeated law starts the next fold; so the four elements of a
-    circuit at unit gains, each taking its fold's bias (g_lower or g_upper)
-    as its gain, give its two folds.  The current is then bitwise the
-    kernel's from x_q on those folds, and within 2e-12 relative of the
-    flow, whose solve starts from the root table instead.
+    The stack is one fold at full bias (root 1), whose set-up is
+    _fold_setup of all its elements, solved by the kernel from x_q.  The
+    four elements of a circuit, each taking its fold's bias as its gain,
+    so give the flow within 2e-12 relative: the flow solve splits the same
+    balance into two folds and starts from the root table.
     """
     elements = list(elements)
     if not elements:
@@ -486,15 +492,7 @@ def solve_series_current(elements, v_drive: float) -> float:
     if v_drive == 0.0:
         return 0.0
     v = float(v_drive)
-    # a run of elements with one gain c is a fold of bias c, and
-    # kappa_k = v**(q_k / 2); a repeated law starts the next fold
-    folds, last = [], None
-    for e in elements:
-        if e.gain != last or any(kind is e.kind for kind, _ in folds[-1][1]):
-            folds.append((np.sqrt(np.full(1, e.gain)), []))
-            last = e.gain
-        folds[-1][1].append((e.kind, v ** (0.5 * e.kind.exponent)))
-    s = float(_series_root(folds, v)[0])
+    s = float(_series_root((np.ones(1),), [_fold_setup(elements, v)], v)[0])
     current = s * s
     if not math.isfinite(current):
         raise ModelDomainError(
@@ -581,20 +579,6 @@ def _series_elements(circuit: GlottalCircuit) -> tuple[ResistorElement, ...]:
             circuit.upper.linear, circuit.upper.nonlinear)
 
 
-def _fold_elements(circuit: GlottalCircuit) -> list:
-    """[(kind, kappa), ...] of the lower and the upper fold of circuit, with
-    kappa_k = sqrt(gain_k) * v**(q_k / 2) at its drive v."""
-    v = circuit.drive.value
-    return [[(e.kind, math.sqrt(e.gain) * v ** (0.5 * e.kind.exponent))
-             for e in (fold.linear, fold.nonlinear)]
-            for fold in (circuit.lower, circuit.upper)]
-
-
-def _folds(circuit: GlottalCircuit, roots) -> list:
-    """The folds of _quartic for circuit, with bias roots (lower, upper)."""
-    return list(zip(roots, _fold_elements(circuit)))
-
-
 def _check_flow_range(circuit: GlottalCircuit, rate: int) -> None:
     """Raise ModelDomainError if the flow at full bias, the most the circuit
     can carry, exceeds float max / rate, beyond which the flow derivative
@@ -606,7 +590,7 @@ def _check_flow_range(circuit: GlottalCircuit, rate: int) -> None:
     """
     full = np.float64(1.0)
     sigma, b4, b2, b1 = (float(a) for a in _quartic(
-        _folds(circuit, (full, full)))[:4])
+        (full, full), _circuit_setup(circuit))[:4])
     top = math.sqrt(sys.float_info.max / rate)
     if sigma > top:
         x = top / sigma
@@ -664,18 +648,16 @@ def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
     if not (drive > 0.0
             and min(e.gain for e in _series_elements(circuit)) > 0.0):
         return np.zeros(len(g_lower))
-    table = _root_table(circuit)
-
-    def solve(roots):
-        return _series_root(_folds(circuit, roots), drive, table)
-
+    setup = _circuit_setup(circuit)
+    table = _root_table(setup, drive)
     if pairs is not None:
         root_lower, root_upper, slot = pairs
         flows = np.zeros(len(root_lower) + 1)
         try:
             for start in range(0, len(root_lower), _SOLVE_BLOCK):
-                s = solve((root_lower[start:start + _SOLVE_BLOCK],
-                           root_upper[start:start + _SOLVE_BLOCK]))
+                s = _series_root((root_lower[start:start + _SOLVE_BLOCK],
+                                  root_upper[start:start + _SOLVE_BLOCK]),
+                                 setup, drive, table)
                 np.multiply(s, s, out=flows[1 + start:1 + start + len(s)])
             return np.take(flows, slot)
         except SolverError:
@@ -689,7 +671,7 @@ def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
         if not is_open:
             gl, gu = gl[active], gu[active]
         try:
-            s = solve((np.sqrt(gl), np.sqrt(gu)))
+            s = _series_root((np.sqrt(gl), np.sqrt(gu)), setup, drive, table)
         except SolverError as exc:
             # Map the failing solve entry back to its sample time.
             k = start + (exc.index if is_open

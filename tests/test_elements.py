@@ -79,6 +79,18 @@ def test_validation():
         ResistorElement(ElementKind.LINEAR).voltage(float("nan"))
 
 
+@pytest.mark.parametrize("block, law, x", [
+    (ResistorElement(ElementKind.EXPANSIVE), "current", 1e200),
+    (ResistorElement(ElementKind.COMPRESSIVE), "voltage", 1e200),
+    (ResistorElement(ElementKind.LINEAR, 1e300), "current", 1e300),
+    (ResistorElement(ElementKind.LINEAR, 5e-324), "voltage", 1e300),
+    (TranslinearSpec(ElementKind.EXPANSIVE, i_ref=1e-300), "output", 1e300)])
+def test_results_beyond_the_float_range_are_rejected(block, law, x):
+    # finite inputs whose result ** overflows or * and / round to inf
+    with pytest.raises(ModelDomainError, match="exceeds the float range"):
+        getattr(block, law)(x)
+
+
 @given(kind=st.sampled_from(KINDS), gain=gain_st, v=voltage_st)
 def test_odd_symmetry_is_exact(kind, gain, v):
     e = ResistorElement(kind, gain=gain)
