@@ -11,7 +11,11 @@ tolerance of 1e-6 lies above that and below the gap between swings on
 different sample phases, at least 1e-2 of the least one for the default
 oscillators from 6 to 15 cmH2O at 44.1 kHz.
 
-F0 comes from picking flow peaks and taking the median inter-peak interval.
+F0 comes from picking flow peaks and taking the median inter-peak interval:
+the middle one of an odd count, and (a + b) / 2 of the middle two of an even
+count, which is how ``np.median`` forms it, so F0 keeps its bits.  The
+median is taken from ``np.sort`` because ``np.median`` imports ``numpy.ma``
+for a NaN check that these finite, positive intervals do not need.
 Open/closed phases are runs of samples above/below a small fraction of the
 peak flow: ``detect_phases`` lists their intervals, and ``analyze`` counts
 the open ones from the same mask.
@@ -149,8 +153,11 @@ def _f0_of_peaks(idx: np.ndarray, sample_rate_hz: int) -> float:
     if len(idx) < 2:
         raise InsufficientPulsesError(
             f"need at least 2 pulses to estimate F0, found {len(idx)}")
-    intervals = np.diff(idx) / float(sample_rate_hz)
-    return 1.0 / float(np.median(intervals))
+    intervals = np.sort(np.diff(idx) / float(sample_rate_hz))
+    h = len(intervals) // 2
+    mid = (intervals[h] if len(intervals) % 2
+           else (intervals[h - 1] + intervals[h]) / 2.0)
+    return 1.0 / float(mid)
 
 
 def detect_phases(w: GlottalWaveform) -> tuple[list[tuple[float, float]],

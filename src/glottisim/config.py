@@ -8,7 +8,6 @@ ConfigError naming the offending section.key and the constraint.
 """
 from __future__ import annotations
 
-import configparser
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -86,13 +85,13 @@ def _named(label: str):
         raise ConfigError(f"{label}: {exc}") from exc
 
 
-def _convert(kind: type, raw: str, label: str):
+def _convert(kind: type, raw: str, label: str, booleans: dict[str, bool]):
     raw = raw.strip()
     if kind is str:
         return raw
     if kind is bool:
         try:
-            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+            return booleans[raw.lower()]
         except KeyError:
             raise ConfigError(
                 f"{label}: expected true/false, got {raw!r}") from None
@@ -105,6 +104,9 @@ def _convert(kind: type, raw: str, label: str):
 
 def parse_config(text: str) -> RunConfig:
     """Parse a sectioned key-value document into a validated RunConfig."""
+    # imported here: a run without a config file does not need it
+    import configparser
+
     cp = configparser.ConfigParser(interpolation=None, delimiters=("=",),
                                    comment_prefixes=("#", ";"), strict=True)
     cp.optionxform = str
@@ -123,8 +125,8 @@ def parse_config(text: str) -> RunConfig:
             if key not in fields:
                 raise ConfigError(f"unknown key {section}.{key}")
             default = getattr(_holder(defaults, osc), fields[key])
-            values[osc][fields[key]] = _convert(type(default), raw,
-                                                f"{section}.{key}")
+            values[osc][fields[key]] = _convert(
+                type(default), raw, f"{section}.{key}", cp.BOOLEAN_STATES)
 
     kwargs = values[None]
     for section, (osc, _) in _SECTIONS.items():

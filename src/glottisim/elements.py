@@ -27,7 +27,7 @@ SETTLE_ABS_TOL = 1e-18
 
 def _in_float_range(law, what: str) -> float:
     """law(), or ModelDomainError where its result exceeds the float range,
-    which ** reports as OverflowError and * and / as inf."""
+    which ** and math.ldexp report as OverflowError and * and / as inf."""
     try:
         result = law()
     except OverflowError:
@@ -112,10 +112,18 @@ class TranslinearSpec:
         if not math.isfinite(i_in) or i_in < 0.0:
             raise ModelDomainError(
                 f"block input current must be finite and >= 0, got {i_in!r}")
+        what = f"block output for {i_in!r} A"
+        if self.kind is ElementKind.EXPANSIVE:
+            # i_in * (i_in / i_ref) on the frexp mantissas, which lie in
+            # [0.5, 1): neither the square nor the quotient can leave the
+            # float range before the result does, and i_in = i_ref is exact.
+            (m, e), (r, f) = math.frexp(i_in), math.frexp(self.i_ref)
+            return _in_float_range(lambda: math.ldexp(m * (m / r), 2 * e - f),
+                                   what)
         # i_ref ** 0 is 1 for any i_ref, so LINEAR stays an exact identity.
         q = self.kind.exponent
         return _in_float_range(lambda: i_in ** q * self.i_ref ** (1.0 - q),
-                               f"block output for {i_in!r} A")
+                               what)
 
 
 def rectify(v_xy: float, transconductance: float) -> float:

@@ -16,7 +16,7 @@ from glottisim import (
     pulse_peaks,
     simulate,
 )
-from glottisim.analysis import _find_peaks
+from glottisim.analysis import _f0_of_peaks, _find_peaks
 from glottisim.config import RunConfig
 from glottisim.exporters import (export_csv, format_report,
                                  read_waveform_csv)
@@ -120,6 +120,22 @@ def test_default_run_f0(loud_waveform, soft_waveform):
     assert f_loud == pytest.approx(44100.0 / 353.0, rel=1e-12)
     assert f_soft == f_loud  # pressure moves amplitude, not timing
     assert abs(f_loud - 125.0) <= 1.0
+
+
+# small gaps tie often; odd and even interval counts alternate with the length
+@given(start=st.integers(0, 10**6),
+       gaps=st.lists(st.one_of(st.integers(1, 8), st.integers(1, 10**9)),
+                     min_size=1, max_size=80),
+       rate=st.integers(8000, 10**300))
+@example(start=0, gaps=[441], rate=44100)
+@example(start=5, gaps=[352, 353], rate=44100)
+@example(start=0, gaps=[3, 3, 3, 3], rate=8000)
+def test_f0_of_peaks_is_bitwise_one_over_the_numpy_median(start, gaps, rate):
+    idx = start + np.cumsum([0] + gaps)
+    want = 1.0 / float(np.median(np.diff(idx) / float(rate)))
+    got = _f0_of_peaks(idx, rate)
+    assert type(got) is float
+    assert got.hex() == want.hex()
 
 
 # -- peak picking ----------------------------------------------------------

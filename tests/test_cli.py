@@ -34,16 +34,32 @@ def test_simulate_short_run(tmp_path, capsys):
     assert len(d) == len(w)
 
 
-def test_import_loads_no_scipy():
+# Modules a default CLI call must not load: scipy is a test dependency
+# only, np.median imports numpy.ma, and only --config needs configparser.
+_UNUSED_MODULES = ("scipy", "numpy.ma", "configparser")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["simulate", "--wav"], []),
+    (["sweep", "--from", "7", "--to", "9", "--step", "1"], []),
+    (["analyze", "--csv", "waveform.csv"], []),
+    (["simulate", "--config", "run.ini"], ["configparser"]),
+], ids=["simulate", "sweep", "analyze", "simulate-config"])
+def test_cli_call_loads_only_what_it_runs(tmp_path, argv, loaded):
+    # the inputs of the analyze and --config cases
+    assert main(["simulate", "--duration", "0.1", "--out", str(tmp_path)]) == 0
+    (tmp_path / "run.ini").write_text("[output]\nwav = true\n")
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, glottisim, glottisim.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.partition('.')[0] == 'scipy'))")
-    child = subprocess.run([sys.executable, "-c", code],
+    code = ("import sys; from glottisim.cli import main; "
+            f"rc = main({argv!r}); "
+            f"print(rc, sorted({{n for n in {_UNUSED_MODULES!r} "
+            "for m in sys.modules if m == n or m.startswith(n + '.')}), "
+            "file=sys.stderr)")
+    child = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
                            env=dict(os.environ, PYTHONPATH=str(src)),
                            capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
-    assert child.stdout.strip() == "[]"
+    assert child.stderr.splitlines()[-1] == f"0 {loaded}"
 
 
 def test_simulate_takes_the_derivative_once(tmp_path, capsys, monkeypatch):

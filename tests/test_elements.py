@@ -1,9 +1,11 @@
 """Element current laws, translinear blocks, and the feedback emulation."""
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from glottisim import (
     ElementKind,
@@ -152,6 +154,30 @@ def test_translinear_duality(i_ref, i_in):
     exp = TranslinearSpec(ElementKind.EXPANSIVE, i_ref=i_ref)
     assert exp.output(comp.output(i_in)) == pytest.approx(i_in, rel=1e-12)
     assert comp.output(exp.output(i_in)) == pytest.approx(i_in, rel=1e-12)
+
+
+@given(i_in=st.floats(min_value=0.0, max_value=sys.float_info.max),
+       i_ref=st.floats(min_value=0.0, max_value=sys.float_info.max,
+                       exclude_min=True))
+@example(i_in=1e-200, i_ref=1e-300)  # i_in ** 2 underflows
+@example(i_in=1e-200, i_ref=5e-324)  # i_ref ** -1 overflows
+@example(i_in=1e-10, i_ref=1e-320)   # i_in / i_ref overflows
+def test_expansive_block_is_within_two_ulps_of_the_exact_square(i_in, i_ref):
+    block = TranslinearSpec(ElementKind.EXPANSIVE, i_ref=i_ref)
+    exact = Fraction(i_in) ** 2 / Fraction(i_ref)
+    top = Fraction(sys.float_info.max)
+    if exact > top:
+        # only float max itself lies within 2 ulps of a result just above it
+        if exact - top > 2 * math.ulp(sys.float_info.max):
+            with pytest.raises(ModelDomainError, match="float range"):
+                block.output(i_in)
+        return
+    got = block.output(i_in)
+    # 2 ulps of the result, or of the subnormal spacing below the normal range
+    ulp = math.ulp(max(float(exact), sys.float_info.min))
+    assert abs(Fraction(got) - exact) <= 2 * ulp
+    if i_in == i_ref:
+        assert got == i_in
 
 
 def test_translinear_rejects_bad_inputs():
