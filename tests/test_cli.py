@@ -36,7 +36,7 @@ def test_simulate_short_run(tmp_path, capsys):
 
 # Modules a default CLI call must not load: scipy is a test dependency
 # only, np.median imports numpy.ma, and only --config needs configparser.
-_UNUSED_MODULES = ("scipy", "numpy.ma", "configparser")
+_WATCHED_MODULES = ("scipy", "numpy.ma", "configparser")
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -52,7 +52,7 @@ def test_cli_call_loads_only_what_it_runs(tmp_path, argv, loaded):
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; from glottisim.cli import main; "
             f"rc = main({argv!r}); "
-            f"print(rc, sorted({{n for n in {_UNUSED_MODULES!r} "
+            f"print(rc, sorted({{n for n in {_WATCHED_MODULES!r} "
             "for m in sys.modules if m == n or m.startswith(n + '.')}), "
             "file=sys.stderr)")
     child = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
