@@ -102,10 +102,10 @@ at a new pressure skips the trace pass, and simulate_many takes the traces
 once for one circuit at many drives.  The memo holds one entry, dropped
 before a new pair is formed, and no pair longer than _TRACE_MEMO_SAMPLES
 (2**22) samples per trace.  With a pair it keeps what GlottalWaveform checks
-of the traces alone: that both are finite, and the indices of the closed
-samples, where a trace is 0, as int32 (4 bytes per closed sample, at worst
-16 MiB at the cap beside the pair's 64 MiB; 56 indices over 60 s at the
-defaults).  A waveform whose trace arrays are the memo's, the same objects,
+of the traces alone: that both are finite and >= 0, and the indices of the
+closed samples, where a trace is 0, as int32 (4 bytes per closed sample, at
+worst 16 MiB at the cap beside the pair's 64 MiB; 56 indices over 60 s at
+the defaults).  A waveform whose trace arrays are the memo's, the same objects,
 then checks only its flow.  Each result of the kernel depends on its own
 entry's inputs only, so simulate_many also finds the distinct active
 (g_lower, g_upper) pairs once and, at each drive, solves only those and
@@ -138,8 +138,11 @@ _MAX_SOLVER_STEPS = 200
 # simulate forms the traces and solves them this many samples at a time, and
 # simulate_many solves its distinct bias pairs this many at a time.  The
 # entries are independent, so the result does not depend on it, and the
-# temporaries stay at a few MB however long the record is.
-_SOLVE_BLOCK = 16384
+# temporaries stay at a few MB however long the record is.  A block's
+# float64 array stays below 16 384 values, 131 072 bytes, glibc's default
+# mmap threshold, at which each block temporary is mapped and glibc's heap
+# trims depend on the size of the process environment.
+_SOLVE_BLOCK = 16000
 # The root table has this many intervals per unit of its z in [0, 2].
 _ROOT_TABLE_STEPS = 1024
 # The most float64 samples whose byte count numpy can index.
@@ -151,8 +154,8 @@ _TRACE_MEMO_SAMPLES = 2 ** 22
 # The last pair conductance_traces kept, as ((lower oscillator, upper
 # oscillator, n, rate), (g_lower, g_upper), closed), or None, where closed
 # holds the int32 indices of the samples at which a trace is 0 if both
-# traces are finite, else None.  It is read once into a local and replaced
-# by one assignment, so threads need no lock.
+# traces are finite and >= 0, else None.  It is read once into a local and
+# replaced by one assignment, so threads need no lock.
 _trace_memo = None
 
 
@@ -213,10 +216,11 @@ class GlottalWaveform:
     """Sampled simulation output: flow plus the two fold conductance traces.
 
     Each array must be real, one-dimensional and finite, of one nonempty
-    length, with u_gl >= 0 and u_gl == 0 wherever a trace is 0.  Trace
-    arrays that are the pair conductance_traces keeps, the same objects, are
-    not checked again: the memo holds their finiteness and closed samples,
-    so only the flow is checked, with the same errors in the same order.
+    length, with u_gl >= 0, both traces >= 0, and u_gl == 0 wherever a trace
+    is 0, where its fold is closed.  Trace arrays that are the pair
+    conductance_traces keeps, the same objects, are not checked again: the
+    memo holds their checks and closed samples, so only the flow is checked,
+    with the same errors in the same order.
     """
 
     sample_rate_hz: int
@@ -253,6 +257,11 @@ class GlottalWaveform:
         if np.any(self.u_gl < 0.0):
             raise ModelDomainError("glottal flow is unipolar; u_gl must be >= 0")
         if closed is None:
+            for name in ("g_lower", "g_upper"):
+                if np.any(getattr(self, name) < 0.0):
+                    raise ModelDomainError(
+                        f"{name} must be >= 0; a fold is closed where its "
+                        f"trace is 0")
             closed = _closed(self.g_lower, self.g_upper)
         if self.u_gl[closed].any():
             raise ModelDomainError("flow must vanish wherever a fold bias is zero")
@@ -369,7 +378,7 @@ def _root_table(setup, v: float) -> np.ndarray:
     t = [np.minimum(z, 1.0), np.minimum(2.0 - z, 1.0)]
     coefficients = [c for _, c in setup]
     b4, b2, b1 = _powers(coefficients, t)
-    x = _halley(b4, b2, b1, v, z)
+    x = _halley(b4, b2, b1, v)
     g, dg, dt = -1.0, 0.0, []
     for c_f, t_f in zip(coefficients, t):
         w = t_f * x
@@ -392,56 +401,32 @@ def _root_table(setup, v: float) -> np.ndarray:
     return table
 
 
-def _halley(b4, b2, b1, v, like, x=None):
+def _halley(b4, b2, b1, v, x=None):
     """The normalized root x of g for coefficients (b4, b2, b1) at drive
-    v > 0, shaped like like, by Halley steps in place from the start x, or
-    from x_q where x is None (see the module docstring).
+    v > 0, by Halley steps from the start x, or from x_q where x is None
+    (see the module docstring).
 
-    g, g' and g'' / 2 are evaluated by Horner into buffers allocated once
-    per call.  Converged entries are frozen in place rather than removed,
-    which gives the same bits.  The loop uses only correctly rounded
-    operations, so each result depends on that entry's own inputs only,
-    whatever the batch.  The stopping test |g| <= 1e-12 * max(v, 1) / v is
-    the voltage residual within 1e-12 * max(v, 1).  A SolverError gives the
-    batch index of the first entry that failed and how many failed.
+    Each step evaluates g, g' and g'' / 2 by Horner over the whole batch,
+    and np.where keeps the converged entries with the same bits.  The loop
+    uses only correctly rounded operations, so each result depends on that
+    entry's own inputs only, whatever the batch.  The stopping test
+    |g| <= 1e-12 * max(v, 1) / v is the voltage residual within
+    1e-12 * max(v, 1).  A SolverError gives the batch index of the first
+    entry that failed and how many failed.
     """
-    d4, d2, d6 = 4.0 * b4, 2.0 * b2, 6.0 * b4
     tol = _RESIDUAL_RTOL * max(v, 1.0) / v
-    y, g, dg, h = (np.empty_like(like) for _ in range(4))
-    done, todo = np.empty(len(y), bool), np.empty(len(y), bool)
     if x is None:
         # x_q = sqrt(z_q), z_q = 2 / (B + sqrt(B**2 + 4 * b4)), B = b2 + b1
-        x = np.empty_like(like)
-        np.add(b2, b1, out=h)
-        np.multiply(h, h, out=y)
-        y += d4
-        np.sqrt(y, out=y)
-        y += h
-        np.sqrt(np.divide(2.0, y, out=x), out=x)
+        B = b2 + b1
+        x = np.sqrt(2.0 / (np.sqrt(B * B + 4.0 * b4) + B))
     for _ in range(_MAX_SOLVER_STEPS):
-        np.multiply(x, x, out=y)
-        np.multiply(b4, y, out=g)
-        g += b2
-        g *= y
-        g += np.multiply(b1, x, out=dg)
-        g -= 1.0
-        np.less_equal(np.abs(g, out=dg), tol, out=done)
+        y = x * x
+        g = (b4 * y + b2) * y + b1 * x - 1.0
+        done = np.abs(g) <= tol
         if done.all():
             return x
-        # g' = (4 b4 y + 2 b2) x + b1 and g * g'' / 2 = g (6 b4 y + b2)
-        np.multiply(d4, y, out=dg)
-        dg += d2
-        dg *= x
-        dg += b1
-        np.multiply(d6, y, out=h)
-        h += b2
-        h *= g
-        # x - g g' / (g'**2 - g g'' / 2), kept only where not done
-        np.subtract(np.multiply(dg, dg, out=y), h, out=y)
-        np.multiply(g, dg, out=dg)
-        dg /= y
-        np.subtract(x, dg, out=dg)
-        np.copyto(x, dg, where=np.logical_not(done, out=todo))
+        dg = (4.0 * b4 * y + 2.0 * b2) * x + b1
+        x = np.where(done, x, x - g * dg / (dg * dg - (6.0 * b4 * y + b2) * g))
     k = int(np.argmin(done))
     failed = len(done) - int(np.count_nonzero(done))
     residual = float(g[k]) * v
@@ -464,7 +449,7 @@ def _series_root(roots, setup, v, table=None):
     warning, where sigma is beyond the float range.
     """
     sigma, b4, b2, b1, t = _quartic(roots, setup)
-    x = _halley(b4, b2, b1, v, sigma,
+    x = _halley(b4, b2, b1, v,
                 None if table is None else _table_start(table, t))
     return np.multiply(sigma, x, out=x)
 
@@ -568,7 +553,9 @@ def conductance_traces(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURA
     traces = g_lower.view(), g_upper.view()
     if n <= _TRACE_MEMO_SAMPLES:
         closed = None
-        if np.isfinite(g_lower).all() and np.isfinite(g_upper).all():
+        # both finite and >= 0; a NaN fails either comparison
+        if all(0.0 <= g.min() and g.max() < math.inf
+               for g in (g_lower, g_upper)):
             closed = np.flatnonzero(_closed(g_lower, g_upper)).astype(np.int32)
         _trace_memo = key, traces, closed
     return traces

@@ -282,6 +282,24 @@ def test_analyze_csv_whose_derivative_overflows_exits_2(tmp_path, capsys):
     assert "float range" in err
 
 
+def test_analyze_csv_with_a_negative_trace_exits_2(tmp_path, capsys):
+    # simulate takes g <= 0 as closed, so a waveform takes only g >= 0
+    out = tmp_path / "run"
+    assert run(capsys, "simulate", "--duration", "0.01",
+               "--out", str(out))[0] == 0
+    path = out / "waveform.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[100].split(",")
+    fields[3] = "-0.5"
+    lines[100] = ",".join(fields)
+    path.write_text("".join(lines))
+    rc, stdout, err = run(capsys, "analyze", "--csv", str(path))
+    assert rc == 2 and stdout == ""
+    assert err.splitlines() == [
+        "config error: g_lower must be >= 0; a fold is closed where its "
+        "trace is 0"]
+
+
 def test_analyze_non_ascii_csv_exits_2(tmp_path):
     # a UTF-8 byte-order mark in the header is bad input, not a crash
     path = tmp_path / "bom.csv"

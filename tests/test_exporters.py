@@ -127,7 +127,8 @@ def csv_cases(draw):
         x[pick] = rng.choice(specials, int(pick.sum()))
         return x
 
-    g_lower, g_upper = column(), column()
+    # a trace is >= 0, so its negative cells are mirrored; -0.0 stays
+    g_lower, g_upper = (np.where(g < 0.0, -g, g) for g in (column(), column()))
     u = np.where((g_lower != 0.0) & (g_upper != 0.0), np.abs(column()), 0.0)
     d = column(np.concatenate((SPECIAL_CELLS, SPECIAL_DERIVATIVES)))
     return GlottalWaveform(rate, u, g_lower, g_upper, t0=t0), d
@@ -293,6 +294,19 @@ def test_read_of_crlf_comments_and_blank_lines(short_csv, tmp_path):
     path = tmp_path / "crlf.csv"
     path.write_bytes(("\r\n".join(lines) + "\r\n\r\n").encode("ascii"))
     _assert_same_read(read_waveform_csv(path), read_waveform_csv(short_csv))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_read_rejects_a_derivative_cell_that_is_not_finite(short_csv, cell):
+    # analyze of what the reader returned reported
+    # max_negative_derivative=nan before
+    lines = short_csv.read_text().splitlines(keepends=True)
+    fields = lines[200].split(",")
+    fields[2] = cell
+    lines[200] = ",".join(fields)
+    short_csv.write_text("".join(lines))
+    with pytest.raises(ModelDomainError, match="du_gl_dt"):
+        analyze(*read_waveform_csv(short_csv))
 
 
 def test_read_matches_a_float_per_cell_parse(tmp_path, loud_waveform):

@@ -154,6 +154,8 @@ def test_waveform_invariants():
         GlottalWaveform(44100, [np.nan], [1.0], [1.0])
     with pytest.raises(ModelDomainError, match="t0 must be finite"):
         GlottalWaveform(44100, [1.0], [1.0], [1.0], t0=np.inf)
+    with pytest.raises(ModelDomainError, match="g_upper must be >= 0"):
+        GlottalWaveform(44100, [0.0, 0.0], [1.0, 1.0], [1.0, -1e-300])
     w = GlottalWaveform(44100, [0.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0])
     assert len(w) == 3
     assert w.times[1] == pytest.approx(1.0 / 44100.0)
@@ -260,12 +262,13 @@ def test_simulated_samples_match_scalar_solver(loud_waveform):
 
 
 def test_solve_blocks_do_not_change_the_flow(monkeypatch, loud_waveform):
-    # 1000 and 16384 leave a short last block; 44101 covers the record.
-    # The normal-voice blocks are all open but the first, and the 2 ms
-    # pulses close part of every block.
+    # 1000 and one more than the default leave a short last block, and the
+    # latter moves every block edge; 44101 covers the record.  The
+    # normal-voice blocks are all open but the first, and the 2 ms pulses
+    # close part of every block.
     cases = [(GlottalCircuit.normal_voice(10.0), loud_waveform),
              (TWO_MS_PULSES, simulate(TWO_MS_PULSES, 1.0, 44100))]
-    for block in (1000, 16384, 44101):
+    for block in (1000, network._SOLVE_BLOCK + 1, 44101):
         monkeypatch.setattr(network, "_SOLVE_BLOCK", block)
         for circuit, want in cases:
             w = simulate(circuit, 1.0, 44100)
@@ -629,6 +632,47 @@ def test_series_root_comes_back_up_after_an_overshoot(monkeypatch):
     assert current == pytest.approx(want, rel=1e-12)
 
 
+def _assert_batch_independent(roots, setup, v, table=None):
+    """_series_root of the batch is, bit for bit, each entry solved alone,
+    and under some step cap the batch holds converged entries beside
+    pending ones, which np.where must keep."""
+    together = network._series_root(roots, setup, v, table)
+    alone = [network._series_root([r[k:k + 1] for r in roots], setup, v, table)
+             for k in range(len(together))]
+    assert together.tobytes() == np.concatenate(alone).tobytes()
+    failed = []
+    with pytest.MonkeyPatch.context() as m:
+        for cap in (1, 2, 3):
+            m.setattr(network, "_MAX_SOLVER_STEPS", cap)
+            try:
+                network._series_root(roots, setup, v, table)
+            except SolverError as exc:
+                failed.append(exc.failed)
+    assert any(0 < f < len(together) for f in failed)
+
+
+@pytest.mark.parametrize("v", [3.2, 1e3])
+def test_series_root_from_x_q_is_independent_of_the_batch(v):
+    # the corners take 0 to 3 steps, so np.where keeps converged entries
+    # while the others step
+    _assert_batch_independent(*_element_folds(_corner_coeffs(), v), v)
+
+
+@pytest.mark.parametrize("pressure", [6.0, 15.0])
+def test_series_root_from_the_root_table_is_independent_of_the_batch(
+        monkeypatch, pressure):
+    # from the coarse table a few entries meet the tolerance at their start
+    # and the others take one step
+    _coarse_tables(monkeypatch)
+    circuit = GlottalCircuit.normal_voice(pressure)
+    v = circuit.drive.value
+    setup = network._circuit_setup(circuit)
+    root_lower, root_upper, _ = network._distinct_pairs(
+        *conductance_traces(circuit, 0.02, 44100))
+    _assert_batch_independent((root_lower, root_upper), setup, v,
+                              network._root_table(setup, v))
+
+
 def _x_q_failures(pressures):
     """The pressures at which the kernel from x_q, without a root table,
     raises SolverError on the normal-voice circuit's folds over the
@@ -680,7 +724,11 @@ TWO_MS_PULSES = RunConfig(
                                       phase_lag_s=0.001)).build_circuit()
 
 
-@pytest.mark.parametrize("samples", [16383, 16384, 16385])
+# records that end one sample before, at and one sample after the first
+# block edge, and records that leave a short last block
+@pytest.mark.parametrize("samples", [
+    network._SOLVE_BLOCK - 1, network._SOLVE_BLOCK, network._SOLVE_BLOCK + 1,
+    16383, 16384, 16385])
 @pytest.mark.parametrize("circuit", [
     pytest.param(GlottalCircuit.normal_voice(), id="normal"),
     pytest.param(RunConfig(upper_linear_gain=0.0).build_circuit(),
@@ -1022,20 +1070,33 @@ def test_waveform_on_memo_traces_takes_the_kept_checks(monkeypatch):
     GlottalWaveform(44100, w.u_gl, w.g_lower.copy(), w.g_upper.copy())
 
 
-@pytest.mark.parametrize("cap", [0, network._TRACE_MEMO_SAMPLES],
-                         ids=["kept-nothing", "kept"])
-def test_non_finite_traces_are_rejected(cap, monkeypatch):
+def _assert_traces_rejected(monkeypatch, cap, last, match):
+    """simulate with a trace memo of cap samples, whose lower pulse ends in
+    last, raises ModelDomainError matching match, and a kept pair keeps no
+    closed samples, so that every waveform on it checks the traces."""
     monkeypatch.setattr(network, "_trace_memo", None)
     monkeypatch.setattr(network, "_TRACE_MEMO_SAMPLES", cap)
     pulse = OscillatorConfig._pulse
 
-    def nan_pulse(self, t, out, scratch):
+    def bad_pulse(self, t, out, scratch):
         pulse(self, t, out, scratch)
-        out[-1] = np.nan
+        out[-1] = last
         return out
 
-    monkeypatch.setattr(OscillatorConfig, "_pulse", nan_pulse)
-    with pytest.raises(ModelDomainError, match="g_lower must be finite"):
+    monkeypatch.setattr(OscillatorConfig, "_pulse", bad_pulse)
+    with pytest.raises(ModelDomainError, match=match):
         simulate(GlottalCircuit.normal_voice(), 0.05, 44100)
     memo = network._trace_memo
     assert memo is None if cap == 0 else memo[2] is None
+
+
+@pytest.mark.parametrize("cap", [0, network._TRACE_MEMO_SAMPLES],
+                         ids=["kept-nothing", "kept"])
+def test_non_finite_traces_are_rejected(cap, monkeypatch):
+    _assert_traces_rejected(monkeypatch, cap, np.nan, "g_lower must be finite")
+
+
+@pytest.mark.parametrize("cap", [0, network._TRACE_MEMO_SAMPLES],
+                         ids=["kept-nothing", "kept"])
+def test_negative_traces_are_rejected(cap, monkeypatch):
+    _assert_traces_rejected(monkeypatch, cap, -0.5, "g_lower must be >= 0")
