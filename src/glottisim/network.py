@@ -105,11 +105,11 @@ before a new pair is formed, and no pair longer than _TRACE_MEMO_SAMPLES
 of the traces alone: that both are finite and >= 0, and the indices of the
 closed samples, where a trace is 0, as int32 (4 bytes per closed sample, at
 worst 16 MiB at the cap beside the pair's 64 MiB; 56 indices over 60 s at
-the defaults).  A waveform whose trace arrays are the memo's, the same objects,
-then checks only its flow.  Each result of the kernel depends on its own
-entry's inputs only, so simulate_many also finds the distinct active
-(g_lower, g_upper) pairs once and, at each drive, solves only those and
-spreads their flows over the record; the flows are bitwise those of
+the defaults).  A waveform whose trace arrays are the memo's, the same
+objects, then checks only its flow.  Each result of the kernel depends on
+its own entry's inputs only, so simulate_many also finds the distinct
+active (g_lower, g_upper) pairs once and, at each drive, solves only those
+and spreads their flows over the record; the flows are bitwise those of
 simulate.
 """
 from __future__ import annotations
