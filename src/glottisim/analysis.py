@@ -180,10 +180,12 @@ def analyze(w: GlottalWaveform, d: np.ndarray | None = None) -> AnalysisReport:
     """Full report; F0 is None (not an error) when too few pulses exist.
 
     d is the flow derivative of w, taken here when None; ModelDomainError
-    unless it has w's shape.
+    unless it has w's shape and no NaN sample.
     """
     d = derivative(w) if d is None else _check_derivative(w, d)
     least = float(d.min())
+    if math.isnan(least):  # min is NaN exactly when a sample is
+        raise ModelDomainError("the flow derivative has a NaN sample")
     # a bound CLOSURE_INSTANT_RTOL of |least| above least, -inf for -inf
     bound = least * (1.0 + math.copysign(CLOSURE_INSTANT_RTOL, least))
     i_min = int(np.argmax(d <= bound))

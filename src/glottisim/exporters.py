@@ -76,7 +76,7 @@ def read_waveform_csv(path) -> tuple[GlottalWaveform, np.ndarray]:
     """Inverse of export_csv; returns the waveform and its derivative column.
 
     The sample rate is recovered from the whole time span:
-    (n - 1) / (t[-1] - t[0]).  Every derivative cell must be finite.
+    (n - 1) / (t[-1] - t[0]).
     """
     with open(path, "r", encoding="ascii", newline="") as fh:
         try:
@@ -110,9 +110,6 @@ def read_waveform_csv(path) -> tuple[GlottalWaveform, np.ndarray]:
     rate = _check_rate(rate if math.isinf(rate) else round(rate))
     w = GlottalWaveform(sample_rate_hz=rate, u_gl=data[:, 1],
                         g_lower=data[:, 3], g_upper=data[:, 4], t0=float(t[0]))
-    if not np.isfinite(data[:, 2]).all():
-        raise ModelDomainError(
-            f"waveform CSV {path} has a du_gl_dt cell that is not finite")
     return w, data[:, 2]
 
 

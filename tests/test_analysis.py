@@ -379,6 +379,15 @@ def test_analyze_rejects_a_derivative_of_another_length(length):
         analyze(w, d)
 
 
+@pytest.mark.parametrize("k", [0, 3, 6])
+def test_analyze_rejects_a_nan_derivative(k):
+    # the report read max_negative_derivative=nan; infinities stay accepted
+    d = np.array([0.0, -1.0, np.inf, -np.inf, 0.0, -1.0, 0.0])
+    d[k] = np.nan
+    with pytest.raises(ModelDomainError, match="NaN"):
+        analyze(make_waveform(np.ones(len(d))), d)
+
+
 def test_closure_instant_sits_in_the_fall_segment(loud_waveform):
     # sharpest negative flow swing happens while the lower-fold pulse falls
     rep = analyze(loud_waveform)

@@ -1,22 +1,23 @@
 #!/usr/bin/env python3
 """Count the minor page faults of fresh `glottisim sweep` runs on two commits.
 
-    python3 tools/fault_scan.py --base HEAD~1 --head HEAD \\
-        --workdir /tmp/scan --sizes 62 --step 97
+    python3 tools/fault_scan.py --base HEAD~1 --head HEAD --workdir /tmp/scan
 
 Each commit's committed tree is extracted with `extract` of
 tools/bench_pair.py into its own directory under `--workdir`.  For each
-environment size N = 0, step, 2 * step, ... (`--sizes` of them), each side
-runs one fresh `python -m glottisim sweep --from 6 --to 15 --step 0.1` with
-one extra environment variable whose value is N bytes long, base first at
-even sizes and head first at odd ones, and reads the child's minor page
-faults and CPU time (user + system) from `os.wait4`.  Where glibc trims its
-heap and regrows it depends on where the heap top lies, which the size of
-the environment and the checkout path move, so a run that trims shows as an
-outlier in faults; scan from workdirs whose paths differ in length too.
+environment size N = 0, 97, 194, ... (SIZES of them, STEP bytes apart),
+each side runs one fresh `python -m glottisim sweep --from 6 --to 15 --step
+0.1` with one extra environment variable whose value is N bytes long, base
+first at even sizes and head first at odd ones, and reads the child's minor
+page faults and CPU time (user + system) from `os.wait4`.  Where glibc
+trims its heap and regrows it depends on where the heap top lies, which the
+size of the environment and the checkout path move, so a run that trims
+shows as an outlier in faults; scan from workdirs whose paths differ in
+length too.
 Each line printed holds a size and each side's faults and CPU seconds; a
-summary per side follows: the medians, and the sizes whose faults exceed
-1.2 x the median.  Only the Python standard library is used.
+summary per side follows: the medians, the least fault count, and the
+sizes whose faults exceed 1.2 x that least count, so a trim at most sizes
+shows as well as one at a few.  Only the Python standard library is used.
 """
 from __future__ import annotations
 
@@ -31,6 +32,8 @@ from bench_pair import extract, git
 SWEEP = ("sweep", "--from", "6", "--to", "15", "--step", "0.1")
 # the extra environment variable that moves the heap
 PAD = "FAULT_SCAN_PAD"
+SIZES = 62
+STEP = 97  # bytes between environment sizes
 OUTLIER = 1.2
 
 
@@ -51,13 +54,14 @@ def run_sweep(checkout: Path, size: int, out: Path) -> tuple[int, float]:
 
 def summarize(counts: dict[int, tuple[int, float]]) -> dict:
     """The median faults and CPU seconds of one side's counts, given as
-    {size: (faults, cpu_s)}, and the sizes whose faults exceed OUTLIER x
-    the median."""
-    median = statistics.median(f for f, _ in counts.values())
-    return {"median_faults": median,
+    {size: (faults, cpu_s)}, its least faults, and the sizes whose faults
+    exceed OUTLIER x the least."""
+    least = min(f for f, _ in counts.values())
+    return {"median_faults": statistics.median(f for f, _ in counts.values()),
             "median_cpu_s": statistics.median(c for _, c in counts.values()),
+            "least_faults": least,
             "outliers": sorted(n for n, (f, _) in counts.items()
-                               if f > OUTLIER * median)}
+                               if f > OUTLIER * least)}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -66,9 +70,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--head", required=True, help="changed commit")
     parser.add_argument("--workdir", type=Path, required=True,
                         help="where the two checkouts are extracted")
-    parser.add_argument("--sizes", type=int, default=62)
-    parser.add_argument("--step", type=int, default=97,
-                        help="bytes between environment sizes")
     args = parser.parse_args(argv)
 
     checkouts = {}
@@ -79,8 +80,8 @@ def main(argv: list[str] | None = None) -> int:
     out = args.workdir / "out"
     counts = {side: {} for side in checkouts}
     print("size base_faults base_cpu_s head_faults head_cpu_s")
-    for k in range(args.sizes):
-        size = k * args.step
+    for k in range(SIZES):
+        size = k * STEP
         for side in ("base", "head") if k % 2 == 0 else ("head", "base"):
             counts[side][size] = run_sweep(checkouts[side], size, out)
         print(size, *(f"{counts[side][size][0]} {counts[side][size][1]:.3f}"
@@ -88,8 +89,8 @@ def main(argv: list[str] | None = None) -> int:
     for side in checkouts:
         s = summarize(counts[side])
         print(f"{side}: median {s['median_faults']} faults, "
-              f"{s['median_cpu_s']:.3f} s CPU; above {OUTLIER} x the "
-              f"median: {s['outliers']}")
+              f"{s['median_cpu_s']:.3f} s CPU; least {s['least_faults']} "
+              f"faults; above {OUTLIER} x the least: {s['outliers']}")
     return 0
 
 
