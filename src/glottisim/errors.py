@@ -33,6 +33,12 @@ class SolverError(GlottisimError, RuntimeError):
     0 from 6 to 100 cmH2O and at the gain corners, from the upper bound at
     most 3 over the domain's corners and every accepted input drawn, far
     inside the 200-step cap (see the network module docstring).
+
+    A flow solve names the earliest failing sample in index and time_s;
+    failed counts the failing entries of the batch that failed: the open
+    samples of a block of samples, the distinct bias pairs of a block of
+    pairs where simulate_many solves two or more drives, or the nodes of a
+    root table, whose failure names no sample.
     """
 
     def __init__(self, message: str, residual: float | None = None,

@@ -108,9 +108,10 @@ worst 16 MiB at the cap beside the pair's 64 MiB; 56 indices over 60 s at
 the defaults).  A waveform whose trace arrays are the memo's, the same
 objects, then checks only its flow.  Each result of the kernel depends on
 its own entry's inputs only, so simulate_many also finds the distinct
-active (g_lower, g_upper) pairs once and, at each drive, solves only those
-and spreads their flows over the record; the flows are bitwise those of
-simulate.
+active (g_lower, g_upper) pairs once, in the order of their first samples,
+and, at each drive, solves only those and spreads their flows over the
+record; the flows are bitwise those of simulate, and a failure names the
+same sample.
 """
 from __future__ import annotations
 
@@ -590,17 +591,18 @@ def _check_flow_range(circuit: GlottalCircuit, rate: int) -> None:
 
 def _distinct_pairs(g_lower: np.ndarray, g_upper: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The bias roots of the distinct active (g_lower, g_upper) pairs, and a
-    slot per sample: 0 where a fold is closed, else 1 + its pair's index.
+    """The bias roots of the distinct active (g_lower, g_upper) pairs in
+    the order of their first samples, and a slot per sample: 0 where a fold
+    is closed, else 1 + its pair's index.
 
-    The pairs are found by sorting the complex key g_lower + 1j * g_upper,
-    which is freed before any solve.
+    The pairs are found by a stable sort of the complex key
+    g_lower + 1j * g_upper, which is freed before any solve.
     """
     active = np.flatnonzero((g_lower > 0.0) & (g_upper > 0.0))
     key = np.empty(len(active), complex)
     key.real = g_lower[active]
     key.imag = g_upper[active]
-    order = np.argsort(key)
+    order = np.argsort(key, kind="stable")
     key = key[order]
     new = np.empty(len(key), bool)
     new[:1] = True
@@ -609,9 +611,10 @@ def _distinct_pairs(g_lower: np.ndarray, g_upper: np.ndarray
     slot = np.zeros(len(g_lower),
                     np.int32 if len(g_lower) <= np.iinfo(np.int32).max
                     else np.intp)
-    slot[active[order]] = np.cumsum(new)
     first = active[order[new]]
-    return np.sqrt(g_lower[first]), np.sqrt(g_upper[first]), slot
+    pair = np.sort(first)
+    slot[active[order]] = (np.searchsorted(pair, first) + 1)[np.cumsum(new) - 1]
+    return np.sqrt(g_lower[pair]), np.sqrt(g_upper[pair]), slot
 
 
 def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
@@ -627,50 +630,54 @@ def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
     block's open samples are gathered first and scattered back.  With
     pairs = _distinct_pairs(g_lower, g_upper), each distinct pair is
     solved once, one block of pairs at a time, and np.take spreads the flows
-    over the record.  A failure there is solved again block by block, which
-    meets the samples in time order.
+    over the record.  Both loops meet their entries in the order of their
+    first samples, so the first entry that fails names the earliest one.
     """
     drive = circuit.drive.value
     if not (drive > 0.0
             and min(e.gain for e in _series_elements(circuit)) > 0.0):
         return np.zeros(len(g_lower))
     setup = _circuit_setup(circuit)
-    table = _root_table(setup, drive)
-    if pairs is not None:
-        root_lower, root_upper, slot = pairs
-        flows = np.zeros(len(root_lower) + 1)
-        try:
+    try:
+        table = _root_table(setup, drive)
+    except SolverError as exc:
+        raise SolverError(f"the root table at {drive!r} V failed: {exc}",
+                          residual=exc.residual, failed=exc.failed) from exc
+    try:
+        if pairs is not None:
+            root_lower, root_upper, slot = pairs
+            flows = np.zeros(len(root_lower) + 1)
             for start in range(0, len(root_lower), _SOLVE_BLOCK):
                 s = _series_root((root_lower[start:start + _SOLVE_BLOCK],
                                   root_upper[start:start + _SOLVE_BLOCK]),
                                  setup, drive, table)
                 np.multiply(s, s, out=flows[1 + start:1 + start + len(s)])
             return np.take(flows, slot)
-        except SolverError:
-            pass  # solved again below, block by block
-    u = np.zeros(len(g_lower))
-    for start in range(0, len(u), _SOLVE_BLOCK):
-        gl = g_lower[start:start + _SOLVE_BLOCK]
-        gu = g_upper[start:start + _SOLVE_BLOCK]
-        active = (gl > 0.0) & (gu > 0.0)
-        is_open = bool(active.all())
-        if not is_open:
-            gl, gu = gl[active], gu[active]
-        try:
+        u = np.zeros(len(g_lower))
+        for start in range(0, len(u), _SOLVE_BLOCK):
+            gl = g_lower[start:start + _SOLVE_BLOCK]
+            gu = g_upper[start:start + _SOLVE_BLOCK]
+            active = (gl > 0.0) & (gu > 0.0)
+            is_open = bool(active.all())
+            if not is_open:
+                gl, gu = gl[active], gu[active]
             s = _series_root((np.sqrt(gl), np.sqrt(gu)), setup, drive, table)
-        except SolverError as exc:
-            # Map the failing solve entry back to its sample time.
+            if is_open:
+                np.multiply(s, s, out=u[start:start + _SOLVE_BLOCK])
+            else:
+                u[start:start + _SOLVE_BLOCK][active] = np.multiply(s, s, out=s)
+        return u
+    except SolverError as exc:
+        # Map the failing entry back to its (first) sample time.
+        if pairs is not None:
+            k = int(np.argmax(slot == start + exc.index + 1))
+        else:
             k = start + (exc.index if is_open
                          else int(np.flatnonzero(active)[exc.index]))
-            t_k = k / float(rate)
-            raise SolverError(
-                f"{exc} at t = {t_k!r} s", residual=exc.residual, index=k,
-                time_s=t_k, failed=exc.failed) from exc
-        if is_open:
-            np.multiply(s, s, out=u[start:start + _SOLVE_BLOCK])
-        else:
-            u[start:start + _SOLVE_BLOCK][active] = np.multiply(s, s, out=s)
-    return u
+        t_k = k / float(rate)
+        raise SolverError(
+            f"{exc} at t = {t_k!r} s", residual=exc.residual, index=k,
+            time_s=t_k, failed=exc.failed) from exc
 
 
 def simulate_many(circuit: GlottalCircuit, drives: Iterable[DcVoltage],

@@ -300,6 +300,35 @@ def test_analyze_csv_with_a_negative_trace_exits_2(tmp_path, capsys):
         "trace is 0"]
 
 
+def _delete_row(lines):
+    del lines[100]
+
+
+def _nan_time(lines):
+    lines[100] = "nan" + lines[100][lines[100].index(","):]
+
+
+def _8khz_column(lines):
+    # the span gives 8 000 Hz, but the second time is a tenth of 1 / 8 000
+    lines[1:] = [f"{t},0,0,1,1\n" for t in ("0", "1.25e-5", "2e-4", "3.75e-4")]
+
+
+@pytest.mark.parametrize("mutate", [_delete_row, _nan_time, _8khz_column])
+def test_analyze_csv_with_a_time_off_the_grid_exits_2(tmp_path, capsys,
+                                                      mutate):
+    out = tmp_path / "run"
+    assert run(capsys, "simulate", "--duration", "0.01",
+               "--out", str(out))[0] == 0
+    path = out / "waveform.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    mutate(lines)
+    path.write_text("".join(lines))
+    rc, stdout, err = run(capsys, "analyze", "--csv", str(path))
+    assert rc == 2 and stdout == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"config error: waveform CSV {path}: the time ")
+
+
 def test_analyze_non_ascii_csv_exits_2(tmp_path):
     # a UTF-8 byte-order mark in the header is bad input, not a crash
     path = tmp_path / "bom.csv"

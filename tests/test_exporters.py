@@ -1,4 +1,5 @@
 """Waveform CSV, WAV, and report serialization."""
+import itertools
 import os
 import tracemalloc
 
@@ -95,6 +96,40 @@ def test_csv_round_trip_simulation(tmp_path, loud_waveform):
     back, _ = read_waveform_csv(path)
     assert back.sample_rate_hz == 44100
     assert back.t0 == 1000.0
+
+
+# 999 999 937 Hz is prime, so its times are not short decimals.  At it,
+# at 51 356 436 407 Hz and after a late start, the rounding of the span's
+# two cells leaves the recovered rate off by more than half a hertz, and
+# at 51 356 436 407 Hz the times fail a check that does not allow for it.
+@pytest.mark.parametrize("rate, t0", [
+    *itertools.product([8000, 44100, 96000, 10**9, 999_999_937],
+                       [0.0, 123.456, -0.0123]),
+    (51_356_436_407, 0.0)])
+def test_csv_reader_takes_the_times_of_every_export(tmp_path, rate, t0):
+    n = 3000
+    w = GlottalWaveform(rate, np.zeros(n), np.ones(n), np.ones(n), t0=t0)
+    export_csv(w, np.zeros(n), tmp_path / "w.csv")
+    back, _ = read_waveform_csv(tmp_path / "w.csv")
+    assert back.t0 == float(format_number(t0))
+    if t0 == 0.0 and rate <= 96000:
+        assert back.sample_rate_hz == rate
+
+
+@pytest.mark.parametrize("rate", [8000, 44100, 10**9])
+def test_csv_reader_rejects_a_time_one_sample_off(tmp_path, rate):
+    n = 3000
+    w = GlottalWaveform(rate, np.zeros(n), np.ones(n), np.ones(n))
+    path = tmp_path / "w.csv"
+    export_csv(w, np.zeros(n), path)
+    lines = path.read_text().splitlines(keepends=True)
+    for k in (1, 1500, n - 2):
+        shifted = list(lines)
+        shifted[k + 1] = format_number((k + 1) / rate) + lines[k + 1][
+            lines[k + 1].index(","):]
+        path.write_text("".join(shifted))
+        with pytest.raises(ModelDomainError, match=f"on line {k + 2} "):
+            read_waveform_csv(path)
 
 
 def test_csv_is_deterministic(tmp_path):

@@ -532,6 +532,48 @@ def test_iteration_cap_names_the_failing_sample_of_an_open_block(
     assert "for 13 of 20 entries" in str(exc)
 
 
+def test_pairs_and_blocks_name_the_same_failing_sample(monkeypatch):
+    # at 1e16 V the samples from 30 on fail from the coarse table; the pair
+    # of samples 30 to 59 is the second in time but, with g_upper 3e-10
+    # above the 1e-10 of samples 60 to 99, the last in key order
+    _coarse_tables(monkeypatch)
+    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 1)
+    monkeypatch.setattr(network, "_SOLVE_BLOCK", 20)
+    c = replace(GlottalCircuit.normal_voice(), drive=DcVoltage(1e16))
+    gl = np.ones(100)
+    gu = np.full(100, 1e-30)
+    gu[30:] = 3e-10
+    gu[60:] = 1e-10
+    errors = []
+    for pairs in (None, network._distinct_pairs(gl, gu)):
+        with pytest.raises(SolverError) as info:
+            network._solve_flow(c, gl, gu, 44100, pairs)
+        errors.append(info.value)
+    blocks, pairs = errors
+    assert blocks.index == pairs.index == 30
+    assert blocks.time_s == pairs.time_s == 30 / 44100.0
+    assert blocks.residual == pairs.residual
+    # the failing batch's entries: samples 30 to 39 of the block from 20,
+    # and the pairs from 30 and from 60
+    assert (blocks.failed, pairs.failed) == (10, 2)
+
+
+def test_root_table_failure_names_no_sample(monkeypatch):
+    # a cap of 1 fails the table's nodes, solved from x_q: the error counts
+    # nodes, not samples, and names no sample
+    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 1)
+    c = GlottalCircuit.normal_voice()
+    with pytest.raises(SolverError) as info:
+        simulate(c, 0.01, 44100)
+    exc = info.value
+    assert exc.index is None and exc.time_s is None
+    assert str(exc).startswith(
+        f"the root table at {c.drive.value!r} V failed: ")
+    assert exc.failed == 2 * network._ROOT_TABLE_STEPS
+    assert f"for {exc.failed} of {exc.failed + 1} entries" in str(exc)
+    assert "at t =" not in str(exc)
+
+
 # -- the series-root kernel -------------------------------------------------
 
 SERIES_KINDS = ((L, "linear"), (C, "compressive"), (L, "linear"),
@@ -783,9 +825,9 @@ def test_simulate_many_checks_every_drive_before_any_trace(monkeypatch):
 
 
 def test_simulate_many_names_the_failing_sample_time(monkeypatch):
-    # the failing sample lies in the third block of the second drive; the
-    # solve of its distinct pairs fails first and is solved again block by
-    # block
+    # the failing sample lies in the third block of samples of the second
+    # drive; its pair is the first in the order of first samples, and the
+    # pair solve names it
     _coarse_tables(monkeypatch)
     monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 1)
     monkeypatch.setattr(network, "_SOLVE_BLOCK", 20)
@@ -822,6 +864,10 @@ def test_simulate_many_is_bitwise_simulate_over_distinct_pairs(
     assert len(root_lower) / np.count_nonzero(active) == pytest.approx(
         share, abs=1e-3)
     assert np.array_equal(slot > 0, active)
+    # the pairs are numbered in the order of their first samples
+    slots, first = np.unique(slot, return_index=True)
+    assert np.array_equal(slots[slots > 0], np.arange(1, len(root_lower) + 1))
+    assert np.all(np.diff(first[slots > 0]) > 0)
     drives = _drives((6.0, 10.0, 15.0))
     for d, w in zip(drives, simulate_many(circuit, drives, 1.0, rate)):
         want = simulate(replace(circuit, drive=d), 1.0, rate)
@@ -845,6 +891,30 @@ def test_simulate_many_solves_each_distinct_pair_once(monkeypatch):
     active = np.count_nonzero((gl > 0.0) & (gu > 0.0))
     # 26 050 distinct pairs among 44 050 active samples
     assert sum(entries) / len(drives) == 26050 < active == 44050
+
+
+def test_simulate_many_solves_no_sample_block_after_a_pair_block_fails(
+        monkeypatch):
+    entries = []
+    series_root = network._series_root
+
+    def counted(roots, setup, v, table=None):
+        entries.append(len(roots[0]))
+        return series_root(roots, setup, v, table)
+
+    _coarse_tables(monkeypatch)
+    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 1)
+    monkeypatch.setattr(network, "_SOLVE_BLOCK", 20)
+    monkeypatch.setattr(network, "_series_root", counted)
+    c = GlottalCircuit.normal_voice()
+    with pytest.raises(SolverError) as info:
+        list(simulate_many(c, _drives((0.0, 10.0)), 0.01, 44100))
+    root_lower, _, slot = network._distinct_pairs(
+        *conductance_traces(c, 0.01, 44100))
+    # the first active sample fails, and its pair is the first: one block
+    # of pairs was solved, and nothing after it
+    assert slot[info.value.index] == 1
+    assert entries == [min(20, len(root_lower))]
 
 
 def test_simulate_many_memory_does_not_grow_with_the_circuit_count():
