@@ -612,8 +612,9 @@ def _distinct_pairs(g_lower: np.ndarray, g_upper: np.ndarray
                     np.int32 if len(g_lower) <= np.iinfo(np.int32).max
                     else np.intp)
     first = active[order[new]]
-    pair = np.sort(first)
-    slot[active[order]] = (np.searchsorted(pair, first) + 1)[np.cumsum(new) - 1]
+    mark = np.bincount(first, minlength=len(g_lower))
+    pair = np.flatnonzero(mark)
+    slot[active[order]] = np.cumsum(mark, out=mark)[first][np.cumsum(new) - 1]
     return np.sqrt(g_lower[pair]), np.sqrt(g_upper[pair]), slot
 
 

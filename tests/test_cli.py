@@ -1,4 +1,6 @@
 """End-to-end CLI behavior and exit codes."""
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -7,10 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from glottisim import RunConfig, analysis, cli, network
 from glottisim.cli import main
-from glottisim.exporters import read_waveform_csv
+from glottisim.exporters import format_number, read_waveform_csv
 import oracles
 
 
@@ -300,33 +303,76 @@ def test_analyze_csv_with_a_negative_trace_exits_2(tmp_path, capsys):
         "trace is 0"]
 
 
-def _delete_row(lines):
-    del lines[100]
+def _analyze(text, path):
+    """(exit code, stdout, stderr) of analyze --csv of text written to path."""
+    path.write_text(text)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(stdout),
+          contextlib.redirect_stderr(stderr)):
+        rc = main(["analyze", "--csv", str(path)])
+    return rc, stdout.getvalue(), stderr.getvalue()
 
 
-def _nan_time(lines):
-    lines[100] = "nan" + lines[100][lines[100].index(","):]
+@pytest.fixture(scope="module")
+def short_export(tmp_path_factory):
+    """The lines of a 10 ms export, 441 rows, and analyze --csv's report."""
+    out = tmp_path_factory.mktemp("export")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--duration", "0.01", "--out", str(out)]) == 0
+    lines = (out / "waveform.csv").read_text().splitlines(keepends=True)
+    rc, report, _ = _analyze("".join(lines), out / "same.csv")
+    assert rc == 0
+    return lines, report
 
 
-def _8khz_column(lines):
+# (row, column, change): a column of None deletes an interior row, a float
+# moves the row's time by that many samples, and a str replaces the cell
+EXPORT_MUTATIONS = st.one_of(
+    st.tuples(st.integers(1, 439), st.none(), st.none()),
+    st.tuples(st.integers(0, 440), st.just(0),
+              st.floats(0.01, 3.0) | st.floats(-3.0, -0.01)),
+    st.tuples(st.integers(0, 440), st.integers(0, 4),
+              st.sampled_from(["nan", "inf", "-inf", "-0.5"])))
+
+
+@given(mutation=EXPORT_MUTATIONS)
+@example(mutation=(100, None, None))
+@example(mutation=(100, 0, "nan"))
+@example(mutation=(100, 2, "nan"))
+@example(mutation=(100, 3, "-0.5"))
+def test_analyze_csv_of_a_mutated_export_exits_2_or_reports_the_same(
+        tmp_path_factory, short_export, mutation):
+    # analyze --csv takes its own derivative, so only a du_gl_dt cell may
+    # change and leave the report as it was
+    lines, report = short_export
+    row, column, change = mutation
+    lines = list(lines)
+    fields = lines[row + 1].rstrip("\n").split(",")
+    if column is None:
+        del lines[row + 1]
+    else:
+        fields[column] = (change if isinstance(change, str) else
+                          format_number(float(fields[0]) + change / 44100))
+        lines[row + 1] = ",".join(fields) + "\n"
+    rc, stdout, err = _analyze("".join(lines),
+                               tmp_path_factory.mktemp("mutated") / "w.csv")
+    if column == 2:
+        assert (rc, stdout, err) == (0, report, "")
+    else:
+        assert rc == 2 and stdout == ""
+        assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+
+
+def test_analyze_csv_of_times_off_their_rate_exits_2(tmp_path, capsys):
     # the span gives 8 000 Hz, but the second time is a tenth of 1 / 8 000
-    lines[1:] = [f"{t},0,0,1,1\n" for t in ("0", "1.25e-5", "2e-4", "3.75e-4")]
-
-
-@pytest.mark.parametrize("mutate", [_delete_row, _nan_time, _8khz_column])
-def test_analyze_csv_with_a_time_off_the_grid_exits_2(tmp_path, capsys,
-                                                      mutate):
-    out = tmp_path / "run"
-    assert run(capsys, "simulate", "--duration", "0.01",
-               "--out", str(out))[0] == 0
-    path = out / "waveform.csv"
-    lines = path.read_text().splitlines(keepends=True)
-    mutate(lines)
-    path.write_text("".join(lines))
+    path = tmp_path / "off.csv"
+    path.write_text("time_s,u_gl,du_gl_dt,g_lower,g_upper\n" + "".join(
+        f"{t},0,0,1,1\n" for t in ("0", "1.25e-5", "2e-4", "3.75e-4")))
     rc, stdout, err = run(capsys, "analyze", "--csv", str(path))
     assert rc == 2 and stdout == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith(f"config error: waveform CSV {path}: the time ")
+    assert err.splitlines() == [
+        f"config error: waveform CSV {path}: the time 1.25e-05 s on line 3 "
+        f"is not 0.0 + 1 / 8000 s"]
 
 
 def test_analyze_non_ascii_csv_exits_2(tmp_path):
