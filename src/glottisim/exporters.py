@@ -120,8 +120,8 @@ def _sample_rate(t: np.ndarray, path) -> int:
     the rate, which rounding to whole Hz undoes where slack * rate < 1 / 4;
     elsewhere the rate may be off by 1 / 2 Hz plus slack, at most three
     times slack, and the check allows that.  It runs _TIME_CHECK_ROWS rows
-    at a time, so its temporaries stay at one block, and takes about 2.5 ms
-    over a 10 s record at 44.1 kHz.  A NaN time fails it.
+    at a time, so its temporaries stay at one block, and takes 2-3 ms over
+    a 10 s record at 44.1 kHz on a 2-core host.  A NaN time fails it.
     """
     t0, last = float(t[0]), float(t[-1])
     # Python floats: a span or rate beyond the float range is inf, unwarned
