@@ -49,6 +49,10 @@ MIN_PEAK_SPACING_S = 0.001
 # derivative rejects records with no interior sample to take a central
 # difference at.
 MIN_DERIVATIVE_SAMPLES = 3
+# analyze looks for the closure instant this many samples at a time, and
+# stops at the first block that holds it: a periodic record holds it in one
+# of its first cycles.
+_CLOSURE_SCAN_SAMPLES = 16384
 
 
 @dataclass(frozen=True)
@@ -188,7 +192,13 @@ def analyze(w: GlottalWaveform, d: np.ndarray | None = None) -> AnalysisReport:
         raise ModelDomainError("the flow derivative has a NaN sample")
     # a bound CLOSURE_INSTANT_RTOL of |least| above least, -inf for -inf
     bound = least * (1.0 + math.copysign(CLOSURE_INSTANT_RTOL, least))
-    i_min = int(np.argmax(d <= bound))
+    # least itself lies within the bound, so some block holds a hit
+    for start in range(0, len(d), _CLOSURE_SCAN_SAMPLES):
+        hit = d[start:start + _CLOSURE_SCAN_SAMPLES] <= bound
+        i_min = int(np.argmax(hit))
+        if hit[i_min]:
+            i_min += start
+            break
     u = w.u_gl
     peak = float(u.max())
     peaks = _pulse_peaks(w, peak)

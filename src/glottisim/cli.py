@@ -170,7 +170,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ModelDomainError) as exc:
+    # a record too large for this machine's memory is a config error here
+    except (ConfigError, ModelDomainError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

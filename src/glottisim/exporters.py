@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import warnings
-import wave
 from pathlib import Path
 
 import numpy as np
@@ -164,7 +163,10 @@ def export_wav(w: GlottalWaveform, path) -> None:
     """Write the flow as mono 16-bit PCM at the waveform's own rate, with the
     peak at 90% full scale.  An all-zero flow stays all-zero.  A rate beyond
     what the RIFF header holds raises ModelDomainError before the file is
-    opened."""
+    opened.  The file is opened here and handed to wave, so a path that
+    cannot be opened raises its OSError before any wave writer exists."""
+    import wave  # only a WAV export needs it
+
     _check_wav_rate(w.sample_rate_hz)
     samples = w.u_gl
     peak = float(np.abs(samples).max())
@@ -173,7 +175,7 @@ def export_wav(w: GlottalWaveform, path) -> None:
     else:
         ints = np.rint((samples / peak) * (WAV_PEAK_FRACTION * _FULL_SCALE))
         ints = ints.astype("<i2")
-    with wave.open(str(path), "wb") as fh:
+    with open(path, "wb") as raw, wave.open(raw, "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(w.sample_rate_hz)

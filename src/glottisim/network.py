@@ -71,6 +71,20 @@ differ from x_q's in their last digits, by at most 2e-12 relative from 6 to
 shorter than about one solve block does not win back: at 4 410 samples the
 solve takes about 0.39 ms against 0.20 ms from x_q.
 
+A table start is checked first on the folds' own sums, which need no b_p:
+g = sum_f phi_f(t_f * x) - 1, phi_f(w) = sum_p C_f,p * w**p (_residual).
+An entry with |g| <= tol / 2, tol = 1e-12 * max(v, 1) / v, is accepted with
+0 steps, and only the others get their b_p and go to the Halley kernel,
+which applies its own test |g| <= tol to them and steps them.  That keeps
+every bit: t_f <= 1, x <= 1 and each C_f,p is at most its count of
+elements, so both forms of g round to within about 100 eps * (1 + n)
+~ 1.1e-13 of the exact value for n = 4 elements, and tol >= 1e-12; an
+accepted entry so passes the kernel's test at its start, where the kernel
+returns it unchanged, and each kernel result depends on its own entry
+alone.  Over 60 s from 6 to 100 cmH2O the starts reach at most 0.004-0.076
+of tol, so at the defaults no entry goes to the kernel, which a counting
+test pins from 6 to 15 cmH2O over 1 s.
+
 Both elements of a fold share its bias g_f, so c_k = gain_k * g_f and
 rho_k = sqrt(g_f) * kappa_k, where kappa_k = sqrt(gain_k) * v**(q_k / 2) is
 one number per drive.  The fold's least rho is rho_f = sqrt(g_f) *
@@ -106,12 +120,13 @@ of the traces alone: that both are finite and >= 0, and the indices of the
 closed samples, where a trace is 0, as int32 (4 bytes per closed sample, at
 worst 16 MiB at the cap beside the pair's 64 MiB; 56 indices over 60 s at
 the defaults).  A waveform whose trace arrays are the memo's, the same
-objects, then checks only its flow.  Each result of the kernel depends on
-its own entry's inputs only, so simulate_many also finds the distinct
-active (g_lower, g_upper) pairs once, in the order of their first samples,
-and, at each drive, solves only those and spreads their flows over the
-record; the flows are bitwise those of simulate, and a failure names the
-same sample.
+objects, then checks only its flow, and the block solve of those arrays
+builds the open-sample mask only in blocks that hold a kept closed sample.
+Each result of the kernel depends on its own entry's inputs only, so
+simulate_many also finds the distinct active (g_lower, g_upper) pairs once,
+in the order of their first samples, and, at each drive, solves only those
+and spreads their flows over the record; the flows are bitwise those of
+simulate, and a failure names the same sample.
 """
 from __future__ import annotations
 
@@ -145,6 +160,9 @@ _MAX_SOLVER_STEPS = 200
 _SOLVE_BLOCK = 16000
 # The root table has this many intervals per unit of its z in [0, 2].
 _ROOT_TABLE_STEPS = 1024
+# A table start is accepted with 0 steps where |g| at it, summed fold by
+# fold, is within this share of the tolerance (see the module docstring).
+_ACCEPT_SHARE = 0.5
 # The most float64 samples whose byte count numpy can index.
 _MAX_SAMPLES = np.iinfo(np.intp).max // 8
 # conductance_traces keeps a pair of at most this many samples per trace: 64
@@ -230,11 +248,9 @@ class GlottalWaveform:
     t0: float = 0.0
 
     def __post_init__(self):
-        # the memo's own traces come with their checks (see _trace_memo)
-        memo = _trace_memo
-        closed = (memo[2] if memo is not None and self.g_lower is memo[1][0]
-                  and self.g_upper is memo[1][1] else None)
+        closed = _memo_closed(self.g_lower, self.g_upper)
         names = ("u_gl", "g_lower", "g_upper") if closed is None else ("u_gl",)
+        negative = []  # the finite arrays that hold a sample below 0
         for name in names:
             arr = np.asarray(getattr(self, name))
             if arr.dtype.kind not in "biuf":
@@ -244,8 +260,10 @@ class GlottalWaveform:
             object.__setattr__(self, name, arr)
             if arr.ndim != 1:
                 raise ModelDomainError(f"{name} must be one-dimensional")
-            if not np.all(np.isfinite(arr)):
-                raise ModelDomainError(f"{name} must be finite everywhere")
+            if not _finite_and_nonnegative(arr):
+                if not np.all(np.isfinite(arr)):
+                    raise ModelDomainError(f"{name} must be finite everywhere")
+                negative.append(name)
         if not (len(self.u_gl) == len(self.g_lower) == len(self.g_upper)):
             raise ModelDomainError("waveform arrays must share one length")
         if len(self.u_gl) == 0:
@@ -254,14 +272,13 @@ class GlottalWaveform:
                            _check_rate(self.sample_rate_hz))
         if not math.isfinite(self.t0):
             raise ModelDomainError(f"t0 must be finite, got {self.t0!r}")
-        if np.any(self.u_gl < 0.0):
-            raise ModelDomainError("glottal flow is unipolar; u_gl must be >= 0")
+        if negative:
+            name = negative[0]
+            raise ModelDomainError(
+                "glottal flow is unipolar; u_gl must be >= 0" if name == "u_gl"
+                else f"{name} must be >= 0; a fold is closed where its trace "
+                     f"is 0")
         if closed is None:
-            for name in ("g_lower", "g_upper"):
-                if np.any(getattr(self, name) < 0.0):
-                    raise ModelDomainError(
-                        f"{name} must be >= 0; a fold is closed where its "
-                        f"trace is 0")
             closed = _closed(self.g_lower, self.g_upper)
         if self.u_gl[closed].any():
             raise ModelDomainError("flow must vanish wherever a fold bias is zero")
@@ -272,6 +289,21 @@ class GlottalWaveform:
     @property
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(len(self.u_gl)) / float(self.sample_rate_hz)
+
+
+def _finite_and_nonnegative(a: np.ndarray) -> bool:
+    """Whether every sample of a is finite and >= 0, in two reductions; a
+    NaN fails either comparison, and an empty a passes."""
+    return 0.0 <= a.min(initial=0.0) and a.max(initial=0.0) < math.inf
+
+
+def _memo_closed(g_lower, g_upper):
+    """The closed samples the trace memo keeps (see _trace_memo) if g_lower
+    and g_upper are its own arrays, the same objects, else None."""
+    memo = _trace_memo
+    if memo is not None and g_lower is memo[1][0] and g_upper is memo[1][1]:
+        return memo[2]
+    return None
 
 
 def _closed(g_lower: np.ndarray, g_upper: np.ndarray) -> np.ndarray:
@@ -305,10 +337,9 @@ def _circuit_setup(circuit: GlottalCircuit) -> list:
             for fold in (circuit.lower, circuit.upper)]
 
 
-def _quartic(roots, setup):
-    """sigma = min_k rho_k, the coefficients (b4, b2, b1) of the
-    normalized voltage balance g(x) (see the module docstring) and the t_f
-    of each fold, for the folds' bias roots and their _fold_setup.
+def _fold_ratios(roots, setup):
+    """sigma = min_k rho_k and the t_f of each fold (see the module
+    docstring), for the folds' bias roots and their _fold_setup.
 
     Element k of fold f has rho_k = root_f * kappa_k, so rho_f =
     root_f * least_f and sigma / rho_k = t_f * (least_f / kappa_k) with
@@ -319,7 +350,7 @@ def _quartic(roots, setup):
         rhos = [root * least for root, (least, _) in zip(roots, setup)]
         sigma = functools.reduce(np.minimum, rhos)
         t = [np.fmin(sigma / rho, 1.0) for rho in rhos]
-    return (sigma, *_powers([c for _, c in setup], t), t)
+    return sigma, t
 
 
 def _powers(coefficients, t):
@@ -339,6 +370,23 @@ def _powers(coefficients, t):
     return b.get(4.0, 0.0), b.get(2.0, 0.0), b.get(1.0, 0.0)
 
 
+def _residual(coefficients, t, x):
+    """g(x) = sum_f phi_f(t_f * x) - 1 for the folds' C of _fold_setup and
+    their t_f, where phi_f(w) = sum_p C_f,p * w**p.  A fold of the circuit
+    has power 2 (its linear element) and 4 or 1 (the other), so phi_f is
+    (C_4 * w**2 + C_2) * w**2 or (C_2 * w + C_1) * w, by Horner's rule with
+    no product by a C_p of 1."""
+    g = -1.0
+    for c, t_f in zip(coefficients, t):
+        w = t_f * x
+        if 4.0 in c:
+            y = w * w
+            g = g + ((y if c[4.0] == 1.0 else c[4.0] * y) + c[2.0]) * y
+        else:
+            g = g + ((w if c[2.0] == 1.0 else c[2.0] * w) + c[1.0]) * w
+    return g
+
+
 def _table_start(table, t):
     """The start x read from a root table of _root_table at
     z = t_lower - t_upper + 1 (see there), clipped to [1 / 4, 1], where
@@ -346,11 +394,12 @@ def _table_start(table, t):
     u = np.subtract(t[0], t[1])
     u += 1.0
     u *= _ROOT_TABLE_STEPS
-    i = np.floor(u)
+    # u >= 0, so truncation is floor
+    i = u.astype(np.intp)
     u -= i
     # each entry's interval: its four coefficients in one gather
-    c = table.take(i.astype(np.intp), axis=0, mode="clip")
-    x = np.multiply(c[:, 3], u, out=i)
+    c = table.take(i, axis=0, mode="clip")
+    x = c[:, 3] * u
     for k in (2, 1):
         x += c[:, k]
         x *= u
@@ -414,7 +463,7 @@ def _halley(b4, b2, b1, v, x=None):
     1e-12 * max(v, 1).  A SolverError gives the batch index of the first
     entry that failed and how many failed.
     """
-    tol = _RESIDUAL_RTOL * max(v, 1.0) / v
+    tol = _tolerance(v)
     if x is None:
         # x_q = sqrt(z_q), z_q = 2 / (B + sqrt(B**2 + 4 * b4)), B = b2 + b1
         B = b2 + b1
@@ -428,12 +477,23 @@ def _halley(b4, b2, b1, v, x=None):
         dg = (4.0 * b4 * y + 2.0 * b2) * x + b1
         x = np.where(done, x, x - g * dg / (dg * dg - (6.0 * b4 * y + b2) * g))
     k = int(np.argmin(done))
-    failed = len(done) - int(np.count_nonzero(done))
-    residual = float(g[k]) * v
-    raise SolverError(
+    raise _unconverged(len(done) - int(np.count_nonzero(done)), len(done),
+                       float(g[k]) * v, k)
+
+
+def _tolerance(v):
+    """The bound on |g| of the stopping test at drive v > 0: the voltage
+    residual within 1e-12 * max(v, 1)."""
+    return _RESIDUAL_RTOL * max(v, 1.0) / v
+
+
+def _unconverged(failed, entries, residual, index):
+    """The SolverError of a batch of entries in which failed entries, the
+    first at index with residual in volts, did not converge."""
+    return SolverError(
         f"series current solve did not converge in {_MAX_SOLVER_STEPS} steps "
-        f"for {failed} of {len(done)} entries (residual {residual!r} V)",
-        residual=residual, index=k, failed=failed)
+        f"for {failed} of {entries} entries (residual {residual!r} V)",
+        residual=residual, index=index, failed=failed)
 
 
 def _series_root(roots, setup, v, table=None):
@@ -441,16 +501,35 @@ def _series_root(roots, setup, v, table=None):
     1-D bias roots of the folds of setup: the normalized quartic Halley
     kernel.
 
-    The coefficients of g come from _quartic, in which elements of one law
-    fold into one b_p.  The root lies in [1 / n, 1] for n elements, and a
-    rho_k beyond the float range only adds 0 to its b_p.  The steps start
-    from x_q, or, given the root table of a two-fold circuit at drive v,
-    from the table (see _root_table).  s comes out as inf, without a
-    warning, where sigma is beyond the float range.
+    sigma and the t_f come from _fold_ratios, and the coefficients of g
+    from _powers, in which elements of one law fold into one b_p.  The root
+    lies in [1 / n, 1] for n elements, and a rho_k beyond the float range
+    only adds 0 to its b_p.  Without a table the steps start from x_q.
+    Given the root table of a two-fold circuit at drive v, each entry starts
+    from the table (see _root_table), and its start is accepted as it stands
+    where the folds' own sums put |g| within _ACCEPT_SHARE of the tolerance;
+    only the other entries get their b_p and Halley's exact test and steps,
+    and a SolverError counts and indexes them within the whole batch (see
+    the module docstring).  s comes out as inf, without a warning, where
+    sigma is beyond the float range.
     """
-    sigma, b4, b2, b1, t = _quartic(roots, setup)
-    x = _halley(b4, b2, b1, v,
-                None if table is None else _table_start(table, t))
+    sigma, t = _fold_ratios(roots, setup)
+    coefficients = [c for _, c in setup]
+    if table is None:
+        x = _halley(*_powers(coefficients, t), v)
+    else:
+        x = _table_start(table, t)
+        near = (np.abs(_residual(coefficients, t, x))
+                <= _ACCEPT_SHARE * _tolerance(v))
+        if not near.all():
+            todo = np.flatnonzero(~near)
+            try:
+                x[todo] = _halley(*_powers(coefficients,
+                                           [t_f[todo] for t_f in t]),
+                                  v, x[todo])
+            except SolverError as exc:
+                raise _unconverged(exc.failed, len(x), exc.residual,
+                                   int(todo[exc.index])) from None
     return np.multiply(sigma, x, out=x)
 
 
@@ -553,9 +632,7 @@ def conductance_traces(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURA
     traces = g_lower.view(), g_upper.view()
     if n <= _TRACE_MEMO_SAMPLES:
         closed = None
-        # both finite and >= 0; a NaN fails either comparison
-        if all(0.0 <= g.min() and g.max() < math.inf
-               for g in (g_lower, g_upper)):
+        if all(map(_finite_and_nonnegative, (g_lower, g_upper))):
             closed = np.flatnonzero(_closed(g_lower, g_upper)).astype(np.int32)
         _trace_memo = key, traces, closed
     return traces
@@ -576,11 +653,12 @@ def _check_flow_range(circuit: GlottalCircuit, rate: int) -> None:
     when g(x_c) < 0; so no solve is needed.
     """
     full = np.float64(1.0)
-    sigma, b4, b2, b1 = (float(a) for a in _quartic(
-        (full, full), _circuit_setup(circuit))[:4])
+    setup = _circuit_setup(circuit)
+    sigma, t = _fold_ratios((full, full), setup)
+    b4, b2, b1 = (float(b) for b in _powers([c for _, c in setup], t))
     top = math.sqrt(sys.float_info.max / rate)
     if sigma > top:
-        x = top / sigma
+        x = top / float(sigma)
         if (b4 * x * x + b2) * x * x + b1 * x < 1.0:
             raise ModelDomainError(
                 f"the flow at full bias exceeds the float range over the "
@@ -655,13 +733,19 @@ def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
                 np.multiply(s, s, out=flows[1 + start:1 + start + len(s)])
             return np.take(flows, slot)
         u = np.zeros(len(g_lower))
+        closed = _memo_closed(g_lower, g_upper)
         for start in range(0, len(u), _SOLVE_BLOCK):
             gl = g_lower[start:start + _SOLVE_BLOCK]
             gu = g_upper[start:start + _SOLVE_BLOCK]
-            active = (gl > 0.0) & (gu > 0.0)
-            is_open = bool(active.all())
+            # the memo's traces are finite and >= 0, so a block of them is
+            # open where it holds none of the kept closed samples
+            is_open = closed is not None and np.searchsorted(
+                closed, start) == np.searchsorted(closed, start + _SOLVE_BLOCK)
             if not is_open:
-                gl, gu = gl[active], gu[active]
+                active = (gl > 0.0) & (gu > 0.0)
+                is_open = bool(active.all())
+                if not is_open:
+                    gl, gu = gl[active], gu[active]
             s = _series_root((np.sqrt(gl), np.sqrt(gu)), setup, drive, table)
             if is_open:
                 np.multiply(s, s, out=u[start:start + _SOLVE_BLOCK])

@@ -301,6 +301,13 @@ def test_closure_instant_matches_a_sample_loop(name, loud_waveform, tmp_path):
     assert rep.max_negative_derivative_time_s == w.t0 + k / w.sample_rate_hz
 
 
+def _swings(n, swings):
+    """n derivative samples of 0, but for the swings {index: value}."""
+    d = np.zeros(n)
+    d[list(swings)] = list(swings.values())
+    return d
+
+
 @pytest.mark.parametrize("d, want", [
     # the least sits 1.1e-6 below the first swing and 6e-7 below the second
     ([0.0, -1.0, 0.0, -1.0000005, 0.0, -1.0000011, 0.0], 3),
@@ -308,6 +315,15 @@ def test_closure_instant_matches_a_sample_loop(name, loud_waveform, tmp_path):
     ([2.0, 3.0, 2.000001, 2.0000021], 0),
     ([1.0, 0.0, -0.0, 0.0], 1),
     ([3.0, -np.inf, -1e308, -np.inf], 1),
+    # analyze scans 16 384 samples at a time: swings in later blocks, and
+    # on either side of a block edge
+    *(pytest.param(_swings(45000, swings), want, id=name)
+      for name, swings, want in (
+          ("third-block", {40000: -1.0}, 40000),
+          ("second-block-near", {20000: -1.0000005, 40000: -1.0000011},
+           20000),
+          ("block-end", {16383: -1.0, 16384: -1.0}, 16383),
+          ("block-start", {16384: -1.0, 44999: -1.0}, 16384))),
 ])
 def test_closure_instant_is_the_first_swing_near_the_least(d, want):
     w = make_waveform(np.ones(len(d)))

@@ -38,16 +38,19 @@ def test_simulate_short_run(tmp_path, capsys):
 
 
 # Modules a default CLI call must not load: scipy is a test dependency
-# only, np.median imports numpy.ma, and only --config needs configparser.
-_WATCHED_MODULES = ("scipy", "numpy.ma", "configparser")
+# only, np.median imports numpy.ma, only --config needs configparser and
+# only a WAV export needs wave.
+_WATCHED_MODULES = ("scipy", "numpy.ma", "configparser", "wave")
 
 
 @pytest.mark.parametrize("argv, loaded", [
-    (["simulate", "--wav"], []),
+    (["simulate", "--wav"], ["wave"]),
+    (["simulate"], []),
     (["sweep", "--from", "7", "--to", "9", "--step", "1"], []),
     (["analyze", "--csv", "waveform.csv"], []),
-    (["simulate", "--config", "run.ini"], ["configparser"]),
-], ids=["simulate", "sweep", "analyze", "simulate-config"])
+    (["simulate", "--config", "run.ini"], ["configparser", "wave"]),
+], ids=["simulate", "simulate-without-wav", "sweep", "analyze",
+        "simulate-config"])
 def test_cli_call_loads_only_what_it_runs(tmp_path, argv, loaded):
     # the inputs of the analyze and --config cases
     assert main(["simulate", "--duration", "0.1", "--out", str(tmp_path)]) == 0
@@ -107,6 +110,42 @@ def test_simulate_wav_flag(tmp_path, capsys):
     info = oracles.parse_riff_wav(out / "waveform.wav")
     assert info["sample_rate"] == 44100
     assert info["channels"] == 1
+
+
+def _child(cwd, *argv, **kwargs):
+    """A fresh `python -m glottisim` process on argv, run in cwd."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "glottisim", *argv], cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120, **kwargs)
+
+
+def test_wav_path_failure_prints_one_line(tmp_path):
+    # a directory where waveform.wav goes: the open fails before any wave
+    # writer exists, so no writer's __del__ adds a traceback
+    (tmp_path / "o" / "waveform.wav").mkdir(parents=True)
+    child = _child(tmp_path, "simulate", "--duration", "0.1", "--out", "o",
+                   "--wav")
+    assert child.returncode == 4
+    assert child.stderr.startswith("i/o error: ")
+    assert len(child.stderr.splitlines()) == 1, child.stderr
+
+
+def test_out_of_memory_exits_2_in_one_line(tmp_path):
+    # 100 000 s at 44.1 kHz passes the config checks, but its traces do not
+    # fit in the child's address space, limited to 2 GiB there alone
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    child = _child(tmp_path, "simulate", "--duration", "100000", "--out",
+                   "o", preexec_fn=limit)
+    assert child.returncode == 2
+    assert child.stderr.startswith("config error: ")
+    assert len(child.stderr.splitlines()) == 1, child.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_wav_rate_beyond_the_riff_header_exits_2(tmp_path, capsys):

@@ -403,6 +403,22 @@ def test_wav_is_deterministic(tmp_path, loud_waveform):
     assert (tmp_path / "a.wav").read_bytes() == (tmp_path / "b.wav").read_bytes()
 
 
+def test_wav_bytes_are_what_wave_writes_to_its_path(tmp_path, loud_waveform):
+    # export_wav opens the file itself and hands wave the handle; the bytes
+    # are those of wave given the path, with the peak at 90% full scale
+    import wave
+
+    export_wav(loud_waveform, tmp_path / "a.wav")
+    u = loud_waveform.u_gl
+    ints = np.rint(u / u.max() * (0.9 * 32767)).astype("<i2")
+    with wave.open(str(tmp_path / "b.wav"), "wb") as fh:
+        fh.setnchannels(1)
+        fh.setsampwidth(2)
+        fh.setframerate(loud_waveform.sample_rate_hz)
+        fh.writeframes(ints.tobytes())
+    assert (tmp_path / "a.wav").read_bytes() == (tmp_path / "b.wav").read_bytes()
+
+
 def test_wav_input_validation(tmp_path):
     # export_wav takes a GlottalWaveform, whose own checks turn away a rate
     # below the 8 kHz floor, an empty record and a non-finite flow before

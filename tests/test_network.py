@@ -1,5 +1,6 @@
 """Series network solve and the quasi-static simulation."""
 import itertools
+import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -1000,7 +1001,140 @@ def test_simulate_many_is_bitwise_simulate_from_the_root_table(
     assert len(tables) == (6 if circuit.upper.linear.gain > 0.0 else 0)
 
 
+# -- the accept test of a table start ----------------------------------------
+
+
+@given(gains=st.tuples(*[st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)]
+                       * 4),
+       v=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e))
+def test_start_residual_is_the_kernels_within_a_quarter_tolerance(gains, v):
+    # over t_f (one fold at 1, the other in [0, 1]) and x in [1/4, 1], where
+    # the table's starts lie, the folds' own sums give the kernel's g within
+    # tol / 4, so an accepted start, |g| <= tol / 2, passes the kernel's
+    # test too
+    setup = [network._fold_setup((ResistorElement(L, gains[0]),
+                                  ResistorElement(C, gains[1])), v),
+             network._fold_setup((ResistorElement(L, gains[2]),
+                                  ResistorElement(E, gains[3])), v)]
+    coefficients = [c for _, c in setup]
+    other, x = np.meshgrid(np.linspace(0.0, 1.0, 257),
+                           np.linspace(0.25, 1.0, 193))
+    other, x = other.ravel(), x.ravel()
+    for t in ([np.ones_like(x), other], [other, np.ones_like(x)]):
+        # the kernel's g, from its coefficients (see _halley)
+        b4, b2, b1 = network._powers(coefficients, t)
+        y = x * x
+        kernel = (b4 * y + b2) * y + b1 * x - 1.0
+        ours = network._residual(coefficients, t, x)
+        assert np.max(np.abs(ours - kernel)) <= network._tolerance(v) / 4
+
+
+@pytest.mark.parametrize("pressure", [6.0, 15.0])
+def test_every_entry_from_the_table_meets_the_kernels_test(monkeypatch,
+                                                          pressure):
+    # from the coarse table, the starts of the distinct pairs of a 1 s record
+    # lie from within tol / 2 to far beyond tol, 30 of them between 1.2 and
+    # 2 tol: accepted at its start or stepped, each entry leaves with the
+    # kernel's |g| <= tol, up to the rounding of s / sigma
+    _coarse_tables(monkeypatch)
+    circuit = GlottalCircuit.normal_voice(pressure)
+    v = circuit.drive.value
+    setup = network._circuit_setup(circuit)
+    roots = network._distinct_pairs(
+        *conductance_traces(circuit, 1.0, 44100))[:2]
+    s = network._series_root(roots, setup, v, network._root_table(setup, v))
+    sigma, t = network._fold_ratios(roots, setup)
+    x = s / sigma
+    b4, b2, b1 = network._powers([c for _, c in setup], t)
+    y = x * x
+    g = (b4 * y + b2) * y + b1 * x - 1.0
+    assert np.abs(g).max() <= 1.01 * network._tolerance(v)
+
+
+@pytest.mark.parametrize("circuit", [
+    pytest.param(GlottalCircuit.normal_voice(), id="normal"),
+    pytest.param(RunConfig(upper_linear_gain=0.0).build_circuit(),
+                 id="zero-gain"),
+    pytest.param(TWO_MS_PULSES, id="2ms-pulses")])
+def test_starts_sent_to_the_kernel_keep_every_flow(monkeypatch, circuit):
+    # an accept bound below 0 sends every table start to the kernel, which
+    # accepts it there by its own test or steps it: each flow keeps its
+    # bits, through simulate (the blocks span a block edge) and through
+    # simulate_many's pairs
+    drives = _drives((6.5, 10.0, 15.0))
+    duration = (network._SOLVE_BLOCK + 1) / 44100
+    want = [simulate(replace(circuit, drive=d), duration, 44100).u_gl.tobytes()
+            for d in drives]
+    starts = []
+    halley = network._halley
+
+    def counted(b4, b2, b1, v, x=None):
+        if x is not None:
+            starts.append(len(x))
+        return halley(b4, b2, b1, v, x)
+
+    monkeypatch.setattr(network, "_halley", counted)
+    monkeypatch.setattr(network, "_ACCEPT_SHARE", -1.0)
+    got = [simulate(replace(circuit, drive=d), duration, 44100).u_gl.tobytes()
+           for d in drives]
+    many = [w.u_gl.tobytes()
+            for w in simulate_many(circuit, drives, duration, 44100)]
+    assert got == want and many == want
+    gl, gu = conductance_traces(circuit, duration, 44100)
+    active = np.count_nonzero((gl > 0.0) & (gu > 0.0))
+    pairs = len(network._distinct_pairs(gl, gu)[0])
+    flowing = circuit.upper.linear.gain > 0.0
+    assert sum(starts) == (3 * (active + pairs) if flowing else 0)
+
+
+def test_default_starts_take_no_kernel_call(monkeypatch):
+    # from 6 to 15 cmH2O every table start of a 1 s record is accepted, so
+    # the kernel runs only for the root tables' nodes
+    callers = []
+    halley = network._halley
+
+    def traced(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return halley(*args)
+
+    monkeypatch.setattr(network, "_halley", traced)
+    c = GlottalCircuit.normal_voice()
+    drives = _drives([6.0 + 0.1 * k for k in range(91)])
+    for _ in simulate_many(c, drives, 1.0, 44100):
+        pass
+    for d in drives[::30]:
+        simulate(replace(c, drive=d), 1.0, 44100)
+    assert callers == ["_root_table"] * (91 + 4)
+
+
 # -- the trace memo ----------------------------------------------------------
+
+
+def test_memo_traces_and_their_copies_give_the_same_flow(monkeypatch):
+    # in blocks of 1 000 samples, the closed samples of a 0.1 s record (the
+    # upper fold's silence before its lag and two pulse starts) lie in
+    # blocks 0, 1 and 3 of 5: the memo's traces take the open blocks from
+    # the kept closed samples, and their copies from the mask
+    monkeypatch.setattr(network, "_SOLVE_BLOCK", 1000)
+    monkeypatch.setattr(network, "_trace_memo", None)
+    entries = []
+    series_root = network._series_root
+
+    def counted(roots, setup, v, table=None):
+        entries.append(len(roots[0]))
+        return series_root(roots, setup, v, table)
+
+    monkeypatch.setattr(network, "_series_root", counted)
+    c = GlottalCircuit.normal_voice()
+    gl, gu = conductance_traces(c, 0.1, 44100)
+    assert sorted(set((network._trace_memo[2] // 1000).tolist())) == [0, 1, 3]
+    for d in _drives((6.5, 10.0, 15.0)):
+        circuit = replace(c, drive=d)
+        shared = network._solve_flow(circuit, gl, gu, 44100)
+        copies = network._solve_flow(circuit, gl.copy(), gu.copy(), 44100)
+        assert shared.any() and shared.tobytes() == copies.tobytes()
+    # both solved the open samples of each block alone, the same ones
+    assert entries == entries[:5] * 6 and entries[:5] != [1000] * 4 + [410]
 
 
 def _fresh(circuit, duration, rate, monkeypatch):
@@ -1099,22 +1233,36 @@ def test_trace_memo_keeps_the_closed_samples_as_int32(monkeypatch):
 
 
 def _flow_with(defect, u, closed):
-    """u with one defect: flow on a closed sample, a negative or a NaN flow
-    on an open one, or one sample too few."""
+    """u with one defect: flow on a closed sample, a negative, a NaN or a
+    -inf flow on an open one, a negative flow before a NaN one, or one
+    sample too few."""
     u = u.copy()
+    k = np.argmax(u)
     if defect == "closed":
         u[closed[-1]] = 0.5
     elif defect == "negative":
-        u[np.argmax(u)] = -1.0
+        u[k] = -1.0
     elif defect == "nan":
-        u[np.argmax(u)] = np.nan
+        u[k] = np.nan
+    elif defect == "-inf":
+        u[k] = -np.inf
+    elif defect == "negative-then-nan":
+        u[k - 1], u[k] = -1.0, np.nan
     else:
         u = u[:-1]
     return u
 
 
-@pytest.mark.parametrize("defect", ["closed", "negative", "nan", "length"])
-def test_waveform_on_memo_traces_checks_its_flow(defect, monkeypatch):
+@pytest.mark.parametrize("defect, match", [
+    pytest.param(defect, match, id=defect) for defect, match in (
+        ("closed", "flow must vanish wherever a fold bias is zero"),
+        ("negative", "glottal flow is unipolar; u_gl must be >= 0"),
+        ("nan", "u_gl must be finite everywhere"),
+        ("-inf", "u_gl must be finite everywhere"),
+        # the finiteness check comes before the sign check
+        ("negative-then-nan", "u_gl must be finite everywhere"),
+        ("length", "waveform arrays must share one length"))])
+def test_waveform_on_memo_traces_checks_its_flow(defect, match, monkeypatch):
     monkeypatch.setattr(network, "_trace_memo", None)
     w = simulate(GlottalCircuit.normal_voice(), 0.05, 44100)
     assert network._trace_memo[1] == (w.g_lower, w.g_upper)
@@ -1123,7 +1271,7 @@ def test_waveform_on_memo_traces_checks_its_flow(defect, monkeypatch):
         GlottalWaveform(44100, u, w.g_lower.copy(), w.g_upper.copy())
     with pytest.raises(ModelDomainError) as shared:
         GlottalWaveform(44100, u, w.g_lower, w.g_upper)
-    assert str(shared.value) == str(copies.value)
+    assert str(shared.value) == str(copies.value) == match
 
 
 def test_waveform_on_memo_traces_takes_the_kept_checks(monkeypatch):

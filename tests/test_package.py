@@ -1,5 +1,8 @@
 """The package's names: its public exports and its private helpers."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import glottisim
@@ -52,3 +55,22 @@ def test_every_private_module_name_is_used():
                        for _, other in statements if other is not stmt):
                 orphans.append(f"{module}: {name}")
     assert orphans == []
+
+
+# What `import glottisim` may load beyond numpy and its own modules.  A fresh
+# import is the set-up of every CLI call, so a module added here is paid by
+# each of them.
+_IMPORTED_WITH_THE_PACKAGE = {"__future__", "copy", "dataclasses"}
+
+
+def test_import_loads_only_the_package_after_numpy():
+    code = ("import sys, numpy; before = set(sys.modules); import glottisim; "
+            "print(sorted(set(sys.modules) - before))")
+    child = subprocess.run([sys.executable, "-c", code],
+                           env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    loaded = ast.literal_eval(child.stdout)
+    assert "glottisim.network" in loaded
+    assert [m for m in loaded if m.split(".")[0] != "glottisim"
+            and m not in _IMPORTED_WITH_THE_PACKAGE] == []
