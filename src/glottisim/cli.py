@@ -5,7 +5,9 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -37,6 +39,31 @@ def _load_config(path: str | None) -> RunConfig:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
+def _write_outputs(out: Path, writes) -> None:
+    """Write each (name, write) of writes into the directory out, made if
+    need be, so that a failed call leaves the files of an earlier run as
+    they were: write(path) writes its file under a temporary name, and only
+    once every write has succeeded is each renamed into place, in order.  A
+    name held by a directory, which no rename can replace, fails before the
+    first rename, and the temporaries are unlinked on any failure."""
+    out.mkdir(parents=True, exist_ok=True)
+    moves = []
+    try:
+        for name, write in writes:
+            moves.append((out / f".{name}.{os.getpid()}.tmp", out / name))
+            write(moves[-1][0])
+        for _, path in moves:
+            if path.is_dir():
+                raise IsADirectoryError(
+                    errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for tmp, path in moves:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in moves:
+            tmp.unlink(missing_ok=True)
+        raise
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     # an option left unset keeps the config's value; --wav only turns WAV on
     overrides = {"pressure_cmh2o": args.pressure, "duration_s": args.duration,
@@ -48,12 +75,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     w = simulate(cfg.build_circuit(), cfg.duration_s, cfg.sample_rate_hz)
     d = derivative(w)
     rep = analyze(w, d)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    export_csv(w, d, out / "waveform.csv")
+    writes = [("waveform.csv", lambda path: export_csv(w, d, path))]
     if cfg.write_wav:
-        export_wav(w, out / "waveform.wav")
-    write_report(rep, out / "report.txt")
+        writes.append(("waveform.wav", lambda path: export_wav(w, path)))
+    writes.append(("report.txt", lambda path: write_report(rep, path)))
+    _write_outputs(Path(cfg.out_dir), writes)
     sys.stdout.write(format_report(rep))
     return EXIT_OK
 
@@ -113,16 +139,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "nan" if rep.f0_hz is None else format_number(rep.f0_hz),
             format_number(rep.max_negative_derivative))))
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "sweep_summary.csv"
-    try:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
-    sys.stdout.write("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    _write_outputs(Path(cfg.out_dir), [(
+        "sweep_summary.csv",
+        lambda path: path.write_text(text, encoding="ascii", newline=""))])
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -35,7 +35,7 @@ class SolverError(GlottisimError, RuntimeError):
     inside the 200-step cap (see the network module docstring).
 
     A flow solve names the earliest failing sample in index and time_s;
-    failed counts the failing entries of the batch that failed: the open
+    failed counts the failing entries of the batch that failed: the
     samples of a block of samples, the distinct bias pairs of a block of
     pairs where simulate_many solves two or more drives, or the nodes of a
     root table, whose failure names no sample.

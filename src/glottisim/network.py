@@ -115,18 +115,27 @@ read-only arrays to a later call with equal oscillators and grid: simulate
 at a new pressure skips the trace pass, and simulate_many takes the traces
 once for one circuit at many drives.  The memo holds one entry, dropped
 before a new pair is formed, and no pair longer than _TRACE_MEMO_SAMPLES
-(2**22) samples per trace.  With a pair it keeps what GlottalWaveform checks
-of the traces alone: that both are finite and >= 0, and the indices of the
-closed samples, where a trace is 0, as int32 (4 bytes per closed sample, at
-worst 16 MiB at the cap beside the pair's 64 MiB; 56 indices over 60 s at
-the defaults).  A waveform whose trace arrays are the memo's, the same
-objects, then checks only its flow, and the block solve of those arrays
-builds the open-sample mask only in blocks that hold a kept closed sample.
-Each result of the kernel depends on its own entry's inputs only, so
-simulate_many also finds the distinct active (g_lower, g_upper) pairs once,
-in the order of their first samples, and, at each drive, solves only those
-and spreads their flows over the record; the flows are bitwise those of
-simulate, and a failure names the same sample.
+(2**22) samples per trace.  Every pair formed, kept or not, is checked
+there to be finite and >= 0, with GlottalWaveform's errors, so no solve
+takes the root of a NaN or negative bias.  With a pair the memo keeps the
+indices of the closed samples, where a trace is 0, as int32 (4 bytes per
+closed sample, at worst 16 MiB at the cap beside the pair's 64 MiB; 56
+indices over 60 s at the defaults), and a waveform whose trace arrays are
+the memo's, the same objects, checks only its flow.
+
+The block solve takes every sample as it stands, closed ones too: a closed
+fold is an open branch of the series string, and the kernel gives it a flow
+of exactly +0.0.  Each fold's least kappa is at most its linear element's,
+sqrt(gain) * sqrt(v), which is below float max, so a bias root of 0 gives
+rho_f = 0 * kappa_min,f = 0 and sigma = 0.  fmin then puts t_f at 1 for a
+closed fold (0 / 0) and at 0 for an open one, so z is 0, 1 or 2, a node of
+the root table, where the start is that node's root itself, finite and
+accepted with 0 steps (at most 2.3e-4 of tol at the gain corners, 6 to 100
+cmH2O); and s = sigma * x = +0.0.  Each result of the kernel depends on its
+own entry's inputs only, so simulate_many also finds the distinct active
+(g_lower, g_upper) pairs once, in the order of their first samples, and, at
+each drive, solves only those and spreads their flows over the record; the
+flows are bitwise those of simulate, and a failure names the same sample.
 """
 from __future__ import annotations
 
@@ -171,9 +180,9 @@ _MAX_SAMPLES = np.iinfo(np.intp).max // 8
 _TRACE_MEMO_SAMPLES = 2 ** 22
 # The last pair conductance_traces kept, as ((lower oscillator, upper
 # oscillator, n, rate), (g_lower, g_upper), closed), or None, where closed
-# holds the int32 indices of the samples at which a trace is 0 if both
-# traces are finite and >= 0, else None.  It is read once into a local and
-# replaced by one assignment, so threads need no lock.
+# holds the int32 indices of the samples at which a trace is 0; both traces
+# were checked finite and >= 0 when they were formed.  It is read once into
+# a local and replaced by one assignment, so threads need no lock.
 _trace_memo = None
 
 
@@ -248,8 +257,10 @@ class GlottalWaveform:
     t0: float = 0.0
 
     def __post_init__(self):
-        closed = _memo_closed(self.g_lower, self.g_upper)
-        names = ("u_gl", "g_lower", "g_upper") if closed is None else ("u_gl",)
+        memo = _trace_memo
+        shared = (memo is not None and self.g_lower is memo[1][0]
+                  and self.g_upper is memo[1][1])
+        names = ("u_gl",) if shared else ("u_gl", "g_lower", "g_upper")
         negative = []  # the finite arrays that hold a sample below 0
         for name in names:
             arr = np.asarray(getattr(self, name))
@@ -278,8 +289,7 @@ class GlottalWaveform:
                 "glottal flow is unipolar; u_gl must be >= 0" if name == "u_gl"
                 else f"{name} must be >= 0; a fold is closed where its trace "
                      f"is 0")
-        if closed is None:
-            closed = _closed(self.g_lower, self.g_upper)
+        closed = memo[2] if shared else _closed(self.g_lower, self.g_upper)
         if self.u_gl[closed].any():
             raise ModelDomainError("flow must vanish wherever a fold bias is zero")
 
@@ -295,15 +305,6 @@ def _finite_and_nonnegative(a: np.ndarray) -> bool:
     """Whether every sample of a is finite and >= 0, in two reductions; a
     NaN fails either comparison, and an empty a passes."""
     return 0.0 <= a.min(initial=0.0) and a.max(initial=0.0) < math.inf
-
-
-def _memo_closed(g_lower, g_upper):
-    """The closed samples the trace memo keeps (see _trace_memo) if g_lower
-    and g_upper are its own arrays, the same objects, else None."""
-    memo = _trace_memo
-    if memo is not None and g_lower is memo[1][0] and g_upper is memo[1][1]:
-        return memo[2]
-    return None
 
 
 def _closed(g_lower: np.ndarray, g_upper: np.ndarray) -> np.ndarray:
@@ -630,10 +631,11 @@ def conductance_traces(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURA
     g_lower.flags.writeable = g_upper.flags.writeable = False
     # views of read-only arrays cannot be made writeable by a caller
     traces = g_lower.view(), g_upper.view()
+    if not all(map(_finite_and_nonnegative, traces)):
+        # a waveform on these traces raises its own error for them
+        GlottalWaveform(rate, np.zeros(n), *traces)
     if n <= _TRACE_MEMO_SAMPLES:
-        closed = None
-        if all(map(_finite_and_nonnegative, (g_lower, g_upper))):
-            closed = np.flatnonzero(_closed(g_lower, g_upper)).astype(np.int32)
+        closed = np.flatnonzero(_closed(g_lower, g_upper)).astype(np.int32)
         _trace_memo = key, traces, closed
     return traces
 
@@ -704,13 +706,13 @@ def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
     the earliest sample time that failed.
 
     Every solve starts from the one root table built here for the drive.
-    Without pairs, the record is solved one block of samples at a time: a
-    block whose samples are all open is solved as it stands, and any other
-    block's open samples are gathered first and scattered back.  With
-    pairs = _distinct_pairs(g_lower, g_upper), each distinct pair is
-    solved once, one block of pairs at a time, and np.take spreads the flows
-    over the record.  Both loops meet their entries in the order of their
-    first samples, so the first entry that fails names the earliest one.
+    Without pairs, the record is solved one block of samples at a time,
+    each sample as it stands: a closed one comes out of the kernel as +0.0
+    (see the module docstring).  With pairs = _distinct_pairs(g_lower,
+    g_upper), each distinct pair is solved once, one block of pairs at a
+    time, and np.take spreads the flows over the record.  Both loops meet
+    their entries in the order of their first samples, so the first entry
+    that fails names the earliest one.
     """
     drive = circuit.drive.value
     if not (drive > 0.0
@@ -732,33 +734,19 @@ def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
                                  setup, drive, table)
                 np.multiply(s, s, out=flows[1 + start:1 + start + len(s)])
             return np.take(flows, slot)
-        u = np.zeros(len(g_lower))
-        closed = _memo_closed(g_lower, g_upper)
+        u = np.empty(len(g_lower))
         for start in range(0, len(u), _SOLVE_BLOCK):
-            gl = g_lower[start:start + _SOLVE_BLOCK]
-            gu = g_upper[start:start + _SOLVE_BLOCK]
-            # the memo's traces are finite and >= 0, so a block of them is
-            # open where it holds none of the kept closed samples
-            is_open = closed is not None and np.searchsorted(
-                closed, start) == np.searchsorted(closed, start + _SOLVE_BLOCK)
-            if not is_open:
-                active = (gl > 0.0) & (gu > 0.0)
-                is_open = bool(active.all())
-                if not is_open:
-                    gl, gu = gl[active], gu[active]
-            s = _series_root((np.sqrt(gl), np.sqrt(gu)), setup, drive, table)
-            if is_open:
-                np.multiply(s, s, out=u[start:start + _SOLVE_BLOCK])
-            else:
-                u[start:start + _SOLVE_BLOCK][active] = np.multiply(s, s, out=s)
+            block = slice(start, start + _SOLVE_BLOCK)
+            roots = np.sqrt(g_lower[block]), np.sqrt(g_upper[block])
+            s = _series_root(roots, setup, drive, table)
+            np.multiply(s, s, out=u[block])
         return u
     except SolverError as exc:
         # Map the failing entry back to its (first) sample time.
         if pairs is not None:
             k = int(np.argmax(slot == start + exc.index + 1))
         else:
-            k = start + (exc.index if is_open
-                         else int(np.flatnonzero(active)[exc.index]))
+            k = start + exc.index
         t_k = k / float(rate)
         raise SolverError(
             f"{exc} at t = {t_k!r} s", residual=exc.residual, index=k,

@@ -122,14 +122,57 @@ def _child(cwd, *argv, **kwargs):
 
 
 def test_wav_path_failure_prints_one_line(tmp_path):
-    # a directory where waveform.wav goes: the open fails before any wave
-    # writer exists, so no writer's __del__ adds a traceback
+    # a directory where waveform.wav goes: the call fails before it renames
+    # any output, and no wave writer's __del__ adds a traceback
     (tmp_path / "o" / "waveform.wav").mkdir(parents=True)
     child = _child(tmp_path, "simulate", "--duration", "0.1", "--out", "o",
                    "--wav")
     assert child.returncode == 4
     assert child.stderr.startswith("i/o error: ")
     assert len(child.stderr.splitlines()) == 1, child.stderr
+
+
+def _fail_report(path):
+    path.write_text("part of a report")
+    raise OSError(28, "No space left on device", str(path))
+
+
+@pytest.mark.parametrize("wav_dir, report", [
+    (True, None), (False, _fail_report)],
+    ids=["wav-directory", "report-write"])
+def test_failed_rerun_leaves_the_earlier_outputs(tmp_path, capsys, monkeypatch,
+                                                 wav_dir, report):
+    # the 12 cmH2O rerun writes every file under a temporary name before it
+    # renames any, so its failure, at the rename of waveform.wav onto a
+    # directory or at the write of report.txt, leaves the 7 cmH2O files
+    out = tmp_path / "o"
+    rc, _, _ = run(capsys, "simulate", "--pressure", "7", "--duration", "0.1",
+                   "--out", str(out))
+    assert rc == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(first) == ["report.txt", "waveform.csv"]
+    if wav_dir:
+        (out / "waveform.wav").mkdir()
+    if report is not None:
+        monkeypatch.setattr(cli, "write_report",
+                            lambda rep, path: report(path))
+    rc, stdout, err = run(capsys, "simulate", "--pressure", "12", "--duration",
+                          "0.1", "--out", str(out), "--wav")
+    assert rc == 4 and stdout == ""
+    assert err.startswith("i/o error: ") and len(err.splitlines()) == 1
+    left = sorted(p.name for p in out.iterdir())
+    assert left == sorted([*first, "waveform.wav"] if wav_dir else first)
+    assert {name: (out / name).read_bytes() for name in first} == first
+    if wav_dir:
+        assert not any((out / "waveform.wav").iterdir())
+
+
+def test_sweep_onto_a_directory_exits_4_and_leaves_no_file(tmp_path, capsys):
+    (tmp_path / "sweep_summary.csv").mkdir()
+    rc, stdout, err = run(capsys, "sweep", "--from", "7", "--to", "7",
+                          "--out", str(tmp_path))
+    assert rc == 4 and stdout == "" and err.startswith("i/o error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep_summary.csv"]
 
 
 def test_out_of_memory_exits_2_in_one_line(tmp_path):

@@ -505,9 +505,10 @@ def test_iteration_cap_names_the_failing_sample(monkeypatch):
     assert gl[exc.index] > 0.0 and gu[exc.index] > 0.0
     assert exc.time_s == exc.index / 44100.0
     assert f"at t = {exc.time_s!r} s" in str(exc)
-    # the record is one block, and no active sample converges at its start
+    # the record is one block, solved whole: each closed sample starts on a
+    # node of the table and converges there, and no active sample does
     assert exc.failed == active
-    assert f"for {active} of {active} entries" in str(exc)
+    assert f"for {active} of {len(gl)} entries" in str(exc)
 
 
 def test_iteration_cap_names_the_failing_sample_of_an_open_block(
@@ -798,6 +799,33 @@ def test_simulate_many_is_bitwise_simulate(circuit, samples):
         assert waveforms[-1].u_gl.any()
 
 
+def test_closed_samples_solved_as_they_stand_give_positive_zero(monkeypatch):
+    # 87.5 % of the 2 ms pulses' samples are closed: simulate solves every
+    # sample of each block, with no mask, and simulate_many's pairs only
+    # the active ones, and both give each closed sample a flow of +0.0
+    monkeypatch.setattr(network, "_SOLVE_BLOCK", 1000)
+    entries = []
+    series_root = network._series_root
+
+    def counted(roots, setup, v, table=None):
+        entries.append(len(roots[0]))
+        return series_root(roots, setup, v, table)
+
+    monkeypatch.setattr(network, "_series_root", counted)
+    drives = _drives((6.5, 10.0, 15.0))
+    many = list(simulate_many(TWO_MS_PULSES, drives, 1.0, 44100))
+    gl, gu = many[0].g_lower, many[0].g_upper
+    closed = (gl == 0.0) | (gu == 0.0)
+    assert np.count_nonzero(closed) / len(gl) > 0.87
+    for d, w in zip(drives, many):
+        del entries[:]
+        u = simulate(replace(TWO_MS_PULSES, drive=d), 1.0, 44100).u_gl
+        assert sum(entries) == len(gl)
+        assert u.tobytes() == w.u_gl.tobytes()
+        assert u[closed].tobytes() == bytes(8 * np.count_nonzero(closed))
+        assert u[~closed].all()
+
+
 def test_simulate_many_shares_read_only_traces():
     c = GlottalCircuit.normal_voice()
     assert list(simulate_many(c, (), 0.01, 44100)) == []
@@ -1080,11 +1108,12 @@ def test_starts_sent_to_the_kernel_keep_every_flow(monkeypatch, circuit):
     many = [w.u_gl.tobytes()
             for w in simulate_many(circuit, drives, duration, 44100)]
     assert got == want and many == want
+    # simulate solves every sample, closed ones too, and the pairs only
+    # the active ones
     gl, gu = conductance_traces(circuit, duration, 44100)
-    active = np.count_nonzero((gl > 0.0) & (gu > 0.0))
     pairs = len(network._distinct_pairs(gl, gu)[0])
     flowing = circuit.upper.linear.gain > 0.0
-    assert sum(starts) == (3 * (active + pairs) if flowing else 0)
+    assert sum(starts) == (3 * (len(gl) + pairs) if flowing else 0)
 
 
 def test_default_starts_take_no_kernel_call(monkeypatch):
@@ -1113,8 +1142,8 @@ def test_default_starts_take_no_kernel_call(monkeypatch):
 def test_memo_traces_and_their_copies_give_the_same_flow(monkeypatch):
     # in blocks of 1 000 samples, the closed samples of a 0.1 s record (the
     # upper fold's silence before its lag and two pulse starts) lie in
-    # blocks 0, 1 and 3 of 5: the memo's traces take the open blocks from
-    # the kept closed samples, and their copies from the mask
+    # blocks 0, 1 and 3 of 5: the memo's traces and their copies are
+    # solved whole, block by block, closed samples and all
     monkeypatch.setattr(network, "_SOLVE_BLOCK", 1000)
     monkeypatch.setattr(network, "_trace_memo", None)
     entries = []
@@ -1133,8 +1162,7 @@ def test_memo_traces_and_their_copies_give_the_same_flow(monkeypatch):
         shared = network._solve_flow(circuit, gl, gu, 44100)
         copies = network._solve_flow(circuit, gl.copy(), gu.copy(), 44100)
         assert shared.any() and shared.tobytes() == copies.tobytes()
-    # both solved the open samples of each block alone, the same ones
-    assert entries == entries[:5] * 6 and entries[:5] != [1000] * 4 + [410]
+    assert entries == ([1000] * 4 + [410]) * 6
 
 
 def _fresh(circuit, duration, rate, monkeypatch):
@@ -1290,8 +1318,8 @@ def test_waveform_on_memo_traces_takes_the_kept_checks(monkeypatch):
 
 def _assert_traces_rejected(monkeypatch, cap, last, match):
     """simulate with a trace memo of cap samples, whose lower pulse ends in
-    last, raises ModelDomainError matching match, and a kept pair keeps no
-    closed samples, so that every waveform on it checks the traces."""
+    last, raises ModelDomainError matching match where the traces are
+    formed: no pair is kept and no flow is solved."""
     monkeypatch.setattr(network, "_trace_memo", None)
     monkeypatch.setattr(network, "_TRACE_MEMO_SAMPLES", cap)
     pulse = OscillatorConfig._pulse
@@ -1301,11 +1329,19 @@ def _assert_traces_rejected(monkeypatch, cap, last, match):
         out[-1] = last
         return out
 
+    solves = []
+    series_root = network._series_root
+
+    def counted(*args):
+        solves.append(len(args[0][0]))
+        return series_root(*args)
+
     monkeypatch.setattr(OscillatorConfig, "_pulse", bad_pulse)
+    monkeypatch.setattr(network, "_series_root", counted)
     with pytest.raises(ModelDomainError, match=match):
         simulate(GlottalCircuit.normal_voice(), 0.05, 44100)
-    memo = network._trace_memo
-    assert memo is None if cap == 0 else memo[2] is None
+    assert network._trace_memo is None
+    assert solves == []
 
 
 @pytest.mark.parametrize("cap", [0, network._TRACE_MEMO_SAMPLES],
