@@ -1,7 +1,9 @@
 """Waveform analysis: flow derivative, fundamental frequency, phase timing.
 
 The flow derivative is the acoustic excitation proxy (its sharpest negative
-swing marks glottal closure).  The closure instant is the first sample whose
+swing marks glottal closure).  ``analyze`` given no derivative forms no
+record-length one: it takes it block by block into one reused buffer, with
+the differences of ``derivative``.  The closure instant is the first sample whose
 derivative lies within a relative CLOSURE_INSTANT_RTOL of the least one.  A
 periodic record repeats its sharpest swing, in every cycle on the same
 sample phase, to within 1e-10 of it, so which of them is least is set by
@@ -31,6 +33,7 @@ its neighbours closer than 1 ms.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,9 +52,9 @@ MIN_PEAK_SPACING_S = 0.001
 # derivative rejects records with no interior sample to take a central
 # difference at.
 MIN_DERIVATIVE_SAMPLES = 3
-# analyze looks for the closure instant this many samples at a time, and
-# stops at the first block that holds it: a periodic record holds it in one
-# of its first cycles.
+# analyze takes the derivative this many samples at a time, and looks for
+# the closure instant up to the first block that holds it: a periodic record
+# holds it in one of its first cycles.
 _CLOSURE_SCAN_SAMPLES = 16384
 
 
@@ -75,23 +78,41 @@ def derivative(w: GlottalWaveform) -> np.ndarray:
     rejects such circuits up front, but a waveform read from a file can
     hold one.
     """
-    u = w.u_gl
-    if len(u) < MIN_DERIVATIVE_SAMPLES:
+    _check_length(w)
+    return _derivative_block(w, 0, np.empty_like(w.u_gl))
+
+
+def _check_length(w: GlottalWaveform) -> None:
+    """ModelDomainError unless w has a sample to take a central difference
+    at."""
+    if len(w.u_gl) < MIN_DERIVATIVE_SAMPLES:
         raise ModelDomainError(f"derivative needs at least "
-                               f"{MIN_DERIVATIVE_SAMPLES} samples, got {len(u)}")
-    rate = float(w.sample_rate_hz)
-    d = np.empty_like(u)
+                               f"{MIN_DERIVATIVE_SAMPLES} samples, got "
+                               f"{len(w.u_gl)}")
+
+
+def _derivative_block(w: GlottalWaveform, start: int,
+                      out: np.ndarray) -> np.ndarray:
+    """Samples start to start + len(out) of derivative(w), written into
+    out: the same differences, so the same bits and the same error."""
+    u, rate = w.u_gl, float(w.sample_rate_hz)
+    stop = start + len(out)
+    # the samples with a neighbour on both sides
+    lo, hi = max(start, 1), min(stop, len(u) - 1)
     try:
         with np.errstate(over="raise"):
-            np.subtract(u[2:], u[:-2], out=d[1:-1])
-            d[1:-1] *= rate / 2.0
-            d[0] = (u[1] - u[0]) * rate
-            d[-1] = (u[-1] - u[-2]) * rate
+            inner = out[lo - start:hi - start]
+            np.subtract(u[lo + 1:hi + 1], u[lo - 1:hi - 1], out=inner)
+            inner *= rate / 2.0
+            if start == 0:
+                out[0] = (u[1] - u[0]) * rate
+            if stop == len(u):
+                out[-1] = (u[-1] - u[-2]) * rate
     except FloatingPointError:
         raise ModelDomainError(
             f"the flow derivative exceeds the float range: a peak flow of "
             f"{float(u.max())!r} at {w.sample_rate_hz} Hz") from None
-    return d
+    return out
 
 
 def _check_derivative(w: GlottalWaveform, d) -> np.ndarray:
@@ -180,21 +201,43 @@ def detect_phases(w: GlottalWaveform) -> tuple[list[tuple[float, float]],
             list(zip(starts[~is_open].tolist(), ends[~is_open].tolist())))
 
 
+def _derivative_blocks(w: GlottalWaveform, d: np.ndarray | None
+                       ) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, block) over the flow derivative of w, _CLOSURE_SCAN_SAMPLES
+    samples at a time: slices of d, or, where d is None, each block taken
+    afresh into one reused buffer, valid until the next one."""
+    n = len(w.u_gl)
+    buffer = None if d is not None else np.empty(min(n, _CLOSURE_SCAN_SAMPLES))
+    for start in range(0, n, _CLOSURE_SCAN_SAMPLES):
+        stop = min(start + _CLOSURE_SCAN_SAMPLES, n)
+        yield start, (d[start:stop] if d is not None
+                      else _derivative_block(w, start, buffer[:stop - start]))
+
+
 def analyze(w: GlottalWaveform, d: np.ndarray | None = None) -> AnalysisReport:
     """Full report; F0 is None (not an error) when too few pulses exist.
 
     d is the flow derivative of w, taken here when None; ModelDomainError
-    unless it has w's shape and no NaN sample.
+    unless it has w's shape and no NaN sample.  Where d is None no
+    record-length derivative is formed: it is taken block by block into
+    one reused buffer, once for its least sample and again up to the block
+    that holds the closure instant.
     """
-    d = derivative(w) if d is None else _check_derivative(w, d)
-    least = float(d.min())
-    if math.isnan(least):  # min is NaN exactly when a sample is
-        raise ModelDomainError("the flow derivative has a NaN sample")
+    if d is None:
+        _check_length(w)
+    else:
+        d = _check_derivative(w, d)
+    least = math.inf
+    for _, block in _derivative_blocks(w, d):
+        m = float(block.min())
+        if math.isnan(m):  # min is NaN exactly when a sample is
+            raise ModelDomainError("the flow derivative has a NaN sample")
+        least = min(least, m)
     # a bound CLOSURE_INSTANT_RTOL of |least| above least, -inf for -inf
     bound = least * (1.0 + math.copysign(CLOSURE_INSTANT_RTOL, least))
     # least itself lies within the bound, so some block holds a hit
-    for start in range(0, len(d), _CLOSURE_SCAN_SAMPLES):
-        hit = d[start:start + _CLOSURE_SCAN_SAMPLES] <= bound
+    for start, block in _derivative_blocks(w, d):
+        hit = block <= bound
         i_min = int(np.argmax(hit))
         if hit[i_min]:
             i_min += start

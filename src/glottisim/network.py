@@ -108,7 +108,8 @@ as one fold at g_f = 1, each element with its own gain_k.
 
 simulate streams the record: the oscillator traces and the solve run one
 block of samples at a time into the preallocated output arrays, so the
-temporaries stay at one block however long the record is.  The traces do not
+temporaries stay at a fixed set of block-length rows allocated once per
+call, however long the record is.  The traces do not
 depend on the drive, only on the two oscillators and the sample grid, so
 conductance_traces keeps the last pair it formed and returns the same
 read-only arrays to a later call with equal oscillators and grid: simulate
@@ -172,6 +173,10 @@ _ROOT_TABLE_STEPS = 1024
 # A table start is accepted with 0 steps where |g| at it, summed fold by
 # fold, is within this share of the tolerance (see the module docstring).
 _ACCEPT_SHARE = 0.5
+# A table-path solve works in this many float rows of the batch's length,
+# allocated once per simulate_many call: the two t_f, sigma, the start x and
+# three rows of work space, one of which also serves as the intp index.
+_WORK_ROWS = 7
 # The most float64 samples whose byte count numpy can index.
 _MAX_SAMPLES = np.iinfo(np.intp).max // 8
 # conductance_traces keeps a pair of at most this many samples per trace: 64
@@ -338,7 +343,7 @@ def _circuit_setup(circuit: GlottalCircuit) -> list:
             for fold in (circuit.lower, circuit.upper)]
 
 
-def _fold_ratios(roots, setup):
+def _fold_ratios(roots, setup, out=None):
     """sigma = min_k rho_k and the t_f of each fold (see the module
     docstring), for the folds' bias roots and their _fold_setup.
 
@@ -346,11 +351,17 @@ def _fold_ratios(roots, setup):
     root_f * least_f and sigma / rho_k = t_f * (least_f / kappa_k) with
     t_f = fmin(sigma / rho_f, 1): one array divide per fold.  fmin turns
     the 0 / 0 or inf / inf of a fold that holds sigma = 0 or inf into 1.
+    out is None or a row for sigma and one for each of two or more folds,
+    which holds its rho_f and then its t_f (a root may be that row itself).
     """
+    sigma, *rows = out or [None] * (1 + len(roots))
     with np.errstate(over="ignore", invalid="ignore"):
-        rhos = [root * least for root, (least, _) in zip(roots, setup)]
-        sigma = functools.reduce(np.minimum, rhos)
-        t = [np.fmin(sigma / rho, 1.0) for rho in rhos]
+        rhos = [np.multiply(root, least, out=row)
+                for root, (least, _), row in zip(roots, setup, rows)]
+        sigma = functools.reduce(functools.partial(np.minimum, out=sigma),
+                                 rhos)
+        t = [np.fmin(np.divide(sigma, rho, out=row), 1.0, out=row)
+             for rho, row in zip(rhos, rows)]
     return sigma, t
 
 
@@ -371,47 +382,58 @@ def _powers(coefficients, t):
     return b.get(4.0, 0.0), b.get(2.0, 0.0), b.get(1.0, 0.0)
 
 
-def _residual(coefficients, t, x):
+def _residual(coefficients, t, x, rows=None):
     """g(x) = sum_f phi_f(t_f * x) - 1 for the folds' C of _fold_setup and
     their t_f, where phi_f(w) = sum_p C_f,p * w**p.  A fold of the circuit
     has power 2 (its linear element) and 4 or 1 (the other), so phi_f is
     (C_4 * w**2 + C_2) * w**2 or (C_2 * w + C_1) * w, by Horner's rule with
-    no product by a C_p of 1."""
-    g = -1.0
-    for c, t_f in zip(coefficients, t):
-        w = t_f * x
+    no product by a C_p of 1.  g is written into the first of rows, three
+    rows of x's length (allocated here where None), and the other two are
+    work space."""
+    g, w, term = np.empty((3, len(x))) if rows is None else rows
+    for f, (c, t_f) in enumerate(zip(coefficients, t)):
+        np.multiply(t_f, x, out=w)
         if 4.0 in c:
-            y = w * w
-            g = g + ((y if c[4.0] == 1.0 else c[4.0] * y) + c[2.0]) * y
+            np.multiply(w, w, out=w)  # Horner in w**2
+            top, low = c[4.0], c[2.0]
         else:
-            g = g + ((w if c[2.0] == 1.0 else c[2.0] * w) + c[1.0]) * w
+            top, low = c[2.0], c[1.0]
+        np.add(w if top == 1.0 else np.multiply(top, w, out=term), low,
+               out=term)
+        term *= w
+        if f:
+            g += term
+        else:
+            np.add(term, -1.0, out=g)
     return g
 
 
-def _table_start(table, t):
+def _table_start(table, t, x, u, scratch, index):
     """The start x read from a root table of _root_table at
     z = t_lower - t_upper + 1 (see there), clipped to [1 / 4, 1], where
-    the root lies."""
-    u = np.subtract(t[0], t[1])
+    the root lies, written into the row x; u and scratch are float rows
+    and index an intp row of work space."""
+    np.subtract(t[0], t[1], out=u)
     u += 1.0
     u *= _ROOT_TABLE_STEPS
-    # u >= 0, so truncation is floor
-    i = u.astype(np.intp)
-    u -= i
-    # each entry's interval: its four coefficients in one gather
-    c = table.take(i, axis=0, mode="clip")
-    x = c[:, 3] * u
+    # u >= 0, so its floor is its truncation, and u less it is exact
+    np.floor(u, out=scratch)
+    u -= scratch
+    np.copyto(index, scratch, casting="unsafe")
+    # each entry's cubic by Horner's rule, one coefficient gathered at a time
+    np.take(table[3], index, out=x, mode="clip")
+    x *= u
     for k in (2, 1):
-        x += c[:, k]
+        x += np.take(table[k], index, out=scratch, mode="clip")
         x *= u
-    x += c[:, 0]
+    x += np.take(table[0], index, out=scratch, mode="clip")
     return np.clip(x, 0.25, 1.0, out=x)
 
 
 def _root_table(setup, v: float) -> np.ndarray:
     """The start table of the flow solve of the two folds of setup at drive
-    v > 0: a row per interval of 1 / _ROOT_TABLE_STEPS of [0, 2] that holds
-    the cubic coefficients, in increasing power, of the root x over z.
+    v > 0: row p holds the coefficient of power p of the cubic of the root
+    x over z on each interval of 1 / _ROOT_TABLE_STEPS of [0, 2].
 
     In the two folds, the fold that holds sigma has t = 1, so the root is
     a function of z = t_lower - t_upper + 1 alone: t_lower = z on [0, 1]
@@ -443,11 +465,11 @@ def _root_table(setup, v: float) -> np.ndarray:
     m0 = np.concatenate((left[:n], right[n:-1]))
     m1 = np.concatenate((left[1:n + 1], right[n + 1:]))
     step = np.diff(x)
-    table = np.zeros((2 * n + 1, 4))
-    table[:, 0] = x
-    table[:-1, 1] = m0
-    table[:-1, 2] = 3.0 * step - 2.0 * m0 - m1
-    table[:-1, 3] = m0 + m1 - 2.0 * step
+    table = np.zeros((4, 2 * n + 1))
+    table[0] = x
+    table[1, :-1] = m0
+    table[2, :-1] = 3.0 * step - 2.0 * m0 - m1
+    table[3, :-1] = m0 + m1 - 2.0 * step
     return table
 
 
@@ -497,7 +519,13 @@ def _unconverged(failed, entries, residual, index):
         residual=residual, index=index, failed=failed)
 
 
-def _series_root(roots, setup, v, table=None):
+def _work_rows(entries):
+    """The _WORK_ROWS float rows of entries each that the table path of
+    _series_root works in."""
+    return np.empty((_WORK_ROWS, entries))
+
+
+def _series_root(roots, setup, v, table=None, rows=None):
     """Square root s = sqrt(I) of the series current at drive v > 0, for
     1-D bias roots of the folds of setup: the normalized quartic Halley
     kernel.
@@ -511,19 +539,28 @@ def _series_root(roots, setup, v, table=None):
     where the folds' own sums put |g| within _ACCEPT_SHARE of the tolerance;
     only the other entries get their b_p and Halley's exact test and steps,
     and a SolverError counts and indexes them within the whole batch (see
-    the module docstring).  s comes out as inf, without a warning, where
-    sigma is beyond the float range.
+    the module docstring).  The table path writes every temporary into
+    rows, _work_rows of the batch's length (allocated here where None),
+    whose first two rows may be the roots themselves, and returns s in one
+    of them.  s comes out as inf, without a warning, where sigma is beyond
+    the float range.
     """
-    sigma, t = _fold_ratios(roots, setup)
     coefficients = [c for _, c in setup]
     if table is None:
+        sigma, t = _fold_ratios(roots, setup)
         x = _halley(*_powers(coefficients, t), v)
     else:
-        x = _table_start(table, t)
-        near = (np.abs(_residual(coefficients, t, x))
-                <= _ACCEPT_SHARE * _tolerance(v))
-        if not near.all():
-            todo = np.flatnonzero(~near)
+        if rows is None:
+            rows = _work_rows(len(roots[0]))
+        t_lower, t_upper, sigma, x, a, b, c = rows
+        sigma, t = _fold_ratios(roots, setup, (sigma, t_lower, t_upper))
+        # the index row is free again once the start is read, and holds g
+        _table_start(table, t, x, a, b, c.view(np.intp))
+        g = _residual(coefficients, t, x, (c, a, b))
+        bound = _ACCEPT_SHARE * _tolerance(v)
+        # a NaN fails both sides, as it fails |g| <= bound
+        if not (-bound <= g.min() and g.max() <= bound):
+            todo = np.flatnonzero(~(np.abs(g, out=g) <= bound))
             try:
                 x[todo] = _halley(*_powers(coefficients,
                                            [t_f[todo] for t_f in t]),
@@ -700,8 +737,8 @@ def _distinct_pairs(g_lower: np.ndarray, g_upper: np.ndarray
 
 def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
                 g_upper: np.ndarray, rate: int,
-                pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-                ) -> np.ndarray:
+                pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+                rows: np.ndarray | None = None) -> np.ndarray:
     """The flow of circuit over full-record bias traces; a SolverError names
     the earliest sample time that failed.
 
@@ -712,7 +749,10 @@ def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
     g_upper), each distinct pair is solved once, one block of pairs at a
     time, and np.take spreads the flows over the record.  Both loops meet
     their entries in the order of their first samples, so the first entry
-    that fails names the earliest one.
+    that fails names the earliest one.  Every block works in rows, a fixed
+    set of block-length rows from _work_rows allocated once per call of
+    simulate_many (here where None), and squares its s straight into the
+    output.
     """
     drive = circuit.drive.value
     if not (drive > 0.0
@@ -724,23 +764,25 @@ def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
     except SolverError as exc:
         raise SolverError(f"the root table at {drive!r} V failed: {exc}",
                           residual=exc.residual, failed=exc.failed) from exc
+    if pairs is not None:
+        root_lower, root_upper, slot = pairs
+        flows = np.zeros(len(root_lower) + 1)
+        out = flows[1:]
+    else:
+        out = np.empty(len(g_lower))
+    if rows is None:
+        rows = _work_rows(min(len(out), _SOLVE_BLOCK))
     try:
-        if pairs is not None:
-            root_lower, root_upper, slot = pairs
-            flows = np.zeros(len(root_lower) + 1)
-            for start in range(0, len(root_lower), _SOLVE_BLOCK):
-                s = _series_root((root_lower[start:start + _SOLVE_BLOCK],
-                                  root_upper[start:start + _SOLVE_BLOCK]),
-                                 setup, drive, table)
-                np.multiply(s, s, out=flows[1 + start:1 + start + len(s)])
-            return np.take(flows, slot)
-        u = np.empty(len(g_lower))
-        for start in range(0, len(u), _SOLVE_BLOCK):
-            block = slice(start, start + _SOLVE_BLOCK)
-            roots = np.sqrt(g_lower[block]), np.sqrt(g_upper[block])
-            s = _series_root(roots, setup, drive, table)
-            np.multiply(s, s, out=u[block])
-        return u
+        for start in range(0, len(out), _SOLVE_BLOCK):
+            stop = min(start + _SOLVE_BLOCK, len(out))
+            block = rows[:, :stop - start]
+            if pairs is not None:
+                roots = root_lower[start:stop], root_upper[start:stop]
+            else:
+                roots = (np.sqrt(g_lower[start:stop], out=block[0]),
+                         np.sqrt(g_upper[start:stop], out=block[1]))
+            s = _series_root(roots, setup, drive, table, block)
+            np.multiply(s, s, out=out[start:stop])
     except SolverError as exc:
         # Map the failing entry back to its (first) sample time.
         if pairs is not None:
@@ -751,6 +793,7 @@ def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
         raise SolverError(
             f"{exc} at t = {t_k!r} s", residual=exc.residual, index=k,
             time_s=t_k, failed=exc.failed) from exc
+    return out if pairs is None else np.take(flows, slot)
 
 
 def simulate_many(circuit: GlottalCircuit, drives: Iterable[DcVoltage],
@@ -780,10 +823,12 @@ def simulate_many(circuit: GlottalCircuit, drives: Iterable[DcVoltage],
         return
     g_lower, g_upper = conductance_traces(circuit, duration_s, rate)
     pairs = _distinct_pairs(g_lower, g_upper) if len(circuits) > 1 else None
+    entries = len(g_lower) if pairs is None else len(pairs[0])
+    rows = _work_rows(min(entries, _SOLVE_BLOCK))
     for c in circuits:
         yield GlottalWaveform(
             sample_rate_hz=rate, g_lower=g_lower, g_upper=g_upper,
-            u_gl=_solve_flow(c, g_lower, g_upper, rate, pairs))
+            u_gl=_solve_flow(c, g_lower, g_upper, rate, pairs, rows))
 
 
 def simulate(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURATION_S,
@@ -793,8 +838,8 @@ def simulate(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURATION_S,
     At each sample the gains of both elements of a fold are multiplied by
     that fold's normalized oscillator value, and the four-element series
     network is solved for the flow.  The traces and the solve run one block of
-    samples at a time, so the temporaries stay at one block however long the
-    record is.  The waveform's trace arrays are read-only, and a later call
+    samples at a time, so the temporaries stay at a fixed set of
+    block-length rows allocated once per call, however long the record is.  The waveform's trace arrays are read-only, and a later call
     with equal oscillators and grid shares them (see conductance_traces).
     The solve starts from a root table built once per drive (see the module
     docstring).  Output is deterministic: identical inputs give

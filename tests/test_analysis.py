@@ -1,4 +1,6 @@
 """Derivative, F0 estimation, peak picking and phase detection."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +18,7 @@ from glottisim import (
     pulse_peaks,
     simulate,
 )
-from glottisim.analysis import _f0_of_peaks, _find_peaks
+from glottisim.analysis import _CLOSURE_SCAN_SAMPLES, _f0_of_peaks, _find_peaks
 from glottisim.config import RunConfig
 from glottisim.exporters import (export_csv, format_report,
                                  read_waveform_csv)
@@ -431,3 +433,65 @@ def test_analyze_handles_silence():
     assert rep.max_negative_derivative == 0.0
     assert rep.closed_phase_flatness == 0.0
     assert rep.open_phase_count == 0
+
+
+# -- analyze without a record-length derivative ------------------------------
+
+
+@pytest.mark.parametrize("duration", [1.0, 60.0])
+@pytest.mark.parametrize("pressure", [6.5, 10.0, 15.0])
+def test_block_scan_is_the_report_of_the_whole_derivative(pressure, duration):
+    w = simulate(GlottalCircuit.normal_voice(pressure), duration, 44100)
+    assert repr(analyze(w)) == repr(analyze(w, derivative(w)))
+
+
+def _one_fall(n, k):
+    """n flow samples of 1 that fall to 0.5 after sample k, or at it if it
+    is the last, so the closure instant is sample k."""
+    u = np.ones(n)
+    u[min(k + 1, n - 1):] = 0.5
+    return u
+
+
+@pytest.mark.parametrize("k", [0, _CLOSURE_SCAN_SAMPLES - 1,
+                               _CLOSURE_SCAN_SAMPLES,
+                               _CLOSURE_SCAN_SAMPLES + 1, 40000 - 1])
+def test_block_scan_finds_a_closure_instant_anywhere(k):
+    w = make_waveform(_one_fall(40000, k))
+    d = derivative(w)
+    rep = analyze(w)
+    assert repr(rep) == repr(analyze(w, d))
+    assert rep.max_negative_derivative_time_s == int(np.argmin(d)) / 44100
+
+
+def test_block_scan_of_a_three_sample_record():
+    w = make_waveform([1.0, 0.25, 0.5])
+    assert repr(analyze(w)) == repr(analyze(w, derivative(w)))
+    with pytest.raises(ModelDomainError, match="at least 3 samples"):
+        analyze(make_waveform([1.0, 0.5]))
+
+
+def test_block_scan_raises_the_derivatives_overflow():
+    # a rise of 1e308 in the third block overflows times 44.1 kHz, while
+    # every fall, and so the least, stays finite
+    u = np.zeros(40000)
+    u[35000] = 1e308
+    w = make_waveform(u)
+    with pytest.raises(ModelDomainError) as want:
+        derivative(w)
+    with pytest.raises(ModelDomainError) as got:
+        analyze(w)
+    assert str(got.value) == str(want.value)
+    assert "float range" in str(got.value)
+
+
+def test_analyze_holds_no_record_length_derivative():
+    w = simulate(GlottalCircuit.normal_voice(), 10.0, 44100)
+    tracemalloc.start()
+    try:
+        analyze(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole derivative took 1.26 x the flow's bytes
+    assert peak < 0.5 * w.u_gl.nbytes

@@ -807,9 +807,9 @@ def test_closed_samples_solved_as_they_stand_give_positive_zero(monkeypatch):
     entries = []
     series_root = network._series_root
 
-    def counted(roots, setup, v, table=None):
+    def counted(roots, setup, v, table=None, rows=None):
         entries.append(len(roots[0]))
-        return series_root(roots, setup, v, table)
+        return series_root(roots, setup, v, table, rows)
 
     monkeypatch.setattr(network, "_series_root", counted)
     drives = _drives((6.5, 10.0, 15.0))
@@ -907,9 +907,9 @@ def test_simulate_many_solves_each_distinct_pair_once(monkeypatch):
     entries = []
     series_root = network._series_root
 
-    def counted(roots, setup, v, table=None):
+    def counted(roots, setup, v, table=None, rows=None):
         entries.append(len(roots[0]))
-        return series_root(roots, setup, v, table)
+        return series_root(roots, setup, v, table, rows)
 
     monkeypatch.setattr(network, "_series_root", counted)
     c = GlottalCircuit.normal_voice()
@@ -927,9 +927,9 @@ def test_simulate_many_solves_no_sample_block_after_a_pair_block_fails(
     entries = []
     series_root = network._series_root
 
-    def counted(roots, setup, v, table=None):
+    def counted(roots, setup, v, table=None, rows=None):
         entries.append(len(roots[0]))
-        return series_root(roots, setup, v, table)
+        return series_root(roots, setup, v, table, rows)
 
     _coarse_tables(monkeypatch)
     monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 1)
@@ -1149,9 +1149,9 @@ def test_memo_traces_and_their_copies_give_the_same_flow(monkeypatch):
     entries = []
     series_root = network._series_root
 
-    def counted(roots, setup, v, table=None):
+    def counted(roots, setup, v, table=None, rows=None):
         entries.append(len(roots[0]))
-        return series_root(roots, setup, v, table)
+        return series_root(roots, setup, v, table, rows)
 
     monkeypatch.setattr(network, "_series_root", counted)
     c = GlottalCircuit.normal_voice()
@@ -1354,3 +1354,22 @@ def test_non_finite_traces_are_rejected(cap, monkeypatch):
                          ids=["kept-nothing", "kept"])
 def test_negative_traces_are_rejected(cap, monkeypatch):
     _assert_traces_rejected(monkeypatch, cap, -0.5, "g_lower must be >= 0")
+
+
+@pytest.mark.parametrize("drives, duration", [
+    pytest.param([6.0 + 0.1 * k for k in range(91)], 1.0, id="91-drives"),
+    pytest.param([10.0], 60.0, id="60s")])
+def test_each_call_allocates_its_work_rows_once(monkeypatch, drives,
+                                                duration):
+    calls = []
+    work_rows = network._work_rows
+
+    def counted(entries):
+        calls.append(entries)
+        return work_rows(entries)
+
+    monkeypatch.setattr(network, "_work_rows", counted)
+    for _ in simulate_many(GlottalCircuit.normal_voice(), _drives(drives),
+                           duration, 44100):
+        pass
+    assert calls == [network._SOLVE_BLOCK]
