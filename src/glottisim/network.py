@@ -521,8 +521,10 @@ def _unconverged(failed, entries, residual, index):
 
 def _work_rows(entries):
     """The _WORK_ROWS float rows of entries each that the table path of
-    _series_root works in."""
-    return np.empty((_WORK_ROWS, entries))
+    _series_root works in, as separate arrays: a row of a solve block stays
+    below glibc's default mmap threshold, so the rows come from the heap
+    that earlier blocks' temporaries left resident."""
+    return [np.empty(entries) for _ in range(_WORK_ROWS)]
 
 
 def _series_root(roots, setup, v, table=None, rows=None):
@@ -738,7 +740,7 @@ def _distinct_pairs(g_lower: np.ndarray, g_upper: np.ndarray
 def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
                 g_upper: np.ndarray, rate: int,
                 pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-                rows: np.ndarray | None = None) -> np.ndarray:
+                rows: list[np.ndarray] | None = None) -> np.ndarray:
     """The flow of circuit over full-record bias traces; a SolverError names
     the earliest sample time that failed.
 
@@ -775,7 +777,7 @@ def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
     try:
         for start in range(0, len(out), _SOLVE_BLOCK):
             stop = min(start + _SOLVE_BLOCK, len(out))
-            block = rows[:, :stop - start]
+            block = [row[:stop - start] for row in rows]
             if pairs is not None:
                 roots = root_lower[start:stop], root_upper[start:stop]
             else:
