@@ -3,12 +3,12 @@
 The flow derivative is the acoustic excitation proxy (its sharpest negative
 swing marks glottal closure).  ``analyze`` given no derivative forms no
 record-length one: it takes it block by block into one reused buffer, with
-the differences of ``derivative``.  The closure instant is the first sample whose
-derivative lies within a relative CLOSURE_INSTANT_RTOL of the least one.  A
-periodic record repeats its sharpest swing, in every cycle on the same
-sample phase, to within 1e-10 of it, so which of them is least is set by
-rounding: the 9 significant digits of a CSV export move each derivative by
-up to 1e-7 of the least, and re-analysis picked another cycle.  The
+the differences of ``derivative``.  The closure instant is the first sample
+whose derivative lies within a relative CLOSURE_INSTANT_RTOL of the least
+one.  A periodic record repeats its sharpest swing, in every cycle on the
+same sample phase, to within 1e-10 of it, so which of them is least is set
+by rounding: the 9 significant digits of a CSV export move each derivative
+by up to 1e-7 of the least, and re-analysis picked another cycle.  The
 tolerance of 1e-6 lies above that and below the gap between swings on
 different sample phases, at least 1e-2 of the least one for the default
 oscillators from 6 to 15 cmH2O at 44.1 kHz.

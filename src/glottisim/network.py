@@ -521,9 +521,7 @@ def _unconverged(failed, entries, residual, index):
 
 def _work_rows(entries):
     """The _WORK_ROWS float rows of entries each that the table path of
-    _series_root works in, as separate arrays: a row of a solve block stays
-    below glibc's default mmap threshold, so the rows come from the heap
-    that earlier blocks' temporaries left resident."""
+    _series_root works in, one array per row."""
     return [np.empty(entries) for _ in range(_WORK_ROWS)]
 
 

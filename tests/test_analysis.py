@@ -18,7 +18,8 @@ from glottisim import (
     pulse_peaks,
     simulate,
 )
-from glottisim.analysis import _CLOSURE_SCAN_SAMPLES, _f0_of_peaks, _find_peaks
+from glottisim.analysis import (_CLOSURE_SCAN_SAMPLES, _f0_of_peaks,
+                                 _find_peaks)
 from glottisim.config import RunConfig
 from glottisim.exporters import (export_csv, format_report,
                                  read_waveform_csv)
