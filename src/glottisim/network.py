@@ -109,12 +109,12 @@ as one fold at g_f = 1, each element with its own gain_k.
 simulate streams the record: the oscillator traces and the solve run one
 block of samples at a time into the preallocated output arrays, so the
 temporaries stay at a fixed set of block-length rows allocated once per
-call, however long the record is.  The traces do not
-depend on the drive, only on the two oscillators and the sample grid, so
-conductance_traces keeps the last pair it formed and returns the same
-read-only arrays to a later call with equal oscillators and grid: simulate
-at a new pressure skips the trace pass, and simulate_many takes the traces
-once for one circuit at many drives.  The memo holds one entry, dropped
+drive, however long the record is.  The traces do not depend on the drive,
+only on the two oscillators and the sample grid, so conductance_traces
+keeps the last pair it formed and returns the same read-only arrays to a
+later call with equal oscillators and grid: simulate at a new pressure
+skips the trace pass, and simulate_many takes the traces once for one
+circuit at many drives.  The memo holds one entry, dropped
 before a new pair is formed, and no pair longer than _TRACE_MEMO_SAMPLES
 (2**22) samples per trace.  Every pair formed, kept or not, is checked
 there to be finite and >= 0, with GlottalWaveform's errors, so no solve
@@ -174,8 +174,8 @@ _ROOT_TABLE_STEPS = 1024
 # fold, is within this share of the tolerance (see the module docstring).
 _ACCEPT_SHARE = 0.5
 # A table-path solve works in this many float rows of the batch's length,
-# allocated once per simulate_many call: the two t_f, sigma, the start x and
-# three rows of work space, one of which also serves as the intp index.
+# allocated once per solved drive: the two t_f, sigma, the start x and three
+# rows of work space, one of which also serves as the int64 index.
 _WORK_ROWS = 7
 # The most float64 samples whose byte count numpy can index.
 _MAX_SAMPLES = np.iinfo(np.intp).max // 8
@@ -412,7 +412,7 @@ def _table_start(table, t, x, u, scratch, index):
     """The start x read from a root table of _root_table at
     z = t_lower - t_upper + 1 (see there), clipped to [1 / 4, 1], where
     the root lies, written into the row x; u and scratch are float rows
-    and index an intp row of work space."""
+    and index an int64 row of work space."""
     np.subtract(t[0], t[1], out=u)
     u += 1.0
     u *= _ROOT_TABLE_STEPS
@@ -555,7 +555,7 @@ def _series_root(roots, setup, v, table=None, rows=None):
         t_lower, t_upper, sigma, x, a, b, c = rows
         sigma, t = _fold_ratios(roots, setup, (sigma, t_lower, t_upper))
         # the index row is free again once the start is read, and holds g
-        _table_start(table, t, x, a, b, c.view(np.intp))
+        _table_start(table, t, x, a, b, c.view(np.int64))
         g = _residual(coefficients, t, x, (c, a, b))
         bound = _ACCEPT_SHARE * _tolerance(v)
         # a NaN fails both sides, as it fails |g| <= bound
@@ -737,8 +737,8 @@ def _distinct_pairs(g_lower: np.ndarray, g_upper: np.ndarray
 
 def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
                 g_upper: np.ndarray, rate: int,
-                pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-                rows: list[np.ndarray] | None = None) -> np.ndarray:
+                pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+                ) -> np.ndarray:
     """The flow of circuit over full-record bias traces; a SolverError names
     the earliest sample time that failed.
 
@@ -749,10 +749,9 @@ def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
     g_upper), each distinct pair is solved once, one block of pairs at a
     time, and np.take spreads the flows over the record.  Both loops meet
     their entries in the order of their first samples, so the first entry
-    that fails names the earliest one.  Every block works in rows, a fixed
-    set of block-length rows from _work_rows allocated once per call of
-    simulate_many (here where None), and squares its s straight into the
-    output.
+    that fails names the earliest one.  Every block works in one fixed set
+    of block-length rows from _work_rows, allocated here once per drive,
+    and squares its s straight into the output.
     """
     drive = circuit.drive.value
     if not (drive > 0.0
@@ -770,8 +769,7 @@ def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
         out = flows[1:]
     else:
         out = np.empty(len(g_lower))
-    if rows is None:
-        rows = _work_rows(min(len(out), _SOLVE_BLOCK))
+    rows = _work_rows(min(len(out), _SOLVE_BLOCK))
     try:
         for start in range(0, len(out), _SOLVE_BLOCK):
             stop = min(start + _SOLVE_BLOCK, len(out))
@@ -823,12 +821,10 @@ def simulate_many(circuit: GlottalCircuit, drives: Iterable[DcVoltage],
         return
     g_lower, g_upper = conductance_traces(circuit, duration_s, rate)
     pairs = _distinct_pairs(g_lower, g_upper) if len(circuits) > 1 else None
-    entries = len(g_lower) if pairs is None else len(pairs[0])
-    rows = _work_rows(min(entries, _SOLVE_BLOCK))
     for c in circuits:
         yield GlottalWaveform(
             sample_rate_hz=rate, g_lower=g_lower, g_upper=g_upper,
-            u_gl=_solve_flow(c, g_lower, g_upper, rate, pairs, rows))
+            u_gl=_solve_flow(c, g_lower, g_upper, rate, pairs))
 
 
 def simulate(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURATION_S,
@@ -839,13 +835,14 @@ def simulate(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURATION_S,
     that fold's normalized oscillator value, and the four-element series
     network is solved for the flow.  The traces and the solve run one block of
     samples at a time, so the temporaries stay at a fixed set of
-    block-length rows allocated once per call, however long the record is.  The waveform's trace arrays are read-only, and a later call
-    with equal oscillators and grid shares them (see conductance_traces).
-    The solve starts from a root table built once per drive (see the module
+    block-length rows allocated once per call, however long the record is.
+    The waveform's trace arrays are read-only, and a later call with equal
+    oscillators and grid shares them (see conductance_traces).  The solve
+    starts from a root table built once per drive (see the module
     docstring).  Output is deterministic: identical inputs give
-    bit-identical arrays.  Raises
-    ModelDomainError up front when the flow at full bias exceeds float max
-    / rate, beyond which its derivative overflows.
+    bit-identical arrays.  Raises ModelDomainError up front when the flow
+    at full bias exceeds float max / rate, beyond which its derivative
+    overflows.
     """
     return next(simulate_many(circuit, (circuit.drive,), duration_s,
                               sample_rate_hz))

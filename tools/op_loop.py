@@ -9,11 +9,13 @@ and runs the op of perfbench's long_record workload, `simulate` of the
 normal voice at 10 cmH2O over `--duration` seconds at 44.1 kHz and then
 `analyze`, `--runs` times, with `yardstick.kernel` after each op as the
 benchmark's worker does.  With two checkouts the children run one op at a
-time, alternately.  Each child reports, per op, its wall time, the
-yardstick's wall time and the minor page faults of the op
-(`resource.getrusage`); the parent prints, per checkout, the median op
-time, the median op/yardstick ratio and the median minor faults per op.
-Only the Python standard library and the package are used.
+time, alternately: the first checkout first in even rounds and the second
+first in odd ones, so that a drift of the host does not favour one side.
+Each child reports, per op, its wall time, the yardstick's wall time and
+the minor page faults of the op (`resource.getrusage`); the parent prints,
+per checkout, the median op time, the median op/yardstick ratio and the
+median minor faults per op.  Only the Python standard library and the
+package are used.
 """
 from __future__ import annotations
 
@@ -62,8 +64,9 @@ def main(argv: list[str] | None = None) -> int:
         for path in args.checkouts]
     results = [[] for _ in children]
     try:
-        for _ in range(args.runs):
-            for child, out in zip(children, results):
+        for r in range(args.runs):
+            order = list(zip(children, results))
+            for child, out in order if r % 2 == 0 else order[::-1]:
                 child.stdin.write("\n")
                 child.stdin.flush()
                 out.append(json.loads(child.stdout.readline()))
