@@ -15,8 +15,7 @@ from .elements import (ElementKind, FeedbackState, ResistorElement,
                        TranslinearSpec, device_current, rectify,
                        settle_feedback)
 from .errors import (ConfigError, ElementOpenError, FeedbackSettleError,
-                     GlottisimError, InsufficientPulsesError, ModelDomainError,
-                     SolverError)
+                     GlottisimError, InsufficientPulsesError, ModelDomainError)
 from .exporters import export_csv, export_wav, format_report, read_waveform_csv
 from .network import (FoldStage, GlottalCircuit, GlottalWaveform,
                       conductance_traces, simulate, simulate_many,
@@ -33,8 +32,8 @@ __all__ = [
     "validate_config", "ElementKind", "FeedbackState", "ResistorElement",
     "TranslinearSpec", "device_current", "rectify", "settle_feedback",
     "ConfigError", "ElementOpenError", "FeedbackSettleError", "GlottisimError",
-    "InsufficientPulsesError", "ModelDomainError", "SolverError", "export_csv",
-    "export_wav", "format_report", "read_waveform_csv", "FoldStage",
+    "InsufficientPulsesError", "ModelDomainError", "export_csv", "export_wav",
+    "format_report", "read_waveform_csv", "FoldStage",
     "GlottalCircuit", "GlottalWaveform", "conductance_traces", "simulate",
     "simulate_many", "solve_series_current", "OscillatorConfig",
     "DcVoltage", "PressureCmH2O", "pressure_to_voltage", "voltage_to_pressure",

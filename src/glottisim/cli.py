@@ -1,6 +1,6 @@
 """Command-line front end: simulate, sweep, analyze.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 I/O failure.
+Exit codes: 0 success, 2 configuration error, 4 I/O failure.
 """
 from __future__ import annotations
 
@@ -14,14 +14,13 @@ from pathlib import Path
 
 from .analysis import analyze, derivative
 from .config import RunConfig, check_drive, parse_config, validate_config
-from .errors import ConfigError, ModelDomainError, SolverError
+from .errors import ConfigError, ModelDomainError
 from .exporters import (export_csv, export_wav, format_number, format_report,
                         read_waveform_csv, write_report)
 from .network import simulate, simulate_many
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_SOLVER = 3
 EXIT_IO = 4
 
 SWEEP_COLUMNS = ("pressure_cmh2o", "drive_v", "peak_flow", "f0_hz",
@@ -195,9 +194,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ModelDomainError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except OSError as exc:
         name = getattr(exc, "filename", None)
         where = f" ({name})" if name else ""

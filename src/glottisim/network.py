@@ -48,13 +48,34 @@ b4 * z**2 + B * z - 1.  Proved:
   g'**1.5, so f increases on both sides of the root, its only zero: each
   step moves x down where g > 0 and up where g < 0, and near the root the
   convergence is cubic.
-Not proved are a step count and that every iterate stays in x > 0.  Unlike
-Newton from above, a Halley step may overshoot below the root (where b1
-dominates and b2 is near 0), and the next step comes back up.  The tests
-back both: from x_q no entry of the circuit's folds takes more than 3 steps
-from 6 to 100 cmH2O, and more than 2 only from about 6.67 to 7.77 cmH2O, nor
-more than 3 at the corners of the coefficient domain, with gains from
-1e-300 to 1e300, or in the property test over every accepted input.
+None of that bounds the step count.  A step may overshoot below the root
+(where b1 dominates and b2 is near 0) or, unproved, to x <= 0, from where
+it may step to a negative root or to inf or NaN.  So an entry is done where
+|g| <= tol = 1e-12 * max(v, 1) / v at an x > 0, where g increases and r is
+its only zero, and the kernel takes at most _HALLEY_STEPS = 8 steps and
+then bisects each entry not done (_bisect).  A bisected entry's bracket
+restarts at [0, 1], whatever its iterate, and each midpoint m replaces the
+end whose g has m's sign, until |g(m)| <= tol.  Proved, for g of the b_p
+as rounded, which are >= 0 and each at most its count of elements:
+- The bracket holds r.  g(0) = -1, and g(1) = b4 + b2 + b1 - 1 >= 0.  The
+  terms of g + 1 are >= 0, so g as computed at an x in [0, 1] is within
+  1e-15 * (1 + |g|) of g, and a computed g below -tol or above tol >= 1e-12
+  has the sign of g.
+- L = 4 * b4 + 2 * b2 + b1 = g'(1) bounds g' on [0, 1], and L <= 4 * n for
+  n elements.  The k-th midpoint lies within 2**-k of r, so |g| <= L * 2**-k
+  there, and the computed |g| is within tol once that is at most tol / 2:
+  the bisection ends within ceil(log2(8e12 * n)) midpoints, 45 for the four
+  elements of the circuit and 58 for a stack of 20 000.
+- Each midpoint is exact.  lo and hi are multiples of the bracket's width w,
+  so (lo + hi) / 2 is exact while w >= 2**-52 * hi.  g' <= 4 * (g + 1) / x
+  for x > 0, so |g| < 1e-12 / 2 wherever |m - r| <= 1e-12 * r / 16, and a
+  bracket whose midpoint fails is wider than 1e-12 * r / 8 > 2**-44 * hi.
+The tests back the Halley steps themselves: from x_q no entry of the
+circuit's folds takes more than 3 from 6 to 100 cmH2O, and more than 2 only
+from about 6.67 to 7.77 cmH2O, nor more than 3 at the corners of the
+coefficient domain, with gains from 1e-300 to 1e300, or in the property test
+over every accepted input, and no entry is bisected but where a test forces
+it.
 
 Every flow solve starts its entries from a root table built once per flowing
 drive (see _root_table).  In the two folds of the circuit, the fold that
@@ -65,11 +86,11 @@ z = t_lower - t_upper + 1 in [0, 2] alone, and a cubic Hermite table of
 gain corners of the tests, the residual check passes at once, with 0 steps,
 which a dense-grid test pins on records of 10 ms, 0.1 s and 1 s.  The start
 is clipped to [1 / 4, 1], where the root lies, and an entry it does not
-start close enough still takes Halley steps, up to the same cap.  The flows
-differ from x_q's in their last digits, by at most 2e-12 relative from 6 to
-100 cmH2O.  The build costs about 0.2-0.35 ms per drive, which a record
-shorter than about one solve block does not win back: at 4 410 samples the
-solve takes about 0.39 ms against 0.20 ms from x_q.
+start close enough still goes to the kernel.  The flows differ from x_q's
+in their last digits, by at most 2e-12 relative from 6 to 100 cmH2O.  The
+build costs about 0.2-0.35 ms per drive, which a record shorter than about
+one solve block does not win back: at 4 410 samples the solve takes about
+0.39 ms against 0.20 ms from x_q.
 
 A table start is checked first on the folds' own sums, which need no b_p:
 g = sum_f phi_f(t_f * x) - 1, phi_f(w) = sum_p C_f,p * w**p (_residual).
@@ -136,7 +157,7 @@ cmH2O); and s = sigma * x = +0.0.  Each result of the kernel depends on its
 own entry's inputs only, so simulate_many also finds the distinct active
 (g_lower, g_upper) pairs once, in the order of their first samples, and, at
 each drive, solves only those and spreads their flows over the record; the
-flows are bitwise those of simulate, and a failure names the same sample.
+flows are bitwise those of simulate.
 """
 from __future__ import annotations
 
@@ -149,7 +170,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .elements import ElementKind, ResistorElement
-from .errors import ModelDomainError, SolverError
+from .errors import ModelDomainError
 from .oscillator import OscillatorConfig
 from .pressure import DcVoltage
 
@@ -160,7 +181,9 @@ DEFAULT_DURATION_S = 1.0
 # Solver termination: residual within 1e-12 * max(v_drive, 1),
 # well inside the 1e-10 voltage-balance budget of the simulate contract.
 _RESIDUAL_RTOL = 1e-12
-_MAX_SOLVER_STEPS = 200
+# The kernel's Halley steps before it bisects the entries not yet done; no
+# entry of the tests takes more than 3 (see the module docstring).
+_HALLEY_STEPS = 8
 # simulate forms the traces and solves them this many samples at a time, and
 # simulate_many solves its distinct bias pairs this many at a time.  The
 # entries are independent, so the result does not depend on it, and the
@@ -173,7 +196,7 @@ _ROOT_TABLE_STEPS = 1024
 # A table start is accepted with 0 steps where |g| at it, summed fold by
 # fold, is within this share of the tolerance (see the module docstring).
 _ACCEPT_SHARE = 0.5
-# A table-path solve works in this many float rows of the batch's length,
+# A flow solve works in this many float rows of the batch's length,
 # allocated once per solved drive: the two t_f, sigma, the start x and three
 # rows of work space, one of which also serves as the int64 index.
 _WORK_ROWS = 7
@@ -382,15 +405,14 @@ def _powers(coefficients, t):
     return b.get(4.0, 0.0), b.get(2.0, 0.0), b.get(1.0, 0.0)
 
 
-def _residual(coefficients, t, x, rows=None):
+def _residual(coefficients, t, x, rows):
     """g(x) = sum_f phi_f(t_f * x) - 1 for the folds' C of _fold_setup and
     their t_f, where phi_f(w) = sum_p C_f,p * w**p.  A fold of the circuit
     has power 2 (its linear element) and 4 or 1 (the other), so phi_f is
     (C_4 * w**2 + C_2) * w**2 or (C_2 * w + C_1) * w, by Horner's rule with
     no product by a C_p of 1.  g is written into the first of rows, three
-    rows of x's length (allocated here where None), and the other two are
-    work space."""
-    g, w, term = np.empty((3, len(x))) if rows is None else rows
+    rows of x's length, and the other two are work space."""
+    g, w, term = rows
     for f, (c, t_f) in enumerate(zip(coefficients, t)):
         np.multiply(t_f, x, out=w)
         if 4.0 in c:
@@ -475,33 +497,55 @@ def _root_table(setup, v: float) -> np.ndarray:
 
 def _halley(b4, b2, b1, v, x=None):
     """The normalized root x of g for coefficients (b4, b2, b1) at drive
-    v > 0, by Halley steps from the start x, or from x_q where x is None
-    (see the module docstring).
+    v > 0: at most _HALLEY_STEPS Halley steps from the start x, an array
+    the kernel may overwrite, or from x_q where x is None, and then _bisect
+    of each entry not yet done (see the module docstring).
 
     Each step evaluates g, g' and g'' / 2 by Horner over the whole batch,
     and np.where keeps the converged entries with the same bits.  The loop
     uses only correctly rounded operations, so each result depends on that
-    entry's own inputs only, whatever the batch.  The stopping test
-    |g| <= 1e-12 * max(v, 1) / v is the voltage residual within
-    1e-12 * max(v, 1).  A SolverError gives the batch index of the first
-    entry that failed and how many failed.
+    entry's own inputs only, whatever the batch.  An entry is done where
+    |g| <= 1e-12 * max(v, 1) / v, the voltage residual within
+    1e-12 * max(v, 1), at an x > 0.  An iterate x <= 0 may step to inf or
+    NaN; it does so without a warning, fails the test and is bisected.
     """
     tol = _tolerance(v)
     if x is None:
         # x_q = sqrt(z_q), z_q = 2 / (B + sqrt(B**2 + 4 * b4)), B = b2 + b1
         B = b2 + b1
         x = np.sqrt(2.0 / (np.sqrt(B * B + 4.0 * b4) + B))
-    for _ in range(_MAX_SOLVER_STEPS):
-        y = x * x
-        g = (b4 * y + b2) * y + b1 * x - 1.0
-        done = np.abs(g) <= tol
-        if done.all():
-            return x
-        dg = (4.0 * b4 * y + 2.0 * b2) * x + b1
-        x = np.where(done, x, x - g * dg / (dg * dg - (6.0 * b4 * y + b2) * g))
-    k = int(np.argmin(done))
-    raise _unconverged(len(done) - int(np.count_nonzero(done)), len(done),
-                       float(g[k]) * v, k)
+    with np.errstate(all="ignore"):
+        for step in range(_HALLEY_STEPS + 1):
+            y = x * x
+            g = (b4 * y + b2) * y + b1 * x - 1.0
+            done = np.abs(g) <= tol
+            if done.all() or step == _HALLEY_STEPS:
+                break
+            dg = (4.0 * b4 * y + 2.0 * b2) * x + b1
+            x = np.where(done, x,
+                         x - g * dg / (dg * dg - (6.0 * b4 * y + b2) * g))
+    # a NaN x fails both tests
+    if not (done.all() and x.min() > 0.0):
+        _bisect(b4, b2, b1, tol, x, np.flatnonzero(~(done & (x > 0.0))))
+    return x
+
+
+def _bisect(b4, b2, b1, tol, x, todo):
+    """Write into the entries todo of x the root of g for coefficients
+    (b4, b2, b1), each bisected from the bracket [0, 1], whatever x held,
+    until |g| <= tol at its midpoint (see the module docstring)."""
+    b4, b2, b1 = (b[todo] if np.ndim(b) else b for b in (b4, b2, b1))
+    lo, hi = np.zeros(len(todo)), np.ones(len(todo))
+    while True:
+        m = 0.5 * (lo + hi)
+        y = m * m
+        g = (b4 * y + b2) * y + b1 * m - 1.0
+        if (np.abs(g) <= tol).all():
+            x[todo] = m
+            return
+        # an entry within tol keeps its bracket, and so its midpoint
+        lo = np.where(g < -tol, m, lo)
+        hi = np.where(g > tol, m, hi)
 
 
 def _tolerance(v):
@@ -510,64 +554,39 @@ def _tolerance(v):
     return _RESIDUAL_RTOL * max(v, 1.0) / v
 
 
-def _unconverged(failed, entries, residual, index):
-    """The SolverError of a batch of entries in which failed entries, the
-    first at index with residual in volts, did not converge."""
-    return SolverError(
-        f"series current solve did not converge in {_MAX_SOLVER_STEPS} steps "
-        f"for {failed} of {entries} entries (residual {residual!r} V)",
-        residual=residual, index=index, failed=failed)
-
-
 def _work_rows(entries):
-    """The _WORK_ROWS float rows of entries each that the table path of
-    _series_root works in, one array per row."""
+    """The _WORK_ROWS float rows of entries each that _series_root works
+    in, one array per row."""
     return [np.empty(entries) for _ in range(_WORK_ROWS)]
 
 
-def _series_root(roots, setup, v, table=None, rows=None):
+def _series_root(roots, setup, v, table, rows):
     """Square root s = sqrt(I) of the series current at drive v > 0, for
-    1-D bias roots of the folds of setup: the normalized quartic Halley
-    kernel.
+    1-D bias roots of the two folds of setup, from table, their root table
+    at drive v (see _root_table).
 
-    sigma and the t_f come from _fold_ratios, and the coefficients of g
-    from _powers, in which elements of one law fold into one b_p.  The root
-    lies in [1 / n, 1] for n elements, and a rho_k beyond the float range
-    only adds 0 to its b_p.  Without a table the steps start from x_q.
-    Given the root table of a two-fold circuit at drive v, each entry starts
-    from the table (see _root_table), and its start is accepted as it stands
-    where the folds' own sums put |g| within _ACCEPT_SHARE of the tolerance;
-    only the other entries get their b_p and Halley's exact test and steps,
-    and a SolverError counts and indexes them within the whole batch (see
-    the module docstring).  The table path writes every temporary into
-    rows, _work_rows of the batch's length (allocated here where None),
-    whose first two rows may be the roots themselves, and returns s in one
-    of them.  s comes out as inf, without a warning, where sigma is beyond
-    the float range.
+    sigma and the t_f come from _fold_ratios.  Each entry starts from the
+    table, and its start is accepted as it stands where the folds' own sums
+    put |g| within _ACCEPT_SHARE of the tolerance; only the other entries
+    get their b_p from _powers, in which elements of one law fold into one
+    b_p, and go to the kernel (see the module docstring).  Every temporary
+    is written into rows, _work_rows of the batch's length, whose first two
+    rows may be the roots themselves, and s is returned in one of them.  s
+    comes out as inf, without a warning, where sigma is beyond the float
+    range.
     """
     coefficients = [c for _, c in setup]
-    if table is None:
-        sigma, t = _fold_ratios(roots, setup)
-        x = _halley(*_powers(coefficients, t), v)
-    else:
-        if rows is None:
-            rows = _work_rows(len(roots[0]))
-        t_lower, t_upper, sigma, x, a, b, c = rows
-        sigma, t = _fold_ratios(roots, setup, (sigma, t_lower, t_upper))
-        # the index row is free again once the start is read, and holds g
-        _table_start(table, t, x, a, b, c.view(np.int64))
-        g = _residual(coefficients, t, x, (c, a, b))
-        bound = _ACCEPT_SHARE * _tolerance(v)
-        # a NaN fails both sides, as it fails |g| <= bound
-        if not (-bound <= g.min() and g.max() <= bound):
-            todo = np.flatnonzero(~(np.abs(g, out=g) <= bound))
-            try:
-                x[todo] = _halley(*_powers(coefficients,
-                                           [t_f[todo] for t_f in t]),
-                                  v, x[todo])
-            except SolverError as exc:
-                raise _unconverged(exc.failed, len(x), exc.residual,
-                                   int(todo[exc.index])) from None
+    t_lower, t_upper, sigma, x, a, b, c = rows
+    sigma, t = _fold_ratios(roots, setup, (sigma, t_lower, t_upper))
+    # the index row is free again once the start is read, and holds g
+    _table_start(table, t, x, a, b, c.view(np.int64))
+    g = _residual(coefficients, t, x, (c, a, b))
+    bound = _ACCEPT_SHARE * _tolerance(v)
+    # a NaN fails both sides, as it fails |g| <= bound
+    if not (-bound <= g.min() and g.max() <= bound):
+        todo = np.flatnonzero(~(np.abs(g, out=g) <= bound))
+        x[todo] = _halley(*_powers(coefficients, [t_f[todo] for t_f in t]),
+                          v, x[todo])
     return np.multiply(sigma, x, out=x)
 
 
@@ -580,10 +599,11 @@ def solve_series_current(elements, v_drive: float) -> float:
     ModelDomainError when that current exceeds the float range.
 
     The stack is one fold at full bias (root 1), whose set-up is
-    _fold_setup of all its elements, solved by the kernel from x_q.  The
-    four elements of a circuit, each taking its fold's bias as its gain,
-    so give the flow within 2e-12 relative: the flow solve splits the same
-    balance into two folds and starts from the root table.
+    _fold_setup of all its elements, solved by the kernel from x_q; an
+    element whose rho_k is beyond the float range only adds 0 to its b_p.
+    The four elements of a circuit, each taking its fold's bias as its
+    gain, so give the flow within 2e-12 relative: the flow solve splits the
+    same balance into two folds and starts from the root table.
     """
     elements = list(elements)
     if not elements:
@@ -594,7 +614,9 @@ def solve_series_current(elements, v_drive: float) -> float:
     if v_drive == 0.0:
         return 0.0
     v = float(v_drive)
-    s = float(_series_root((np.ones(1),), [_fold_setup(elements, v)], v)[0])
+    least, coefficients = _fold_setup(elements, v)
+    sigma, t = _fold_ratios((np.ones(1),), [(least, coefficients)])
+    s = float(sigma[0] * _halley(*_powers([coefficients], t), v)[0])
     current = s * s
     if not math.isfinite(current):
         raise ModelDomainError(
@@ -736,33 +758,26 @@ def _distinct_pairs(g_lower: np.ndarray, g_upper: np.ndarray
 
 
 def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
-                g_upper: np.ndarray, rate: int,
+                g_upper: np.ndarray,
                 pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
                 ) -> np.ndarray:
-    """The flow of circuit over full-record bias traces; a SolverError names
-    the earliest sample time that failed.
+    """The flow of circuit over full-record bias traces.
 
     Every solve starts from the one root table built here for the drive.
     Without pairs, the record is solved one block of samples at a time,
     each sample as it stands: a closed one comes out of the kernel as +0.0
     (see the module docstring).  With pairs = _distinct_pairs(g_lower,
     g_upper), each distinct pair is solved once, one block of pairs at a
-    time, and np.take spreads the flows over the record.  Both loops meet
-    their entries in the order of their first samples, so the first entry
-    that fails names the earliest one.  Every block works in one fixed set
-    of block-length rows from _work_rows, allocated here once per drive,
-    and squares its s straight into the output.
+    time, and np.take spreads the flows over the record.  Every block works
+    in one fixed set of block-length rows from _work_rows, allocated here
+    once per drive, and squares its s straight into the output.
     """
     drive = circuit.drive.value
     if not (drive > 0.0
             and min(e.gain for e in _series_elements(circuit)) > 0.0):
         return np.zeros(len(g_lower))
     setup = _circuit_setup(circuit)
-    try:
-        table = _root_table(setup, drive)
-    except SolverError as exc:
-        raise SolverError(f"the root table at {drive!r} V failed: {exc}",
-                          residual=exc.residual, failed=exc.failed) from exc
+    table = _root_table(setup, drive)
     if pairs is not None:
         root_lower, root_upper, slot = pairs
         flows = np.zeros(len(root_lower) + 1)
@@ -770,27 +785,16 @@ def _solve_flow(circuit: GlottalCircuit, g_lower: np.ndarray,
     else:
         out = np.empty(len(g_lower))
     rows = _work_rows(min(len(out), _SOLVE_BLOCK))
-    try:
-        for start in range(0, len(out), _SOLVE_BLOCK):
-            stop = min(start + _SOLVE_BLOCK, len(out))
-            block = [row[:stop - start] for row in rows]
-            if pairs is not None:
-                roots = root_lower[start:stop], root_upper[start:stop]
-            else:
-                roots = (np.sqrt(g_lower[start:stop], out=block[0]),
-                         np.sqrt(g_upper[start:stop], out=block[1]))
-            s = _series_root(roots, setup, drive, table, block)
-            np.multiply(s, s, out=out[start:stop])
-    except SolverError as exc:
-        # Map the failing entry back to its (first) sample time.
+    for start in range(0, len(out), _SOLVE_BLOCK):
+        stop = min(start + _SOLVE_BLOCK, len(out))
+        block = [row[:stop - start] for row in rows]
         if pairs is not None:
-            k = int(np.argmax(slot == start + exc.index + 1))
+            roots = root_lower[start:stop], root_upper[start:stop]
         else:
-            k = start + exc.index
-        t_k = k / float(rate)
-        raise SolverError(
-            f"{exc} at t = {t_k!r} s", residual=exc.residual, index=k,
-            time_s=t_k, failed=exc.failed) from exc
+            roots = (np.sqrt(g_lower[start:stop], out=block[0]),
+                     np.sqrt(g_upper[start:stop], out=block[1]))
+        s = _series_root(roots, setup, drive, table, block)
+        np.multiply(s, s, out=out[start:stop])
     return out if pairs is None else np.take(flows, slot)
 
 
@@ -824,7 +828,7 @@ def simulate_many(circuit: GlottalCircuit, drives: Iterable[DcVoltage],
     for c in circuits:
         yield GlottalWaveform(
             sample_rate_hz=rate, g_lower=g_lower, g_upper=g_upper,
-            u_gl=_solve_flow(c, g_lower, g_upper, rate, pairs))
+            u_gl=_solve_flow(c, g_lower, g_upper, pairs))
 
 
 def simulate(circuit: GlottalCircuit, duration_s: float = DEFAULT_DURATION_S,

@@ -1,5 +1,6 @@
 """Series network solve and the quasi-static simulation."""
 import itertools
+import math
 import sys
 import tracemalloc
 import weakref
@@ -21,7 +22,6 @@ from glottisim import (
     PressureCmH2O,
     ResistorElement,
     RunConfig,
-    SolverError,
     conductance_traces,
     derivative,
     pressure_to_voltage,
@@ -233,12 +233,43 @@ def test_voltage_balance_across_the_record(loud_waveform):
         assert abs(total - drive) <= 1e-10 * drive
 
 
+def _solved(roots, setup, v, table=None):
+    """s of the kernel for the bias roots of the folds of setup at drive v:
+    from x_q, as solve_series_current solves its one fold, where table is
+    None, and else through _series_root from table, in work rows of its
+    own."""
+    if table is not None:
+        return network._series_root(roots, setup, v, table,
+                                    network._work_rows(len(roots[0])))
+    sigma, t = network._fold_ratios(roots, setup)
+    return sigma * network._halley(
+        *network._powers([c for _, c in setup], t), v)
+
+
+def _bisected(monkeypatch, steps):
+    """Give the kernel steps Halley steps, and return a list that gets, for
+    each batch it hands to bisection, g at the iterates handed over and the
+    roots that the bisection returns."""
+    monkeypatch.setattr(network, "_HALLEY_STEPS", steps)
+    calls = []
+    bisect = network._bisect
+
+    def recorded(b4, b2, b1, tol, x, todo):
+        b = [c[todo] if np.ndim(c) else c for c in (b4, b2, b1)]
+        y = x[todo] * x[todo]
+        g = (b[0] * y + b[1]) * y + b[2] * x[todo] - 1.0
+        bisect(b4, b2, b1, tol, x, todo)
+        calls.append((g, x[todo]))
+
+    monkeypatch.setattr(network, "_bisect", recorded)
+    return calls
+
+
 def _flow_from_x_q(circuit, g_lower, g_upper):
     """The flow solve of circuit over bias arrays without a root table: the
     kernel from x_q on the circuit's two folds."""
     roots = np.sqrt(g_lower), np.sqrt(g_upper)
-    s = network._series_root(roots, network._circuit_setup(circuit),
-                             circuit.drive.value)
+    s = _solved(roots, network._circuit_setup(circuit), circuit.drive.value)
     return s * s
 
 
@@ -455,7 +486,7 @@ def test_accepted_domain_gives_a_balanced_flow(gains, pressure):
 def _assert_accepted_or_rejected(gains, pressure):
     # every input either yields a finite, balanced flow with a finite
     # derivative or is rejected up front by both the config and simulate;
-    # SolverError and warnings fail
+    # a warning or any other error fails
     cfg = RunConfig(pressure_cmh2o=pressure, duration_s=0.01,
                     **dict(zip(GAIN_NAMES, gains)))
     try:
@@ -487,93 +518,11 @@ def _assert_voltage_balance(c, w, gains):
 
 def _coarse_tables(monkeypatch):
     """Have every flow solve start from a root table of 16 intervals per
-    unit of z, whose nodes are solved at full cap, so that the step cap
-    set afterwards fails the entries it starts too far from their root."""
+    unit of z, whose nodes take their full Halley steps, so that a count of
+    steps set afterwards leaves the entries it starts too far from their
+    root to bisection."""
     _table_builds(monkeypatch)
     monkeypatch.setattr(network, "_ROOT_TABLE_STEPS", 16)
-
-
-def test_iteration_cap_names_the_failing_sample(monkeypatch):
-    c = GlottalCircuit.normal_voice()
-    _coarse_tables(monkeypatch)
-    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 1)
-    with pytest.raises(SolverError) as info:
-        simulate(c, 0.01, 44100)
-    exc = info.value
-    gl, gu = conductance_traces(c, 0.01, 44100)
-    active = np.count_nonzero((gl > 0.0) & (gu > 0.0))
-    assert gl[exc.index] > 0.0 and gu[exc.index] > 0.0
-    assert exc.time_s == exc.index / 44100.0
-    assert f"at t = {exc.time_s!r} s" in str(exc)
-    # the record is one block, solved whole: each closed sample starts on a
-    # node of the table and converges there, and no active sample does
-    assert exc.failed == active
-    assert f"for {active} of {len(gl)} entries" in str(exc)
-
-
-def test_iteration_cap_names_the_failing_sample_of_an_open_block(
-        monkeypatch):
-    # every sample is open; at 1e16 V the upper fold holds sigma, and until
-    # sample 47 z lies within 1e-11 of the node z = 0, so those samples
-    # converge at their start, and from 47 on z = 0.1 lies inside an
-    # interval of the coarse table
-    _coarse_tables(monkeypatch)
-    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 1)
-    monkeypatch.setattr(network, "_SOLVE_BLOCK", 20)
-    c = replace(GlottalCircuit.normal_voice(), drive=DcVoltage(1e16))
-    gl = np.ones(100)
-    gu = np.full(100, 1e-30)
-    gu[47:] = 1e-10
-    with pytest.raises(SolverError) as info:
-        network._solve_flow(c, gl, gu, 44100)
-    exc = info.value
-    assert exc.index == 47  # entry 7 of the block that starts at 40
-    assert exc.time_s == 47 / 44100.0
-    assert f"at t = {exc.time_s!r} s" in str(exc)
-    assert exc.failed == 13
-    assert "for 13 of 20 entries" in str(exc)
-
-
-def test_pairs_and_blocks_name_the_same_failing_sample(monkeypatch):
-    # at 1e16 V the samples from 30 on fail from the coarse table; the pair
-    # of samples 30 to 59 is the second in time but, with g_upper 3e-10
-    # above the 1e-10 of samples 60 to 99, the last in key order
-    _coarse_tables(monkeypatch)
-    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 1)
-    monkeypatch.setattr(network, "_SOLVE_BLOCK", 20)
-    c = replace(GlottalCircuit.normal_voice(), drive=DcVoltage(1e16))
-    gl = np.ones(100)
-    gu = np.full(100, 1e-30)
-    gu[30:] = 3e-10
-    gu[60:] = 1e-10
-    errors = []
-    for pairs in (None, network._distinct_pairs(gl, gu)):
-        with pytest.raises(SolverError) as info:
-            network._solve_flow(c, gl, gu, 44100, pairs)
-        errors.append(info.value)
-    blocks, pairs = errors
-    assert blocks.index == pairs.index == 30
-    assert blocks.time_s == pairs.time_s == 30 / 44100.0
-    assert blocks.residual == pairs.residual
-    # the failing batch's entries: samples 30 to 39 of the block from 20,
-    # and the pairs from 30 and from 60
-    assert (blocks.failed, pairs.failed) == (10, 2)
-
-
-def test_root_table_failure_names_no_sample(monkeypatch):
-    # a cap of 1 fails the table's nodes, solved from x_q: the error counts
-    # nodes, not samples, and names no sample
-    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 1)
-    c = GlottalCircuit.normal_voice()
-    with pytest.raises(SolverError) as info:
-        simulate(c, 0.01, 44100)
-    exc = info.value
-    assert exc.index is None and exc.time_s is None
-    assert str(exc).startswith(
-        f"the root table at {c.drive.value!r} V failed: ")
-    assert exc.failed == 2 * network._ROOT_TABLE_STEPS
-    assert f"for {exc.failed} of {exc.failed + 1} entries" in str(exc)
-    assert "at t =" not in str(exc)
 
 
 # -- the series-root kernel -------------------------------------------------
@@ -587,8 +536,8 @@ CORNER_DRIVES = (1e-3, 3.2, 1e3, 1e150)
 
 
 def _element_folds(coeffs, v):
-    """The bias roots and set-up of _series_root for one element of unit
-    gain per fold, over arrays of coefficients."""
+    """The bias roots and set-up of _solved for one element of unit gain
+    per fold, over arrays of coefficients."""
     return ([np.sqrt(c) for c in coeffs],
             [network._fold_setup([ResistorElement(kind)], v)
              for kind, _ in SERIES_KINDS])
@@ -601,10 +550,16 @@ def _corner_coeffs():
 @pytest.mark.parametrize("v", CORNER_DRIVES)
 def test_series_root_converges_within_three_steps_at_the_corners(
         monkeypatch, v):
-    # a cap of 4 passes after at most 3 steps
-    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 4)
+    # with 3 Halley steps nothing is bisected
+    calls = _bisected(monkeypatch, 3)
     coeffs = _corner_coeffs()
-    s = network._series_root(*_element_folds(coeffs, v), v)
+    _assert_corner_balance(coeffs, _solved(*_element_folds(coeffs, v), v), v)
+    assert calls == []
+
+
+def _assert_corner_balance(coeffs, s, v):
+    """The kernel's s for the element coefficients coeffs at drive v gives
+    a finite current for most of them, and each such current balances v."""
     with np.errstate(over="ignore"):
         current = s * s
     assert np.isfinite(current).sum() > 0.9 * len(current)
@@ -619,8 +574,8 @@ def test_series_root_converges_within_three_steps_at_the_corners(
 def test_scalar_solve_converges_within_three_steps_at_the_corners(
         monkeypatch, v):
     # the same corners through solve_series_current, which solves its stack
-    # as one fold at full bias; a cap of 4 passes after at most 3 steps
-    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 4)
+    # as one fold at full bias; with 3 Halley steps nothing is bisected
+    calls = _bisected(monkeypatch, 3)
     finite = 0
     for coeffs in _corner_coeffs().T:
         els = [ResistorElement(kind, c)
@@ -634,28 +589,24 @@ def test_scalar_solve_converges_within_three_steps_at_the_corners(
                     for (_, name), c in zip(SERIES_KINDS, coeffs))
         assert abs(total - v) <= 1e-10 * max(v, 1.0)
     assert finite > 0.9 * len(CORNER_COEFFS) ** 4
+    assert calls == []
 
 
 @pytest.mark.parametrize("v", CORNER_DRIVES)
 def test_series_root_starts_above_the_root(monkeypatch, v):
-    # with a cap of 1 the kernel stops at its start x_q, and an entry not
-    # already converged there reports g(x_q) * v, which is positive; at the
+    # with 0 Halley steps the kernel hands each entry not already converged
+    # at its start x_q to bisection, and g(x_q) is positive there; at the
     # corners one element often carries the drive and x_q is the root, so
     # elements whose rho = sqrt(c) * v**(q / 2) lie within 1e2 of each other
     # are drawn too
-    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 1)
+    calls = _bisected(monkeypatch, 0)
     rho = 10.0 ** np.random.default_rng(13).uniform(-1.0, 1.0, (4, 1000))
     near = [(r / v ** (0.5 * kind.exponent)) ** 2
             for (kind, _), r in zip(SERIES_KINDS, rho)]
-    above = 0
-    for coeffs in np.hstack([_corner_coeffs(), near]).T:
-        folds = _element_folds([np.full(1, c) for c in coeffs], v)
-        try:
-            network._series_root(*folds, v)
-        except SolverError as exc:
-            assert exc.residual > 0.0
-            above += 1
-    assert above >= 1000
+    _solved(*_element_folds(np.hstack([_corner_coeffs(), near]), v), v)
+    (g, _), = calls
+    assert np.all(g > 0.0)
+    assert len(g) >= 1000
 
 
 def test_series_root_comes_back_up_after_an_overshoot(monkeypatch):
@@ -663,35 +614,84 @@ def test_series_root_comes_back_up_after_an_overshoot(monkeypatch):
     # element holds sigma (b1 = 1) and the compressive one gives b4 = 0.01:
     # the first step lands below the root and the second comes back up
     coeffs = [np.full(1, c) for c in (1e300, 10.0, 1e300, 1.0)]
-    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 2)
-    with pytest.raises(SolverError) as info:
-        network._series_root(*_element_folds(coeffs, 1.0), 1.0)
-    assert info.value.residual < 0.0
-    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 4)
-    current = float(network._series_root(
-        *_element_folds(coeffs, 1.0), 1.0)[0]) ** 2
+    calls = _bisected(monkeypatch, 1)
+    _solved(*_element_folds(coeffs, 1.0), 1.0)
+    (g, _), = calls
+    assert g[0] < 0.0
+    calls = _bisected(monkeypatch, 3)
+    current = float(_solved(*_element_folds(coeffs, 1.0), 1.0)[0]) ** 2
+    assert calls == []
     want = oracles.bisect_series_current(
         [(name, float(c[0])) for (_, name), c in zip(SERIES_KINDS, coeffs)],
         1.0)
     assert current == pytest.approx(want, rel=1e-12)
 
 
+def _halvings(x):
+    """k for each x that is the k-th midpoint of a bisection of [0, 1], an
+    odd multiple of 2**-k, since the midpoints are exact."""
+    mantissa, exponent = np.frexp(x)
+    whole = (mantissa * 2.0 ** 53).astype(np.int64)
+    return 53 - exponent - np.log2(whole & -whole).astype(int)
+
+
+def test_forced_bisection_balances_within_its_halving_bound(monkeypatch):
+    # every corner stack at every corner drive, bisected from [0, 1], and a
+    # stack of 20 000 elements through solve_series_current with 0 Halley
+    # steps: each balances its drive after at most ceil(log2(8e12 * n))
+    # halvings for n elements (the module docstring)
+    coeffs = _corner_coeffs()
+    for v in CORNER_DRIVES:
+        roots, setup = _element_folds(coeffs, v)
+        sigma, t = network._fold_ratios(roots, setup)
+        x = np.full(len(sigma), np.nan)
+        network._bisect(*network._powers([c for _, c in setup], t),
+                        network._tolerance(v), x, np.arange(len(x)))
+        _assert_corner_balance(coeffs, sigma * x, v)
+        assert _halvings(x).max() <= math.ceil(math.log2(8e12 * 4)) == 45
+    calls = _bisected(monkeypatch, 0)
+    rng = np.random.default_rng(20000)
+    kinds = rng.choice([kind for kind, _ in SERIES_KINDS[1:]], 20000)
+    gains = 10.0 ** rng.uniform(-2.0, 2.0, 20000)
+    current = solve_series_current(
+        [ResistorElement(k, g) for k, g in zip(kinds, gains)], 3.2)
+    (_, x), = calls
+    assert len(x) == 1
+    assert _halvings(x).max() <= math.ceil(math.log2(8e12 * 20000)) == 58
+    total = sum(oracles.element_voltage_ref(k.name.lower(), g, current)
+                for k, g in zip(kinds, gains))
+    assert abs(total - 3.2) <= 1e-10 * 3.2
+
+
+def test_kernel_bisects_what_it_cannot_accept(monkeypatch):
+    # g(x) = x**4 + x - 1 has a zero near -1.22 beside its root r = 0.7245:
+    # Halley steps from -1.2 meet the tolerance at that zero, and from inf
+    # or NaN they give NaN, without a warning; each of the three is bisected
+    # to r, and a start at 0 steps up to r
+    calls = _bisected(monkeypatch, network._HALLEY_STEPS)
+    ones = np.ones(4)
+    x = network._halley(ones, 0.0, ones, 1.0,
+                        np.array([-1.2, 0.0, np.inf, np.nan]))
+    (_, bisected), = calls
+    assert len(bisected) == 3
+    assert np.all(x > 0.0)
+    assert np.all(np.abs(x ** 4 + x - 1.0) <= 1e-12)
+
+
 def _assert_batch_independent(roots, setup, v, table=None):
-    """_series_root of the batch is, bit for bit, each entry solved alone,
-    and under some step cap the batch holds converged entries beside
-    pending ones, which np.where must keep."""
-    together = network._series_root(roots, setup, v, table)
-    alone = [network._series_root([r[k:k + 1] for r in roots], setup, v, table)
+    """_solved of the batch is, bit for bit, each entry solved alone, and
+    with some count of Halley steps the batch holds converged entries
+    beside pending ones, which np.where must keep."""
+    together = _solved(roots, setup, v, table)
+    alone = [_solved([r[k:k + 1] for r in roots], setup, v, table)
              for k in range(len(together))]
     assert together.tobytes() == np.concatenate(alone).tobytes()
     failed = []
     with pytest.MonkeyPatch.context() as m:
-        for cap in (1, 2, 3):
-            m.setattr(network, "_MAX_SOLVER_STEPS", cap)
-            try:
-                network._series_root(roots, setup, v, table)
-            except SolverError as exc:
-                failed.append(exc.failed)
+        for steps in (0, 1, 2):
+            calls = _bisected(m, steps)
+            _solved(roots, setup, v, table)
+            failed.append(sum(len(g) for g, _ in calls))
     assert any(0 < f < len(together) for f in failed)
 
 
@@ -717,40 +717,40 @@ def test_series_root_from_the_root_table_is_independent_of_the_batch(
                               network._root_table(setup, v))
 
 
-def _x_q_failures(pressures):
-    """The pressures at which the kernel from x_q, without a root table,
-    raises SolverError on the normal-voice circuit's folds over the
-    distinct active bias pairs of a 0.1 s record."""
+def _x_q_failures(monkeypatch, steps, pressures):
+    """The pressures at which the kernel from x_q, without a root table and
+    with steps Halley steps, bisects an entry of the normal-voice circuit's
+    folds over the distinct active bias pairs of a 0.1 s record."""
     circuit = GlottalCircuit.normal_voice()
     gl, gu = conductance_traces(circuit, 0.1, 44100)
-    root_lower, root_upper, _ = network._distinct_pairs(gl, gu)
+    roots = network._distinct_pairs(gl, gu)[:2]
+    calls = _bisected(monkeypatch, steps)
     failed = []
     for p, d in zip(pressures, _drives(pressures)):
-        setup = network._circuit_setup(replace(circuit, drive=d))
-        try:
-            network._series_root((root_lower, root_upper), setup, d.value)
-        except SolverError:
+        del calls[:]
+        _solved(roots, network._circuit_setup(replace(circuit, drive=d)),
+                d.value)
+        if calls:
             failed.append(p)
     return failed
 
 
 @pytest.mark.parametrize("pressure", [6.0, 6.5, 10.0, 15.0, 100.0])
 def test_voice_pressures_take_at_most_two_steps(monkeypatch, pressure):
-    # a cap of 3 passes after at most 2 steps
-    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 3)
-    assert _x_q_failures([pressure]) == []
+    # with 2 Halley steps nothing is bisected
+    assert _x_q_failures(monkeypatch, 2, [pressure]) == []
 
 
 def test_three_steps_from_6_67_to_7_77_cmh2o_only(monkeypatch):
-    # a dense grid of 0.1 s records: from 6 to 16 cmH2O by 0.01, a cap of 3
-    # (at most 2 steps) fails at exactly 6.67 to 7.77 cmH2O and a cap of 4
-    # (at most 3 steps) nowhere; from 16 to 100 cmH2O a cap of 3 passes
+    # a dense grid of 0.1 s records: from 6 to 16 cmH2O by 0.01, 2 Halley
+    # steps leave entries to bisect at exactly 6.67 to 7.77 cmH2O and 3
+    # steps nowhere; from 16 to 100 cmH2O 2 steps leave none
     pressures = [k / 100 for k in range(600, 1601)]
-    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 4)
-    assert _x_q_failures(pressures) == []
-    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 3)
-    assert _x_q_failures(pressures) == [k / 100 for k in range(667, 778)]
-    assert _x_q_failures(np.linspace(16.0, 100.0, 400).tolist()) == []
+    assert _x_q_failures(monkeypatch, 3, pressures) == []
+    assert _x_q_failures(monkeypatch, 2, pressures) == [
+        k / 100 for k in range(667, 778)]
+    assert _x_q_failures(monkeypatch, 2,
+                         np.linspace(16.0, 100.0, 400).tolist()) == []
 
 
 # -- simulate_many ---------------------------------------------------------
@@ -807,7 +807,7 @@ def test_closed_samples_solved_as_they_stand_give_positive_zero(monkeypatch):
     entries = []
     series_root = network._series_root
 
-    def counted(roots, setup, v, table=None, rows=None):
+    def counted(roots, setup, v, table, rows):
         entries.append(len(roots[0]))
         return series_root(roots, setup, v, table, rows)
 
@@ -853,27 +853,6 @@ def test_simulate_many_checks_every_drive_before_any_trace(monkeypatch):
             next(simulate_many(circuit, (ok, bad), 0.01, 44100))
 
 
-def test_simulate_many_names_the_failing_sample_time(monkeypatch):
-    # the failing sample lies in the third block of samples of the second
-    # drive; its pair is the first in the order of first samples, and the
-    # pair solve names it
-    _coarse_tables(monkeypatch)
-    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 1)
-    monkeypatch.setattr(network, "_SOLVE_BLOCK", 20)
-    c = GlottalCircuit.normal_voice()
-    waveforms = simulate_many(c, _drives((0.0, 10.0)), 0.01, 44100)
-    assert not next(waveforms).u_gl.any()
-    with pytest.raises(SolverError) as info:
-        next(waveforms)
-    exc = info.value
-    gl, gu = conductance_traces(c, 0.01, 44100)
-    assert exc.index == np.flatnonzero((gl > 0.0) & (gu > 0.0))[0] >= 40
-    assert exc.time_s == exc.index / 44100.0
-    assert f"at t = {exc.time_s!r} s" in str(exc)
-    assert 0 < exc.failed <= 20
-    assert f"for {exc.failed} of " in str(exc)
-
-
 SEVEN_MS_PULSES = RunConfig(
     lower_oscillator=OscillatorConfig(period_s=0.0071, pulse_duration_s=0.0071),
     upper_oscillator=OscillatorConfig(period_s=0.0071, pulse_duration_s=0.0071,
@@ -907,7 +886,7 @@ def test_simulate_many_solves_each_distinct_pair_once(monkeypatch):
     entries = []
     series_root = network._series_root
 
-    def counted(roots, setup, v, table=None, rows=None):
+    def counted(roots, setup, v, table, rows):
         entries.append(len(roots[0]))
         return series_root(roots, setup, v, table, rows)
 
@@ -920,30 +899,6 @@ def test_simulate_many_solves_each_distinct_pair_once(monkeypatch):
     active = np.count_nonzero((gl > 0.0) & (gu > 0.0))
     # 26 050 distinct pairs among 44 050 active samples
     assert sum(entries) / len(drives) == 26050 < active == 44050
-
-
-def test_simulate_many_solves_no_sample_block_after_a_pair_block_fails(
-        monkeypatch):
-    entries = []
-    series_root = network._series_root
-
-    def counted(roots, setup, v, table=None, rows=None):
-        entries.append(len(roots[0]))
-        return series_root(roots, setup, v, table, rows)
-
-    _coarse_tables(monkeypatch)
-    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 1)
-    monkeypatch.setattr(network, "_SOLVE_BLOCK", 20)
-    monkeypatch.setattr(network, "_series_root", counted)
-    c = GlottalCircuit.normal_voice()
-    with pytest.raises(SolverError) as info:
-        list(simulate_many(c, _drives((0.0, 10.0)), 0.01, 44100))
-    root_lower, _, slot = network._distinct_pairs(
-        *conductance_traces(c, 0.01, 44100))
-    # the first active sample fails, and its pair is the first: one block
-    # of pairs was solved, and nothing after it
-    assert slot[info.value.index] == 1
-    assert entries == [min(20, len(root_lower))]
 
 
 def test_simulate_many_memory_does_not_grow_with_the_circuit_count():
@@ -966,26 +921,26 @@ def test_simulate_many_memory_does_not_grow_with_the_circuit_count():
 
 
 def _table_builds(monkeypatch):
-    """Build each root table at the step cap it was given whatever cap the
-    entries get later, and return the list of the drives a table was built
-    for."""
-    build, cap, drives = network._root_table, network._MAX_SOLVER_STEPS, []
+    """Build each root table with the Halley steps it was given whatever
+    count the entries get later, and return the list of the drives a table
+    was built for."""
+    build, steps, drives = network._root_table, network._HALLEY_STEPS, []
 
-    def at_full_cap(setup, v):
+    def at_full_steps(setup, v):
         drives.append(v)
         with monkeypatch.context() as m:
-            m.setattr(network, "_MAX_SOLVER_STEPS", cap)
+            m.setattr(network, "_HALLEY_STEPS", steps)
             return build(setup, v)
-    monkeypatch.setattr(network, "_root_table", at_full_cap)
+    monkeypatch.setattr(network, "_root_table", at_full_steps)
     return drives
 
 
 def test_root_table_starts_need_no_step_from_6_to_100_cmh2o(monkeypatch):
-    # a cap of 1 passes only where every entry meets the tolerance at its
-    # start, with 0 steps: on 10 ms, 0.1 s and 1 s records, at every
+    # with 0 Halley steps nothing is bisected only where every entry meets
+    # the tolerance at its start: on 10 ms, 0.1 s and 1 s records, at every
     # 0.01 cmH2O from 6 to 16 and at 400 drives from 16 to 100 cmH2O
     drives = _table_builds(monkeypatch)
-    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 1)
+    calls = _bisected(monkeypatch, 0)
     pressures = [k / 100 for k in range(600, 1601)]
     pressures += np.linspace(16.0, 100.0, 400).tolist()
     for duration in (0.01, 0.1, 1.0):
@@ -993,13 +948,14 @@ def test_root_table_starts_need_no_step_from_6_to_100_cmh2o(monkeypatch):
                                   _drives(pressures), duration, 44100)
         assert sum(bool(w.u_gl.any()) for w in waveforms) == 1401
     assert len(drives) == 3 * 1401
+    assert calls == []
 
 
 @pytest.mark.parametrize("pressure", [6.0, 15.0, 1e3, 1e100])
 def test_root_table_starts_need_no_step_at_the_gain_corners(monkeypatch,
                                                            pressure):
     _table_builds(monkeypatch)
-    monkeypatch.setattr(network, "_MAX_SOLVER_STEPS", 1)
+    calls = _bisected(monkeypatch, 0)
     for gains in itertools.product((1e-300, 1.0, 1e300), repeat=4):
         cfg = RunConfig(pressure_cmh2o=pressure, duration_s=0.01,
                         **dict(zip(GAIN_NAMES, gains)))
@@ -1009,6 +965,7 @@ def test_root_table_starts_need_no_step_at_the_gain_corners(monkeypatch,
             continue
         c = cfg.build_circuit()
         _assert_voltage_balance(c, simulate(c, 0.01, 44100), gains)
+    assert calls == []
 
 
 @pytest.mark.parametrize("circuit", [
@@ -1053,7 +1010,7 @@ def test_start_residual_is_the_kernels_within_a_quarter_tolerance(gains, v):
         b4, b2, b1 = network._powers(coefficients, t)
         y = x * x
         kernel = (b4 * y + b2) * y + b1 * x - 1.0
-        ours = network._residual(coefficients, t, x)
+        ours = network._residual(coefficients, t, x, np.empty((3, len(x))))
         assert np.max(np.abs(ours - kernel)) <= network._tolerance(v) / 4
 
 
@@ -1070,7 +1027,7 @@ def test_every_entry_from_the_table_meets_the_kernels_test(monkeypatch,
     setup = network._circuit_setup(circuit)
     roots = network._distinct_pairs(
         *conductance_traces(circuit, 1.0, 44100))[:2]
-    s = network._series_root(roots, setup, v, network._root_table(setup, v))
+    s = _solved(roots, setup, v, network._root_table(setup, v))
     sigma, t = network._fold_ratios(roots, setup)
     x = s / sigma
     b4, b2, b1 = network._powers([c for _, c in setup], t)
@@ -1149,7 +1106,7 @@ def test_memo_traces_and_their_copies_give_the_same_flow(monkeypatch):
     entries = []
     series_root = network._series_root
 
-    def counted(roots, setup, v, table=None, rows=None):
+    def counted(roots, setup, v, table, rows):
         entries.append(len(roots[0]))
         return series_root(roots, setup, v, table, rows)
 
@@ -1159,8 +1116,8 @@ def test_memo_traces_and_their_copies_give_the_same_flow(monkeypatch):
     assert sorted(set((network._trace_memo[2] // 1000).tolist())) == [0, 1, 3]
     for d in _drives((6.5, 10.0, 15.0)):
         circuit = replace(c, drive=d)
-        shared = network._solve_flow(circuit, gl, gu, 44100)
-        copies = network._solve_flow(circuit, gl.copy(), gu.copy(), 44100)
+        shared = network._solve_flow(circuit, gl, gu)
+        copies = network._solve_flow(circuit, gl.copy(), gu.copy())
         assert shared.any() and shared.tobytes() == copies.tobytes()
     assert entries == ([1000] * 4 + [410]) * 6
 
