@@ -1,9 +1,9 @@
 """Waveform analysis: flow derivative, fundamental frequency, phase timing.
 
 The flow derivative is the acoustic excitation proxy (its sharpest negative
-swing marks glottal closure).  ``analyze`` given no derivative forms no
-record-length one: it takes it block by block into one reused buffer, with
-the differences of ``derivative``.  The closure instant is the first sample
+swing marks glottal closure).  ``analyze`` forms no record-length
+derivative: it takes it block by block into one reused buffer, with the
+differences of ``derivative``.  The closure instant is the first sample
 whose derivative lies within a relative CLOSURE_INSTANT_RTOL of the least
 one.  A periodic record repeats its sharpest swing, in every cycle on the
 same sample phase, to within 1e-10 of it, so which of them is least is set
@@ -115,15 +115,6 @@ def _derivative_block(w: GlottalWaveform, start: int,
     return out
 
 
-def _check_derivative(w: GlottalWaveform, d) -> np.ndarray:
-    """d as a float array; ModelDomainError unless it has w's shape."""
-    d = np.asarray(d, dtype=float)
-    if d.shape != w.u_gl.shape:
-        raise ModelDomainError(
-            f"derivative length {d.shape} must match waveform {w.u_gl.shape}")
-    return d
-
-
 def pulse_peaks(w: GlottalWaveform) -> np.ndarray:
     """Sample indices of flow pulse peaks (may be empty)."""
     return _pulse_peaks(w, float(w.u_gl.max()))
@@ -201,42 +192,32 @@ def detect_phases(w: GlottalWaveform) -> tuple[list[tuple[float, float]],
             list(zip(starts[~is_open].tolist(), ends[~is_open].tolist())))
 
 
-def _derivative_blocks(w: GlottalWaveform, d: np.ndarray | None
+def _derivative_blocks(w: GlottalWaveform
                        ) -> Iterator[tuple[int, np.ndarray]]:
     """(start, block) over the flow derivative of w, _CLOSURE_SCAN_SAMPLES
-    samples at a time: slices of d, or, where d is None, each block taken
-    afresh into one reused buffer, valid until the next one."""
+    samples at a time, each block taken afresh into one reused buffer,
+    valid until the next one."""
     n = len(w.u_gl)
-    buffer = None if d is not None else np.empty(min(n, _CLOSURE_SCAN_SAMPLES))
+    buffer = np.empty(min(n, _CLOSURE_SCAN_SAMPLES))
     for start in range(0, n, _CLOSURE_SCAN_SAMPLES):
         stop = min(start + _CLOSURE_SCAN_SAMPLES, n)
-        yield start, (d[start:stop] if d is not None
-                      else _derivative_block(w, start, buffer[:stop - start]))
+        yield start, _derivative_block(w, start, buffer[:stop - start])
 
 
-def analyze(w: GlottalWaveform, d: np.ndarray | None = None) -> AnalysisReport:
+def analyze(w: GlottalWaveform) -> AnalysisReport:
     """Full report; F0 is None (not an error) when too few pulses exist.
 
-    d is the flow derivative of w, taken here when None; ModelDomainError
-    unless it has w's shape and no NaN sample.  Where d is None no
-    record-length derivative is formed: it is taken block by block into
+    No record-length derivative is formed: it is taken block by block into
     one reused buffer, once for its least sample and again up to the block
-    that holds the closure instant.
+    that holds the closure instant.  No sample of it is NaN: the flow is
+    checked finite, and _derivative_block raises on overflow.
     """
-    if d is None:
-        _check_length(w)
-    else:
-        d = _check_derivative(w, d)
-    least = math.inf
-    for _, block in _derivative_blocks(w, d):
-        m = float(block.min())
-        if math.isnan(m):  # min is NaN exactly when a sample is
-            raise ModelDomainError("the flow derivative has a NaN sample")
-        least = min(least, m)
+    _check_length(w)
+    least = min(float(block.min()) for _, block in _derivative_blocks(w))
     # a bound CLOSURE_INSTANT_RTOL of |least| above least, -inf for -inf
     bound = least * (1.0 + math.copysign(CLOSURE_INSTANT_RTOL, least))
     # least itself lies within the bound, so some block holds a hit
-    for start, block in _derivative_blocks(w, d):
+    for start, block in _derivative_blocks(w):
         hit = block <= bound
         i_min = int(np.argmax(hit))
         if hit[i_min]:

@@ -72,8 +72,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     validate_config(cfg)
 
     w = simulate(cfg.build_circuit(), cfg.duration_s, cfg.sample_rate_hz)
-    d = derivative(w)
-    rep = analyze(w, d)
+    d = derivative(w)  # for the CSV only
+    rep = analyze(w)
     writes = [("waveform.csv", lambda path: export_csv(w, d, path))]
     if cfg.write_wav:
         writes.append(("waveform.wav", lambda path: export_wav(w, path)))

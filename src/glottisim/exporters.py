@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import AnalysisReport, _check_derivative
+from .analysis import AnalysisReport
 from .errors import ModelDomainError
 from .network import GlottalWaveform, _check_rate
 
@@ -53,6 +53,15 @@ def format_number(x: float) -> str:
     if x == 0.0:
         return _ZERO_CELL
     return format(float(x), ".9g")
+
+
+def _check_derivative(w: GlottalWaveform, d) -> np.ndarray:
+    """d as a float array; ModelDomainError unless it has w's shape."""
+    d = np.asarray(d, dtype=float)
+    if d.shape != w.u_gl.shape:
+        raise ModelDomainError(
+            f"derivative length {d.shape} must match waveform {w.u_gl.shape}")
+    return d
 
 
 def export_csv(w: GlottalWaveform, d: np.ndarray, path) -> None:

@@ -18,6 +18,7 @@ from glottisim import (
     pulse_peaks,
     simulate,
 )
+from glottisim import analysis
 from glottisim.analysis import (_CLOSURE_SCAN_SAMPLES, _f0_of_peaks,
                                  _find_peaks)
 from glottisim.config import RunConfig
@@ -294,14 +295,19 @@ def test_open_phase_count_and_flatness_match_a_sample_loop(name, loud_waveform,
     assert repr(rep.closed_phase_flatness) == repr(flatness)
 
 
-@pytest.mark.parametrize("name", list(PHASE_CASES))
-def test_closure_instant_matches_a_sample_loop(name, loud_waveform, tmp_path):
-    w = PHASE_CASES[name][1](loud_waveform, tmp_path)
-    d = derivative(w)
-    least, k = oracles.closure_instant_ref(d)
-    rep = analyze(w, d)
+def _assert_closure_instant_of_the_whole_derivative(w):
+    """analyze(w) reports the sharpest swing and the closure instant of the
+    record-length derivative(w), bitwise."""
+    least, k = oracles.closure_instant_ref(derivative(w))
+    rep = analyze(w)
     assert repr(rep.max_negative_derivative) == repr(least)
     assert rep.max_negative_derivative_time_s == w.t0 + k / w.sample_rate_hz
+
+
+@pytest.mark.parametrize("name", list(PHASE_CASES))
+def test_closure_instant_matches_a_sample_loop(name, loud_waveform, tmp_path):
+    _assert_closure_instant_of_the_whole_derivative(
+        PHASE_CASES[name][1](loud_waveform, tmp_path))
 
 
 def _swings(n, swings):
@@ -328,10 +334,17 @@ def _swings(n, swings):
           ("block-end", {16383: -1.0, 16384: -1.0}, 16383),
           ("block-start", {16384: -1.0, 44999: -1.0}, 16384))),
 ])
-def test_closure_instant_is_the_first_swing_near_the_least(d, want):
+def test_closure_instant_is_the_first_swing_near_the_least(d, want,
+                                                           monkeypatch):
+    def given_block(w, start, out):
+        out[:] = d[start:start + len(out)]
+        return out
+
+    # analyze takes its derivative blocks from d in place of the flow's
+    monkeypatch.setattr(analysis, "_derivative_block", given_block)
     w = make_waveform(np.ones(len(d)))
     least, k = oracles.closure_instant_ref(d)
-    rep = analyze(w, np.array(d))
+    rep = analyze(w)
     assert k == want
     assert rep.max_negative_derivative == least == min(d)
     assert rep.max_negative_derivative_time_s == k / w.sample_rate_hz
@@ -344,7 +357,7 @@ def test_csv_round_trip_gives_the_run_report(pressure, duration, tmp_path):
     d = derivative(w)
     export_csv(w, d, tmp_path / "w.csv")
     back, _ = read_waveform_csv(tmp_path / "w.csv")
-    want = format_report(analyze(w, d)).splitlines()
+    want = format_report(analyze(w)).splitlines()
     assert format_report(analyze(back)).splitlines() == want
 
 
@@ -378,33 +391,6 @@ def test_analyze_of_default_run(loud_waveform):
         0.03997732426303855, abs=1e-12)
     assert rep.closed_phase_flatness <= 1e-6
     assert rep.pulse_count == 125
-
-
-def test_analyze_uses_a_given_derivative(loud_waveform):
-    w = loud_waveform
-    d = derivative(w)
-    assert analyze(w, d) == analyze(w)
-    doubled = analyze(w, 2.0 * d)
-    assert doubled.max_negative_derivative == 2.0 * float(d.min())
-
-
-@pytest.mark.parametrize("length", [442, 5, 0],
-                         ids=["one-too-long", "5-samples", "empty"])
-def test_analyze_rejects_a_derivative_of_another_length(length):
-    # 10 ms is 441 samples; a longer d once reported a swing past the record
-    w = simulate(GlottalCircuit.normal_voice(), 0.01, 44100)
-    d = np.full(length, -1e9)
-    with pytest.raises(ModelDomainError, match="derivative length"):
-        analyze(w, d)
-
-
-@pytest.mark.parametrize("k", [0, 3, 6])
-def test_analyze_rejects_a_nan_derivative(k):
-    # the report read max_negative_derivative=nan; infinities stay accepted
-    d = np.array([0.0, -1.0, np.inf, -np.inf, 0.0, -1.0, 0.0])
-    d[k] = np.nan
-    with pytest.raises(ModelDomainError, match="NaN"):
-        analyze(make_waveform(np.ones(len(d))), d)
 
 
 def test_closure_instant_sits_in_the_fall_segment(loud_waveform):
@@ -443,7 +429,7 @@ def test_analyze_handles_silence():
 @pytest.mark.parametrize("pressure", [6.5, 10.0, 15.0])
 def test_block_scan_is_the_report_of_the_whole_derivative(pressure, duration):
     w = simulate(GlottalCircuit.normal_voice(pressure), duration, 44100)
-    assert repr(analyze(w)) == repr(analyze(w, derivative(w)))
+    _assert_closure_instant_of_the_whole_derivative(w)
 
 
 def _one_fall(n, k):
@@ -459,15 +445,13 @@ def _one_fall(n, k):
                                _CLOSURE_SCAN_SAMPLES + 1, 40000 - 1])
 def test_block_scan_finds_a_closure_instant_anywhere(k):
     w = make_waveform(_one_fall(40000, k))
-    d = derivative(w)
-    rep = analyze(w)
-    assert repr(rep) == repr(analyze(w, d))
-    assert rep.max_negative_derivative_time_s == int(np.argmin(d)) / 44100
+    _assert_closure_instant_of_the_whole_derivative(w)
+    assert analyze(w).max_negative_derivative_time_s == k / 44100
 
 
 def test_block_scan_of_a_three_sample_record():
-    w = make_waveform([1.0, 0.25, 0.5])
-    assert repr(analyze(w)) == repr(analyze(w, derivative(w)))
+    _assert_closure_instant_of_the_whole_derivative(
+        make_waveform([1.0, 0.25, 0.5]))
     with pytest.raises(ModelDomainError, match="at least 3 samples"):
         analyze(make_waveform([1.0, 0.5]))
 

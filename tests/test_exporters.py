@@ -332,8 +332,7 @@ def test_read_of_crlf_comments_and_blank_lines(short_csv, tmp_path):
 
 
 def test_analyze_of_a_read_rejects_a_nan_derivative_cell(short_csv):
-    # analyze of what the reader returned reported
-    # max_negative_derivative=nan before
+    clean = analyze(read_waveform_csv(short_csv)[0])
     lines = short_csv.read_text().splitlines(keepends=True)
     fields = lines[200].split(",")
     fields[2] = "nan"
@@ -342,8 +341,8 @@ def test_analyze_of_a_read_rejects_a_nan_derivative_cell(short_csv):
     w, d = read_waveform_csv(short_csv)
     # the reader takes the NaN that export_csv writes
     assert np.isnan(d[199]) and np.count_nonzero(np.isnan(d)) == 1
-    with pytest.raises(ModelDomainError, match="NaN"):
-        analyze(w, d)
+    # analyze takes its derivative from u_gl, so the cell never reaches it
+    assert repr(analyze(w)) == repr(clean)
 
 
 def test_read_matches_a_float_per_cell_parse(tmp_path, loud_waveform):
